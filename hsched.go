@@ -40,8 +40,8 @@
 //	          probe's result as the next probe's incremental seed;
 //	          per-session SessionStats roll up into ServiceStats
 //	          └─ Service — concurrency-safe front-end: engine pool
-//	             sharded by System.Fingerprint, LRU verdict memo keyed
-//	             by (fingerprint, normalised options) with
+//	             sharded by System.Fingerprint, CLOCK verdict memo
+//	             keyed by (fingerprint, normalised options) with
 //	             cost-weighted eviction, singleflight dedup of
 //	             concurrent identical queries, a delta-seed pool that
 //	             re-analyses near-match queries incrementally,
@@ -422,7 +422,7 @@ func NewAnalyzer(opt AnalysisOptions) *Analyzer {
 }
 
 // NewService returns a concurrency-safe analysis service: a pool of
-// resident engines sharded by system fingerprint, an LRU memo of
+// resident engines sharded by system fingerprint, a CLOCK memo of
 // verdicts keyed by (fingerprint, normalised options), and
 // singleflight deduplication of concurrent identical queries. Hold
 // one Service for the lifetime of a serving process and query it from

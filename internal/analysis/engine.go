@@ -317,7 +317,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 			}
 			e.jitChanged[i] = changed
 		}
-		e.roundCopyValid = !e.opt.DisableSweepReuse
+		e.roundCopyValid = !e.opt.sweep.NoReuse
 	}
 	if iters == 0 {
 		return nil, fmt.Errorf("analysis: no iterations executed")
@@ -362,7 +362,7 @@ func (e *Engine) resetCounters() {
 // that is stale — or from a one-edit-apart system — costs one shape
 // check, never a wrong bound. prev is only read; the slabs get copies.
 func (e *Engine) installSweepSeeds(prev *Result) {
-	if prev == nil || !e.opt.Exact || e.opt.DisableSweepReuse {
+	if prev == nil || !e.opt.Exact || e.opt.sweep.NoReuse {
 		return
 	}
 	if len(prev.sweepNu) != len(e.an.slabs) {
@@ -386,7 +386,7 @@ func (e *Engine) installSweepSeeds(prev *Result) {
 // AnalyzeFrom re-seeds from. nil when the result cannot serve as a
 // seed anyway (approximate analysis, reuse or replay state disabled).
 func (e *Engine) harvestSweepSeeds() [][][]initiator {
-	if !e.opt.Exact || e.opt.DisableSweepReuse || e.opt.DisableReplayState {
+	if !e.opt.Exact || e.opt.sweep.NoReuse || e.opt.DisableReplayState {
 		return nil
 	}
 	total := 0
@@ -606,7 +606,7 @@ func (e *Engine) runRound(iter int) error {
 	// construction of workers() — when Workers is 1, preserving the
 	// strictly-sequential contract callers inside batch.MapWorkers
 	// rely on.
-	inner := e.opt.Exact && !e.opt.DisableExactParallel && !e.opt.DisableExactStreaming
+	inner := e.opt.Exact && !e.opt.sweep.NoParallel && !e.opt.sweep.NoStreaming
 	spare := 0
 	if inner {
 		spare = e.opt.workers() - outer

@@ -1,0 +1,11 @@
+package analysis
+
+// SweepToggles exposes Options' exact-sweep toggles to the external
+// test package: each true field turns one acceleration off.
+type SweepToggles = sweepToggles
+
+// WithSweep returns opt with its exact-sweep toggles set to t.
+func WithSweep(opt Options, t SweepToggles) Options {
+	opt.sweep = t
+	return opt
+}

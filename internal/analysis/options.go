@@ -94,52 +94,18 @@ type Options struct {
 	// lands on.
 	Workers int
 
-	// DisableExactStreaming reverts the exact analysis to the
-	// historical sweep that materialises the full scenario list before
-	// evaluating it — O(count · axes) peak memory instead of the
-	// cursor's O(axes). Results are bit-identical either way; the
-	// materialised sweep is also strictly sequential (it is the
-	// reference implementation the streamed sweep is tested against).
-	// Like Workers, it never changes computed bounds and is excluded
-	// from replay keys and cache keys.
-	DisableExactStreaming bool
+	// sweep turns exact-sweep accelerations off. Every acceleration
+	// is bit-identical to the reference sweep, so only tests set it
+	// (through export_test.go); it is excluded from replay and cache
+	// keys. The zero value, everything on, is the production setting.
+	sweep sweepToggles
+}
 
-	// DisableExactPruning turns off the admissible scenario prune of
-	// the exact sweep: the upper bound obtained by charging every
-	// other transaction W* (Eq. 15) instead of its scenario's exact
-	// W^k (Eq. 13), computed once per busy-period initiator of the
-	// transaction under analysis, normally skips every scenario whose
-	// bound cannot strictly beat the running best. The prune only ever
-	// discards scenarios that cannot change the outcome, so results
-	// are bit-identical with it on or off; Result.ScenariosPruned
-	// reports how many scenarios it skipped. Excluded from replay keys
-	// and cache keys.
-	DisableExactPruning bool
-
-	// DisableExactParallel keeps each task's exact scenario sweep on
-	// its own goroutine even when the round has Workers to spare.
-	// Sweeps large enough to split are otherwise partitioned into
-	// contiguous cursor ranges evaluated on the spare workers and
-	// reduced in chunk-index order, so results are bit-identical for
-	// every worker count. Requires streaming (the materialised sweep
-	// is sequential). Excluded from replay keys and cache keys.
-	DisableExactParallel bool
-
-	// DisableSweepReuse turns off the two cross-sweep reuse ladders of
-	// the branch-and-bound exact sweep: incumbent seeding (the critical
-	// scenario a sweep records is re-evaluated under the next sweep's
-	// inputs — next holistic round, or next analysis via
-	// Engine.AnalyzeFrom — and pruned against strictly, so near-repeat
-	// probes skip almost the whole scenario space) and the
-	// unchanged-inputs round fast path (a task whose own and
-	// interfering transactions all kept bitwise-identical jitters since
-	// the previous round reuses that round's TaskResult outright —
-	// recomputation is a pure function of those inputs). Both reuse
-	// mechanisms only ever skip work whose outcome is already
-	// determined, so results are bit-identical with the toggle on or
-	// off; it exists for the metamorphic seeded-vs-cold tests and for
-	// A/B benchmarking. Excluded from replay keys and cache keys.
-	DisableSweepReuse bool
+type sweepToggles struct {
+	NoStreaming bool // materialise the scenario list, then sweep it sequentially (the reference)
+	NoPruning   bool // no admissible W* prune (Eq. 15 in place of Eq. 13), no subtree jumps
+	NoParallel  bool // no cursor chunks on spare workers
+	NoReuse     bool // no incumbent seeding, no unchanged-inputs round copy
 }
 
 // Normalised returns the options with every defaulted numeric field
@@ -166,9 +132,7 @@ func (o Options) Normalised() Options {
 // equal keys follow identical trajectories on identical systems —
 // the precondition for AnalyzeFrom replaying one run's recorded
 // rounds inside another. Fields that never change results (Workers,
-// Recorder, DisableReplayState and the exact-sweep toggles
-// DisableExactStreaming / DisableExactPruning / DisableExactParallel)
-// are deliberately absent. This is the
+// Recorder, DisableReplayState) are deliberately absent. This is the
 // single enumeration of semantics-affecting options: the analysis
 // service's memo keys embed it too, so a future Options field added
 // here is automatically respected by both the replay gate and the
@@ -284,14 +248,14 @@ type Result struct {
 	// ScenariosPruned counts the exact scenario vectors the admissible
 	// prune skipped across every task and round of this analysis — the
 	// work the branch-and-bound discipline saved. Always 0 for the
-	// approximate analysis and under Options.DisableExactPruning. Like
-	// Delta it is a work profile, not part of the analysis outcome:
-	// the count depends on scheduling when sweeps run chunk-parallel
-	// (each chunk prunes against its own running best plus a shared
-	// monotone bound), on the replay depth on the delta path
-	// (replayed tasks sweep nothing, so they contribute no prunes),
-	// and on the engine-resident sweep seeds of earlier analyses —
-	// the bounds and verdict are bit-identical regardless.
+	// approximate analysis. Like Delta it is a work profile, not part
+	// of the analysis outcome: the count depends on scheduling when
+	// sweeps run chunk-parallel (each chunk prunes against its own
+	// running best plus a shared monotone bound), on the replay depth
+	// on the delta path (replayed tasks sweep nothing, so they
+	// contribute no prunes), and on the engine-resident sweep seeds of
+	// earlier analyses — the bounds and verdict are bit-identical
+	// regardless.
 	ScenariosPruned int64
 
 	// SubtreesPruned counts the whole-subtree cursor jumps among the

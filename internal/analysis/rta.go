@@ -74,7 +74,7 @@ type taskScratch struct {
 // single huge analysis does not pin its peak memory for the lifetime
 // of a reused engine. Called between analyses, never inside one. The
 // scenario list only grows on the approximate path and the
-// materialised (Options.DisableExactStreaming) exact sweep — the
+// materialised (Options.sweep.NoStreaming) exact sweep — the
 // streamed sweep never touches it, and its ν backing is allocated
 // fresh and left to the GC, so the old ν high-water check is gone. The
 // remaining buffers are bounded by axis and candidate counts, small by
@@ -205,11 +205,11 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	// as much work as the sweep itself with nothing to amortise it, so
 	// pruning only arms when other axes multiply the space.
 	var bounds []float64
-	if !an.opt.DisableExactPruning && count > len(axes[aAxis].cands) {
+	if !an.opt.sweep.NoPruning && count > len(axes[aAxis].cands) {
 		bounds = an.pruneBounds(a, b, hp, alpha, axes[aAxis].cands, ts)
 	}
 
-	if an.opt.DisableExactStreaming {
+	if an.opt.sweep.NoStreaming {
 		// Reference path: materialise every scenario vector first, then
 		// evaluate the list sequentially — the seed sweep the streamed
 		// cursor is tested against. No subtree bounds, no incumbent
@@ -247,7 +247,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	// and the floor prunes most of the space; a gate on sweep size was
 	// tried and measurably hurt the probe-chain workloads, whose sweeps
 	// are small but whose seeds are near-perfect.
-	reuse := !an.opt.DisableSweepReuse
+	reuse := !an.opt.sweep.NoReuse
 	floor := 0.0
 	if bb != nil && reuse {
 		if seed := an.slabs[a].seedNu[b]; len(seed) > 0 {
@@ -279,7 +279,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	// results are reduced in chunk-index order below, which reproduces
 	// the sequential sweep's first-maximum tie breaking exactly.
 	chunks := 1
-	if !an.opt.DisableExactParallel && an.budget != nil && an.opt.workers() > 1 && count >= 2*exactChunkMin {
+	if !an.opt.sweep.NoParallel && an.budget != nil && an.opt.workers() > 1 && count >= 2*exactChunkMin {
 		chunks = count / exactChunkMin
 		if m := 4 * an.opt.workers(); chunks > m {
 			chunks = m
@@ -363,7 +363,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 // disabled) leaves the previous seed in place: it stays shape-valid
 // and re-evaluation keeps it sound.
 func (an *analyzer) storeSeed(a, b int, critNu []initiator) {
-	if an.opt.DisableSweepReuse || len(critNu) == 0 {
+	if an.opt.sweep.NoReuse || len(critNu) == 0 {
 		return
 	}
 	sl := &an.slabs[a]
@@ -864,7 +864,7 @@ func cursorNext(axes []axis, pick []int, nu []initiator) int {
 
 // materialiseScenarios expands the axes into the full scenario list by
 // walking the cursor once — the reference (seed) form of the exact
-// sweep, kept behind Options.DisableExactStreaming for the bit-identity
+// sweep, kept behind Options.sweep.NoStreaming for the bit-identity
 // tests. The ν backing is allocated fresh and handed to the GC with
 // the list; only the list header is pooled.
 func (an *analyzer) materialiseScenarios(axes []axis, aAxis, count int, ts *taskScratch) []scenario {

@@ -17,14 +17,10 @@ import (
 // and a strictly sequential engine. Every accelerated configuration
 // must reproduce its results bit for bit.
 func seedSweepOptions() analysis.Options {
-	return analysis.Options{
-		Exact:                 true,
-		Workers:               1,
-		MaxIterations:         40,
-		DisableExactStreaming: true,
-		DisableExactPruning:   true,
-		DisableExactParallel:  true,
-	}
+	return analysis.WithSweep(
+		analysis.Options{Exact: true, Workers: 1, MaxIterations: 40},
+		analysis.SweepToggles{NoStreaming: true, NoPruning: true, NoParallel: true},
+	)
 }
 
 // sweepSystems draws the bit-identity population: single-platform
@@ -127,9 +123,9 @@ func TestExactSweepBitIdentity(t *testing.T) {
 			for _, workers := range []int{1, 4, 8} {
 				opt := seedSweepOptions()
 				opt.Workers = workers
-				opt.DisableExactStreaming = !c.streamed
-				opt.DisableExactPruning = !c.pruned
-				opt.DisableExactParallel = !c.parallel
+				opt = analysis.WithSweep(opt, analysis.SweepToggles{
+					NoStreaming: !c.streamed, NoPruning: !c.pruned, NoParallel: !c.parallel,
+				})
 				got, err := analysis.NewEngine(opt).Analyze(sys)
 				if err != nil {
 					t.Fatalf("system %d %s workers=%d: %v", si, c.name, workers, err)
@@ -162,10 +158,10 @@ func TestExactSweepBitIdentityHeavy(t *testing.T) {
 	}
 	for _, pruned := range []bool{false, true} {
 		for _, workers := range []int{1, 4, 8} {
-			opt := analysis.Options{
-				Exact: true, Workers: workers,
-				DisableExactPruning: !pruned,
-			}
+			opt := analysis.WithSweep(
+				analysis.Options{Exact: true, Workers: workers},
+				analysis.SweepToggles{NoPruning: !pruned},
+			)
 			got, err := analysis.NewEngine(opt).AnalyzeStatic(sys)
 			if err != nil {
 				t.Fatal(err)

@@ -81,7 +81,7 @@ func TestSweepSeedReusedOnRetuning(t *testing.T) {
 	}
 
 	cold := opt
-	cold.DisableSweepReuse = true
+	cold.sweep.NoReuse = true
 	want, err := NewEngine(cold).Analyze(mut)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestSweepSeedDiscardedOnShapeChange(t *testing.T) {
 	}
 
 	cold := opt
-	cold.DisableSweepReuse = true
+	cold.sweep.NoReuse = true
 	want, err := NewEngine(cold).Analyze(mut)
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +145,14 @@ func TestRoundCopyFastPath(t *testing.T) {
 		t.Fatalf("converging iteration copied %d rounds, want > 0", n)
 	}
 	cold := opt
-	cold.DisableSweepReuse = true
+	cold.sweep.NoReuse = true
 	coldEng := NewEngine(cold)
 	want, err := coldEng.Analyze(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := coldEng.roundCopied.Load(); n != 0 {
-		t.Fatalf("DisableSweepReuse engine copied %d rounds, want 0", n)
+		t.Fatalf("NoReuse engine copied %d rounds, want 0", n)
 	}
 	sameBits(t, want, got)
 }

@@ -59,14 +59,10 @@ func TestSweepSeedBitIdentity(t *testing.T) {
 			for p := 0; p < 2; p++ {
 				for q := 0; q < 2; q++ {
 					for _, workers := range []int{1, 4, 8} {
-						opt := analysis.Options{
-							Exact: true, Workers: workers, MaxIterations: 40,
-							DisableExactStreaming: s == 0,
-							DisableExactPruning:   p == 0,
-							DisableExactParallel:  q == 0,
-						}
-						cold := opt
-						cold.DisableSweepReuse = true
+						toggles := analysis.SweepToggles{NoStreaming: s == 0, NoPruning: p == 0, NoParallel: q == 0}
+						opt := analysis.WithSweep(analysis.Options{Exact: true, Workers: workers, MaxIterations: 40}, toggles)
+						toggles.NoReuse = true
+						cold := analysis.WithSweep(opt, toggles)
 
 						eng := analysis.NewEngine(opt)
 						var prev *analysis.Result

@@ -70,7 +70,7 @@ func MapWorkers[S, T any](n int, opt Options, newState func() S, fn func(s S, i 
 
 	var (
 		next     atomic.Int64
-		done     atomic.Int64
+		done     int // guarded by progMu
 		firstErr error
 		errOnce  sync.Once
 		failed   atomic.Bool
@@ -105,9 +105,10 @@ func MapWorkers[S, T any](n int, opt Options, newState func() S, fn func(s S, i 
 				}
 				out[i] = v
 				if opt.Progress != nil {
-					d := int(done.Add(1))
+					// Count under the lock, so calls see done in order.
 					progMu.Lock()
-					opt.Progress(d, n)
+					done++
+					opt.Progress(done, n)
 					progMu.Unlock()
 				}
 			}

@@ -57,8 +57,9 @@
 // delta-pool luck. Session-scoped probes accept either a full spec or
 // a model.Diff-shaped edit (platform parameter changes, transaction
 // set/remove/add) applied against the session's last accepted system.
-// The registry is LRU-bounded; abandoned tokens eventually drop their
-// pinned seeds.
+// The registry is bounded by the same CLOCK cache (internal/cache) as
+// the parse memo and the service's memo and pools; abandoned tokens
+// eventually drop their pinned seeds.
 //
 // Error contract: malformed or inconsistent requests are 400s whose
 // body names the offending field (spec.ErrInvalid wrapping), missed

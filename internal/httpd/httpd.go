@@ -38,8 +38,9 @@ type Options struct {
 	// executing concurrently; excess requests are shed with a 429.
 	// 0 means unbounded.
 	MaxInflight int
-	// MaxSessions caps the session registry; the least-recently-used
-	// session is evicted (seed dropped) beyond it. 0 selects 1024.
+	// MaxSessions caps the session registry. Beyond it a session not
+	// looked up since the registry's last eviction sweep is evicted
+	// (seed dropped), the oldest first. 0 selects 1024.
 	MaxSessions int
 	// MaxBodyBytes caps request bodies. 0 selects 8 MiB.
 	MaxBodyBytes int64

@@ -1,11 +1,11 @@
 package httpd
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 
+	"hsched/internal/cache"
 	"hsched/internal/model"
 )
 
@@ -18,25 +18,24 @@ import (
 // SHA-256 of the raw body that keys this memo — the service is handed
 // the cached fingerprint instead of re-encoding the system to hash it.
 type parsedAnalyze struct {
-	key [sha256.Size]byte
 	sys *model.System
 	fp  model.Fingerprint
 	opt OptionsSpec
 }
 
-// parseMemo is a body-hash LRU in front of the analyze decode path.
-// Admission-control traffic keeps re-asking about the same small
-// population of systems, so the expensive part of a memo-hit query is
-// not the analysis (the service answers in ~µs) but decoding the JSON
-// spec and rebuilding the model — this cache skips both: a repeated
-// byte-identical body costs one SHA-256 of the raw bytes. Entries are
-// only ever successful parses; malformed bodies are re-diagnosed every
-// time so their 400s stay accurate.
+// parseMemo is a body-hash cache in front of the analyze decode path,
+// the same cache.Clock as the service's memo and intern pool (a hit
+// touches its entry; eviction takes the first untouched entry from the
+// cold end). Admission-control traffic keeps re-asking about the same
+// small population of systems, so the expensive part of a memo-hit
+// query is not the analysis (the service answers in ~µs) but decoding
+// the JSON spec and rebuilding the model — this cache skips both: a
+// repeated byte-identical body costs one SHA-256 of the raw bytes.
+// Entries are only ever successful parses; malformed bodies are
+// re-diagnosed every time so their 400s stay accurate.
 type parseMemo struct {
 	mu    sync.Mutex
-	cap   int
-	lru   list.List // of *parsedAnalyze, front = most recent
-	byKey map[[sha256.Size]byte]*list.Element
+	byKey *cache.Clock[[sha256.Size]byte, *parsedAnalyze]
 	hits  atomic.Int64
 }
 
@@ -44,10 +43,7 @@ func newParseMemo(capacity int) *parseMemo {
 	if capacity <= 0 {
 		return nil
 	}
-	return &parseMemo{
-		cap:   capacity,
-		byKey: make(map[[sha256.Size]byte]*list.Element),
-	}
+	return &parseMemo{byKey: cache.New[[sha256.Size]byte, *parsedAnalyze](capacity)}
 }
 
 // get returns the cached parse for a body hash, if any. A nil memo
@@ -57,32 +53,25 @@ func (p *parseMemo) get(key [sha256.Size]byte) (*parsedAnalyze, bool) {
 		return nil, false
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.byKey[key]
-	if !ok {
+	e := p.byKey.Get(key)
+	if e == nil {
+		p.mu.Unlock()
 		return nil, false
 	}
-	p.lru.MoveToFront(el)
+	parsed := e.Value()
+	p.mu.Unlock()
+	e.Touch()
 	p.hits.Add(1)
-	return el.Value.(*parsedAnalyze), true
+	return parsed, true
 }
 
-// put records a successful parse, evicting the least-recently-used
-// entry beyond capacity.
+// put records a successful parse, evicting past capacity.
 func (p *parseMemo) put(key [sha256.Size]byte, sys *model.System, fp model.Fingerprint, opt OptionsSpec) {
 	if p == nil {
 		return
 	}
+	parsed := &parsedAnalyze{sys: sys, fp: fp, opt: opt}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byKey[key]; ok {
-		p.lru.MoveToFront(el)
-		return
-	}
-	p.byKey[key] = p.lru.PushFront(&parsedAnalyze{key: key, sys: sys, fp: fp, opt: opt})
-	for p.lru.Len() > p.cap {
-		victim := p.lru.Back()
-		p.lru.Remove(victim)
-		delete(p.byKey, victim.Value.(*parsedAnalyze).key)
-	}
+	p.byKey.Put(key, parsed, 0)
+	p.mu.Unlock()
 }

@@ -1,12 +1,12 @@
 package httpd
 
 import (
-	"container/list"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
 	"sync"
 
+	"hsched/internal/cache"
 	"hsched/internal/model"
 	"hsched/internal/service"
 )
@@ -32,26 +32,25 @@ type session struct {
 	opt OptionsSpec
 }
 
-// sessions is the server's token registry: an LRU capped at
+// sessions is the server's token registry: a cache.Clock capped at
 // MaxSessions so abandoned tokens cannot pin seeds (each holds a full
-// replay history) forever.
+// replay history) forever. A lookup touches its session; eviction
+// takes the first untouched session from the cold end.
 type sessions struct {
 	mu      sync.Mutex
-	cap     int
-	lru     list.List // front = most recent; values are *session
-	byToken map[string]*list.Element
+	byToken *cache.Clock[string, *session]
 
 	created int64
 	evicted int64
 }
 
 func newSessions(cap int) *sessions {
-	return &sessions{cap: cap, byToken: make(map[string]*list.Element)}
+	return &sessions{byToken: cache.New[string, *session](cap)}
 }
 
 // create binds a new session and returns it. When the registry is
-// full the least-recently-used session is evicted and its seed
-// dropped.
+// full a session not looked up since the last sweep is evicted and
+// its seed dropped.
 func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, error) {
 	var buf [16]byte
 	if _, err := rand.Read(buf[:]); err != nil {
@@ -64,30 +63,24 @@ func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, erro
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.lru.Len() >= r.cap {
-		oldest := r.lru.Back()
-		victim := oldest.Value.(*session)
-		r.lru.Remove(oldest)
-		delete(r.byToken, victim.token)
+	if victim, ok := r.byToken.Put(s.token, s, 0); ok {
 		victim.probe.Drop()
 		r.evicted++
 	}
-	r.byToken[s.token] = r.lru.PushFront(s)
 	r.created++
 	return s, nil
 }
 
-// lookup returns the session for token, refreshing its LRU position,
-// or nil.
+// lookup returns the session for token, touching it, or nil.
 func (r *sessions) lookup(token string) *session {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	el, ok := r.byToken[token]
-	if !ok {
+	e := r.byToken.Get(token)
+	if e == nil {
 		return nil
 	}
-	r.lru.MoveToFront(el)
-	return el.Value.(*session)
+	e.Touch()
+	return e.Value()
 }
 
 // remove deletes the session for token, dropping its pinned seed.
@@ -95,19 +88,16 @@ func (r *sessions) lookup(token string) *session {
 func (r *sessions) remove(token string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	el, ok := r.byToken[token]
-	if !ok {
-		return false
+	s, ok := r.byToken.Delete(token)
+	if ok {
+		s.probe.Drop()
 	}
-	r.lru.Remove(el)
-	delete(r.byToken, token)
-	el.Value.(*session).probe.Drop()
-	return true
+	return ok
 }
 
 // counters snapshots the registry for /v1/stats.
 func (r *sessions) counters() SessionCounters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return SessionCounters{Open: r.lru.Len(), Created: r.created, Evicted: r.evicted}
+	return SessionCounters{Open: r.byToken.Len(), Created: r.created, Evicted: r.evicted}
 }

@@ -322,7 +322,7 @@ type StatsResponse struct {
 type SessionCounters struct {
 	Open    int   `json:"open"`
 	Created int64 `json:"created"`
-	// Evicted counts sessions displaced by the registry's LRU cap
+	// Evicted counts sessions displaced by the registry's CLOCK cap
 	// (explicitly deleted sessions are not evictions).
 	Evicted int64 `json:"evicted"`
 }

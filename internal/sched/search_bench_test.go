@@ -27,9 +27,7 @@ func exactSearchSystem(tb testing.TB) *gen.Config {
 // exact oracle: tens of probes, each a branch-and-bound exact sweep,
 // all routed through one probe session so consecutive one-move-apart
 // probes seed each other's sweeps with the previous critical scenario
-// (cross-probe prune-state reuse). The "cold" variant disables the
-// reuse to isolate its contribution; results are bit-identical either
-// way.
+// (cross-probe prune-state reuse).
 func BenchmarkExactSearch(b *testing.B) {
 	cfg := exactSearchSystem(b)
 	sys, err := gen.System(*cfg)
@@ -56,8 +54,5 @@ func BenchmarkExactSearch(b *testing.B) {
 	}
 	b.Run("session-reuse", func(b *testing.B) {
 		run(b, analysis.Options{Exact: true, Workers: 1})
-	})
-	b.Run("cold", func(b *testing.B) {
-		run(b, analysis.Options{Exact: true, Workers: 1, DisableSweepReuse: true})
 	})
 }

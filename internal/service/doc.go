@@ -44,12 +44,14 @@
 //     and are allocation-free: a hit reads the stripe's index under
 //     its mutex and records recency by setting the entry's CLOCK bit
 //     (an atomic, touched outside the lock) instead of reordering a
-//     list. Eviction is second-chance and cost-weighted: the evictor
-//     scans from the cold end, rotates touched entries back with
-//     their bit cleared, and among the untouched sample evicts the
-//     cheapest-to-recompute entry first, so exact-analysis verdicts
-//     (~30× the recomputation price of approximate ones) survive
-//     bursts of cheap traffic;
+//     list. Each stripe's memo is an internal/cache Clock, the one
+//     bounded map every layer here and in internal/httpd uses.
+//     Eviction is second-chance and cost-weighted: the evictor scans
+//     from the cold end, rotates touched entries back with their bit
+//     cleared, and among the untouched sample evicts the
+//     cheapest-to-recompute entry first — never the entry being
+//     inserted — so exact-analysis verdicts (~30× the recomputation
+//     price of approximate ones) survive bursts of cheap traffic;
 //
 //   - singleflight-style deduplication: concurrent identical queries
 //     block on the first one's in-flight analysis instead of running
@@ -57,8 +59,9 @@
 //     cancelled, a waiting caller whose own context is still live
 //     retries and becomes the new leader;
 //
-//   - a delta-seed pool of recent results (Options.DeltaWindow). A
-//     miss diffs the incoming system against the pool by
+//   - a delta-seed pool of recent results (Options.DeltaWindow), the
+//     same Clock per stripe with no touches and no costs — a FIFO
+//     window. A miss diffs the incoming system against the pool by
 //     per-transaction fingerprint overlap; the best near-match seeds
 //     Engine.AnalyzeFrom, which replays the recorded per-round state
 //     of every transaction the edit provably cannot reach and
@@ -86,7 +89,9 @@
 //     distinct system — and a transport that already knows the
 //     fingerprint (the SHA-256 of the canonical wire bytes IS the
 //     fingerprint; see model.System.MarshalBinary) answers a repeat
-//     without decoding at all. Interned systems must never be
+//     without decoding at all. The pool is one Clock per stripe;
+//     residents carry no cost, so eviction takes the first entry not
+//     looked up since the last sweep. Interned systems must never be
 //     mutated. Stats reports InternHits, InternMisses and Resident
 //     (a gauge: distinct systems currently pooled).
 //

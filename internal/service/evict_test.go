@@ -1,0 +1,58 @@
+package service_test
+
+import (
+	"context"
+	"testing"
+
+	"hsched/internal/model"
+	"hsched/internal/service"
+)
+
+// TestServiceFreshEntryNotSelfEvicted: when every resident memo entry
+// was hit since the last sweep, the evictor rotates them all and must
+// still not pick the verdict it is inserting — the repeat of the new
+// query is a hit.
+func TestServiceFreshEntryNotSelfEvicted(t *testing.T) {
+	ctx := context.Background()
+	svc := service.New(service.Options{Shards: 1, Capacity: 2})
+	a, b, c := testSystem(t, 4), testSystem(t, 5), testSystem(t, 6)
+	for i, q := range []struct {
+		sys     *model.System
+		wantHit bool
+	}{{a, false}, {b, false}, {a, true}, {b, true}, {c, false}, {c, true}} {
+		before := svc.Stats().Hits
+		if _, err := svc.Analyze(ctx, q.sys); err != nil {
+			t.Fatal(err)
+		}
+		if hit := svc.Stats().Hits > before; hit != q.wantHit {
+			t.Fatalf("query %d: hit=%v, want %v; stats %+v", i, hit, q.wantHit, svc.Stats())
+		}
+	}
+	if st := svc.Stats(); st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction (a, the coldest rotated entry)", st)
+	}
+}
+
+// TestInternFreshEntryNotSelfEvicted is the intern-pool form: with both
+// residents looked up since the last sweep, interning a third system
+// evicts the colder old resident and keeps the new one.
+func TestInternFreshEntryNotSelfEvicted(t *testing.T) {
+	svc := service.New(service.Options{Shards: 1, InternCapacity: 2})
+	_, fpA := svc.Intern(testSystem(t, 4))
+	_, fpB := svc.Intern(testSystem(t, 5))
+	for _, fp := range []model.Fingerprint{fpA, fpB} {
+		if _, ok := svc.Interned(fp); !ok {
+			t.Fatal("resident missing before the third intern")
+		}
+	}
+	c, fpC := svc.Intern(testSystem(t, 6))
+	if got, ok := svc.Interned(fpC); !ok || got != c {
+		t.Fatal("the freshly interned system evicted itself")
+	}
+	if _, ok := svc.Interned(fpA); ok {
+		t.Fatal("a, the coldest rotated resident, should have been evicted")
+	}
+	if st := svc.Stats(); st.Resident != 2 {
+		t.Fatalf("Resident = %d, want 2", st.Resident)
+	}
+}

@@ -1,10 +1,9 @@
 package service
 
 import (
-	"container/list"
 	"sync"
-	"sync/atomic"
 
+	"hsched/internal/cache"
 	"hsched/internal/model"
 )
 
@@ -19,16 +18,16 @@ import (
 //
 // The pool is striped by fingerprint like the verdict memo (the binary
 // wire path takes an intern lookup and a memo lookup per request, and
-// both must scale), with the same CLOCK discipline: a hit sets the
-// entry's touched bit instead of reordering the list, so the lookup
-// mutex is held for a map read only, and counters are padded atomics.
-// Each stripe is bounded at ceil(capacity/stripes) entries; eviction
-// only drops the pool's reference, so a resident still held by a
-// caller or a memoised Result simply stops being shared with future
-// requests.
+// both must scale), and each stripe is the same cache.Clock: a hit
+// touches the entry after the lookup mutex is released, so the mutex
+// is held for a map read only, and counters are padded atomics.
+// Residents carry no cost, so eviction takes the first untouched
+// entry from the cold end. Each stripe is bounded at
+// ceil(capacity/stripes) entries; eviction only drops the pool's
+// reference, so a resident still held by a caller or a memoised
+// Result simply stops being shared with future requests.
 type internPool struct {
 	stripes []internStripe
-	capPer  int
 
 	hits     counter
 	misses   counter
@@ -36,32 +35,19 @@ type internPool struct {
 }
 
 type internStripe struct {
-	mu    sync.Mutex
-	lru   *list.List // of *internEntry; front = most recently inserted
-	index map[model.Fingerprint]*list.Element
+	mu   sync.Mutex
+	pool *cache.Clock[model.Fingerprint, *model.System]
 
 	_ [64]byte // keep neighbouring stripes' mutexes off one cache line
-}
-
-type internEntry struct {
-	fp  model.Fingerprint
-	sys *model.System
-	// touched is the CLOCK bit (see entry.touched): set lock-free on
-	// hit, cleared for a second chance by the evictor.
-	touched atomic.Bool
 }
 
 func newInternPool(capacity, stripes int) *internPool {
 	if capacity <= 0 {
 		return nil
 	}
-	p := &internPool{
-		stripes: make([]internStripe, stripes),
-		capPer:  perStripe(capacity, stripes),
-	}
+	p := &internPool{stripes: make([]internStripe, stripes)}
 	for i := range p.stripes {
-		p.stripes[i].lru = list.New()
-		p.stripes[i].index = make(map[model.Fingerprint]*list.Element)
+		p.stripes[i].pool = cache.New[model.Fingerprint, *model.System](perStripe(capacity, stripes))
 	}
 	return p
 }
@@ -77,15 +63,14 @@ func (p *internPool) stripeFor(fp model.Fingerprint) *internStripe {
 func (p *internPool) lookup(fp model.Fingerprint) (*model.System, bool) {
 	st := p.stripeFor(fp)
 	st.mu.Lock()
-	el, ok := st.index[fp]
-	if !ok {
+	e := st.pool.Get(fp)
+	if e == nil {
 		st.mu.Unlock()
 		return nil, false
 	}
-	e := el.Value.(*internEntry)
-	sys := e.sys
+	sys := e.Value()
 	st.mu.Unlock()
-	e.touched.Store(true)
+	e.Touch()
 	p.hits.Add(1)
 	return sys, true
 }
@@ -97,42 +82,19 @@ func (p *internPool) lookup(fp model.Fingerprint) (*model.System, bool) {
 func (p *internPool) intern(fp model.Fingerprint, sys *model.System) *model.System {
 	st := p.stripeFor(fp)
 	st.mu.Lock()
-	if el, ok := st.index[fp]; ok {
-		e := el.Value.(*internEntry)
-		res := e.sys
+	if e := st.pool.Get(fp); e != nil {
+		res := e.Value()
 		st.mu.Unlock()
-		e.touched.Store(true)
+		e.Touch()
 		p.hits.Add(1)
 		return res
 	}
-	st.index[fp] = st.lru.PushFront(&internEntry{fp: fp, sys: sys})
-	evicted := 0
-	for st.lru.Len() > p.capPer {
-		// Second-chance scan from the cold end: a touched entry was
-		// hit since the last sweep, so clear the bit and rotate it to
-		// the hot end; the first untouched entry goes.
-		var victim *list.Element
-		for el := st.lru.Back(); el != nil; {
-			prev := el.Prev()
-			e := el.Value.(*internEntry)
-			if e.touched.CompareAndSwap(true, false) {
-				st.lru.MoveToFront(el)
-			} else {
-				victim = el
-				break
-			}
-			el = prev
-		}
-		if victim == nil {
-			victim = st.lru.Back()
-		}
-		st.lru.Remove(victim)
-		delete(st.index, victim.Value.(*internEntry).fp)
-		evicted++
-	}
+	_, evicted := st.pool.Put(fp, sys, 0)
 	st.mu.Unlock()
 	p.misses.Add(1)
-	p.resident.Add(int64(1 - evicted))
+	if !evicted {
+		p.resident.Add(1)
+	}
 	return sys
 }
 
@@ -146,9 +108,8 @@ func (p *internPool) reset() {
 	for i := range p.stripes {
 		st := &p.stripes[i]
 		st.mu.Lock()
-		dropped := int64(st.lru.Len())
-		st.lru.Init()
-		clear(st.index)
+		dropped := int64(st.pool.Len())
+		st.pool.Clear()
 		st.mu.Unlock()
 		p.resident.Add(-dropped)
 	}

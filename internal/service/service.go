@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"hsched/internal/analysis"
+	"hsched/internal/cache"
 	"hsched/internal/model"
 )
 
@@ -123,7 +123,8 @@ type Stats struct {
 	Hits int64 `json:"hits"`
 	// Misses counts queries that ran (or errored in) an analysis.
 	Misses int64 `json:"misses"`
-	// Evictions counts memo entries displaced by the LRU policy.
+	// Evictions counts memo entries displaced by the memo's CLOCK
+	// eviction (see internal/cache).
 	Evictions int64 `json:"evictions"`
 	// InflightDedups counts the subset of Hits that were answered by
 	// waiting on a concurrent identical query instead of the memo.
@@ -258,7 +259,7 @@ type inflight struct {
 //
 //   - mu guards the memo and in-flight table — map/list operations
 //     only, never held across an analysis, and taken exactly once per
-//     memoised query;
+//     memoised query (the memo's cache.Clock has no lock of its own);
 //   - engMu guards the resident engines and IS held across an
 //     analysis (engines are single-goroutine), so a long cold run
 //     never blocks the stripe's hit path;
@@ -266,16 +267,14 @@ type inflight struct {
 //     only on the miss path (seed scan + store).
 type stripe struct {
 	mu       sync.Mutex
-	lru      *list.List // of *entry; front = most recently inserted
-	index    map[cacheKey]*list.Element
+	memo     *cache.Clock[cacheKey, *analysis.Result] // cost: analysis wall time, ns
 	inflight map[cacheKey]*inflight
 
 	engMu   sync.Mutex
 	engines map[engineKey]*analysis.Engine
 
-	seedMu  sync.Mutex
-	seeds   *list.List // of *seedEntry; front = most recent
-	seedIdx map[cacheKey]*list.Element
+	seedMu sync.Mutex
+	seeds  *cache.Clock[cacheKey, seedEntry] // never touched: a FIFO window
 
 	_ [64]byte // keep neighbouring stripes' mutexes off one cache line
 }
@@ -283,8 +282,8 @@ type stripe struct {
 // Service is a concurrency-safe front-end over a pool of resident
 // analysis engines: the long-running "admission control" shape of the
 // ROADMAP. It routes each query to a stripe by system fingerprint,
-// memoises detached Results in per-stripe CLOCK-tempered LRUs keyed by
-// (fingerprint, normalised options), and deduplicates concurrent
+// memoises detached Results in per-stripe cost-weighted CLOCK caches
+// keyed by (fingerprint, normalised options), and deduplicates concurrent
 // identical queries singleflight-style so the analysis runs once.
 //
 // Returned *Results are shared: a memo hit hands the same pointer to
@@ -295,12 +294,11 @@ type stripe struct {
 type Service struct {
 	opt Options
 
-	// stripes is the fingerprint-routed state; capPerStripe and
-	// seedWindow are the per-stripe slices of Options.Capacity and
-	// Options.DeltaWindow (0 = disabled), fixed at construction.
-	stripes      []stripe
-	capPerStripe int
-	seedWindow   int
+	// stripes is the fingerprint-routed state; seedWindow is the
+	// per-stripe slice of Options.DeltaWindow (0 = disabled), fixed at
+	// construction.
+	stripes    []stripe
+	seedWindow int
 
 	ctr counters
 
@@ -315,26 +313,10 @@ type Service struct {
 	intern *internPool
 }
 
-type entry struct {
-	key cacheKey
-	res *analysis.Result
-	// cost is the measured wall time of the analysis that produced
-	// res — the recomputation price the eviction policy protects.
-	cost time.Duration
-	// touched is the CLOCK bit: a memo hit sets it (lock-free, after
-	// releasing the stripe mutex) instead of moving the entry, so hits
-	// never mutate the list; the evictor clears it and grants a second
-	// chance. It is the only entry field written outside the stripe
-	// mutex.
-	touched atomic.Bool
-}
-
 // seedEntry is one delta-seed candidate: a recent result plus the
 // precomputed per-transaction fingerprints its matching runs on. seq
-// is the Service-wide recency stamp (seedSeq); res, txFPs and seq are
-// guarded by the owning stripe's seedMu.
+// is the Service-wide recency stamp (seedSeq).
 type seedEntry struct {
-	key   cacheKey
 	txFPs []model.Fingerprint
 	res   *analysis.Result
 	seq   int64
@@ -344,20 +326,18 @@ type seedEntry struct {
 func New(opt Options) *Service {
 	n := opt.shards()
 	s := &Service{
-		opt:          opt,
-		stripes:      make([]stripe, n),
-		capPerStripe: perStripe(opt.capacity(), n),
-		seedWindow:   perStripe(opt.deltaWindow(), n),
-		intern:       newInternPool(opt.internCapacity(), n),
+		opt:        opt,
+		stripes:    make([]stripe, n),
+		seedWindow: perStripe(opt.deltaWindow(), n),
+		intern:     newInternPool(opt.internCapacity(), n),
 	}
+	capPerStripe := perStripe(opt.capacity(), n)
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		st.lru = list.New()
-		st.index = make(map[cacheKey]*list.Element)
+		st.memo = cache.New[cacheKey, *analysis.Result](capPerStripe)
 		st.inflight = make(map[cacheKey]*inflight)
 		st.engines = make(map[engineKey]*analysis.Engine)
-		st.seeds = list.New()
-		st.seedIdx = make(map[cacheKey]*list.Element)
+		st.seeds = cache.New[cacheKey, seedEntry](s.seedWindow)
 	}
 	return s
 }
@@ -430,12 +410,10 @@ func (s *Service) Reset() {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		st.lru.Init()
-		clear(st.index)
+		st.memo.Clear()
 		st.mu.Unlock()
 		st.seedMu.Lock()
-		st.seeds.Init()
-		clear(st.seedIdx)
+		st.seeds.Clear()
 		st.seedMu.Unlock()
 		st.engMu.Lock()
 		clear(st.engines)
@@ -488,14 +466,13 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 	for {
 		// The memoised hit path: one stripe-mutex acquisition, held for
 		// a map lookup and a pointer read only. res must be read under
-		// the lock (insert may refresh e.res); the CLOCK touch and all
+		// the lock (a Put may refresh it); the CLOCK touch and all
 		// counting are lock-free and happen after release.
 		st.mu.Lock()
-		if el, ok := st.index[key]; ok {
-			e := el.Value.(*entry)
-			res := e.res
+		if e := st.memo.Get(key); e != nil {
+			res := e.Value()
 			st.mu.Unlock()
-			e.touched.Store(true)
+			e.Touch()
 			s.ctr.hits.Add(1)
 			s.ctr.queries.Add(1)
 			if sess != nil {
@@ -567,7 +544,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			sess.noteExecuted(res)
 		}
 
-		// The eviction policy prices entries by recomputation cost,
+		// The memo's eviction prices entries by recomputation cost,
 		// which for a delta-produced result is its *cold* cost, not the
 		// measured incremental run (a re-miss has no guarantee of a
 		// seed). Scale the measurement back up by the fraction of
@@ -592,12 +569,16 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		}
 
 		fl.res, fl.err = shared, err
+		evicted := false
 		st.mu.Lock()
 		delete(st.inflight, key)
-		if err == nil && s.capPerStripe > 0 {
-			s.insert(st, key, shared, cost)
+		if err == nil {
+			_, evicted = st.memo.Put(key, shared, int64(cost))
 		}
 		st.mu.Unlock()
+		if evicted {
+			s.ctr.evictions.Add(1)
+		}
 		if err == nil {
 			if res.Delta != nil {
 				s.ctr.deltaHits.Add(1)
@@ -636,9 +617,8 @@ func (s *Service) findSeed(opt optKey, txFPs []model.Fingerprint, sys *model.Sys
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.seedMu.Lock()
-		for el := st.seeds.Front(); el != nil; el = el.Next() {
-			se := el.Value.(*seedEntry)
-			if se.key.opt != opt || len(se.res.System.Platforms) != len(sys.Platforms) {
+		for key, se := range st.seeds.All() {
+			if key.opt != opt || len(se.res.System.Platforms) != len(sys.Platforms) {
 				continue
 			}
 			// Multiset overlap: each incoming transaction can match at
@@ -672,25 +652,15 @@ func (s *Service) findSeed(opt optKey, txFPs []model.Fingerprint, sys *model.Sys
 }
 
 // storeSeed records a fresh result in its stripe's slice of the
-// delta-seed pool, replacing any entry with the same cache key and
-// evicting the oldest past the per-stripe window. The seedSeq stamp
-// gives the entry its recency rank for cross-stripe findSeed scans.
+// delta-seed pool, replacing any entry with the same cache key. Seeds
+// are never touched and carry no cost, so the pool evicts the oldest
+// past the per-stripe window. The seedSeq stamp gives the entry its
+// recency rank for cross-stripe findSeed scans.
 func (s *Service) storeSeed(st *stripe, key cacheKey, txFPs []model.Fingerprint, res *analysis.Result) {
 	seq := s.seedSeq.Add(1)
 	st.seedMu.Lock()
-	defer st.seedMu.Unlock()
-	if el, ok := st.seedIdx[key]; ok {
-		se := el.Value.(*seedEntry)
-		se.txFPs, se.res, se.seq = txFPs, res, seq
-		st.seeds.MoveToFront(el)
-		return
-	}
-	st.seedIdx[key] = st.seeds.PushFront(&seedEntry{key: key, txFPs: txFPs, res: res, seq: seq})
-	for st.seeds.Len() > s.seedWindow {
-		last := st.seeds.Back()
-		st.seeds.Remove(last)
-		delete(st.seedIdx, last.Value.(*seedEntry).key)
-	}
+	st.seeds.Put(key, seedEntry{txFPs: txFPs, res: res, seq: seq}, 0)
+	st.seedMu.Unlock()
 }
 
 // maxEnginesPerStripe bounds the resident engines one stripe keeps. A
@@ -759,72 +729,6 @@ func (s *Service) runFresh(ctx context.Context, sys *model.System, opt analysis.
 		return eng.AnalyzeStaticContext(ctx, sys)
 	}
 	return eng.AnalyzeContext(ctx, sys)
-}
-
-// evictionSample bounds how many of the oldest untouched entries the
-// eviction policy weighs against each other. Larger samples protect
-// expensive entries more aggressively but let stale ones linger;
-// recency stays the primary signal because the sample is drawn from
-// the cold end of the stripe only.
-const evictionSample = 8
-
-// insert adds (or refreshes) a memo entry in the stripe and evicts
-// past the per-stripe capacity. Caller holds st.mu.
-//
-// Eviction is cost-weighted CLOCK (second chance), not pure LRU. Hits
-// do not reorder the list — they set the entry's touched bit — so the
-// list is ordered by insertion and the evictor supplies the recency
-// signal: scanning from the cold end, an entry whose touched bit is
-// set has been hit since the last sweep, so the bit is cleared and the
-// entry rotates to the hot end (its second chance); among the first
-// quarter of the stripe's untouched entries (capped at
-// evictionSample), the cheapest-to-recompute entry goes first, so a
-// resident exact-analysis verdict — ~30× the recomputation price of an
-// approximate one — is not displaced by a burst of cheap entries of
-// equal coldness. cost is the measured wall time of the analysis that
-// produced res.
-func (s *Service) insert(st *stripe, key cacheKey, res *analysis.Result, cost time.Duration) {
-	if el, ok := st.index[key]; ok {
-		st.lru.MoveToFront(el)
-		e := el.Value.(*entry)
-		e.res, e.cost = res, cost
-		return
-	}
-	st.index[key] = st.lru.PushFront(&entry{key: key, res: res, cost: cost})
-	for st.lru.Len() > s.capPerStripe {
-		sample := (st.lru.Len() + 3) / 4
-		if sample > evictionSample {
-			sample = evictionSample
-		}
-		var victim *list.Element
-		seen := 0
-		for el := st.lru.Back(); el != nil && seen < sample; {
-			prev := el.Prev()
-			e := el.Value.(*entry)
-			if e.touched.CompareAndSwap(true, false) {
-				// Hit since the last sweep: second chance. The rotation
-				// happens at eviction time, under the same st.mu the
-				// hit path held for its lookup, so the list is never
-				// mutated concurrently.
-				st.lru.MoveToFront(el)
-			} else {
-				seen++
-				if victim == nil || e.cost < victim.Value.(*entry).cost {
-					victim = el
-				}
-			}
-			el = prev
-		}
-		if victim == nil {
-			// Every entry was touched since the last sweep (all bits
-			// now cleared and the scan order preserved the rotation):
-			// degrade to evicting the current cold end.
-			victim = st.lru.Back()
-		}
-		st.lru.Remove(victim)
-		delete(st.index, victim.Value.(*entry).key)
-		s.ctr.evictions.Add(1)
-	}
 }
 
 // ctxErr reports whether err is (or wraps) a context cancellation or
