@@ -48,10 +48,10 @@
 //	             context-aware cancellation
 //	              └─ Analyzer (analysis.Engine) — one goroutine's
 //	                 reusable engine: transaction-keyed state slabs,
-//	                 per-round parallel response computation, exact
-//	                 sweeps streamed/pruned/chunk-parallel on a shared
-//	                 worker budget, incremental AnalyzeFrom replay
-//	                   └─ batch — deterministic parallel map primitives
+//	                 per-round parallel response computation, one
+//	                 streamed, pruned exact sweep per task,
+//	                 incremental AnalyzeFrom replay
+//	                   └─ batch — deterministic parallel map
 //
 // Which entry point do I use?
 //
@@ -60,7 +60,8 @@
 //	serving many queries (traffic)    NewService + Service.Analyze
 //	tight loop, single goroutine,     NewAnalyzer + Analyzer.Analyze
 //	  private mutable results
-//	sweeping huge populations         NewAnalyzer inside batch.MapWorkers
+//	sweeping huge populations         one NewAnalyzer per goroutine,
+//	                                  AnalysisOptions.Workers = 1
 //	choosing task priorities          Assign (policy rm/dm/hopa/audsley)
 //	search loop of one-edit probes    Service.NewSession + ProbeSession
 //	other processes or hosts          `hsched serve` (internal/httpd):
@@ -162,8 +163,7 @@ type (
 	// scenario sweeps stream from a mixed-radix cursor and run true
 	// branch-and-bound: admissible prefix bounds jump whole refuted
 	// subtrees (AnalysisResult.ScenariosPruned / SubtreesPruned count
-	// the savings) and large sweeps split across the workers a round
-	// leaves idle. One Analyzer serves one goroutine; results are
+	// the savings). One Analyzer serves one goroutine; results are
 	// identical for every worker count and every sweep toggle.
 	// Analyzer.AnalyzeFrom re-analyses an edited system incrementally,
 	// seeded by a previous result — including each sweep's critical

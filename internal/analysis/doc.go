@@ -41,8 +41,8 @@
 //     loop repeats until the responses reach a fixed point.
 //
 // One Engine serves one goroutine at a time; callers that are
-// themselves parallel run one engine per worker (batch.MapWorkers is
-// the ready-made hook) with Options.Workers = 1.
+// themselves parallel run one engine per worker with
+// Options.Workers = 1.
 //
 // # Entry points
 //

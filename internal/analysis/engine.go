@@ -33,14 +33,11 @@ import (
 //     exact scenario space (Sec. 3.1.1) is streamed one vector at a
 //     time from a mixed-radix cursor, pruned by the admissible
 //     per-initiator bound of Eq. 15 (Result.ScenariosPruned counts
-//     the skips), and — when the round leaves workers idle — split
-//     into contiguous cursor chunks evaluated in parallel;
+//     the skips) — one sequential sweep per task;
 //  3. per-task response — the response times of all tasks in the
 //     round are independent and are computed on Options.Workers
 //     goroutines via batch.Map, with results collected in task index
 //     order so the outcome is bit-identical for every worker count;
-//     the same worker budget covers the intra-task chunk fan-out of
-//     stage 2, so goroutines never multiply across the two levels;
 //  4. jitter propagation — Eq. (18) rewrites the jitters from the
 //     previous round's responses and the loop repeats to the fixed
 //     point.
@@ -52,9 +49,8 @@ import (
 // the edited system would produce.
 //
 // An Engine is internally concurrent but not safe for concurrent use:
-// run one Engine per goroutine (batch.MapWorkers hands one to each
-// worker). Returned Results are fully detached from the engine's
-// scratch and stay valid across subsequent calls.
+// run one Engine per goroutine. Returned Results are fully detached
+// from the engine's scratch and stay valid across subsequent calls.
 type Engine struct {
 	opt Options
 	an  analyzer
@@ -582,42 +578,7 @@ func (e *Engine) runRound(iter int) error {
 
 	n := len(work)
 	workers := e.opt.workers()
-	if workers > n {
-		workers = n
-	}
-	sequential := workers <= 1 || n < minParallelTasks
-	outer := workers
-	if sequential {
-		outer = 1
-	}
-
-	// Workers the round's task fan-out leaves idle are lent to the
-	// exact scenario sweeps of the tasks it does run, through the
-	// shared budget: the sweeps split into cursor chunks and borrow
-	// whatever is free, so total goroutines stay bounded by
-	// Options.Workers whichever level the work lands on. The budget
-	// starts at the dispatch-time slack and — on the parallel path —
-	// regains a slot whenever an outer worker drains (batch.Options.
-	// Lend), which is what kills the straggler tail of a skewed round:
-	// one task with a millionfold sweep no longer grinds alone while
-	// the workers that finished the cheap tasks idle. The budget stays
-	// empty when the inner parallelism cannot engage (approximate
-	// analysis, parallelism or streaming disabled) and — by
-	// construction of workers() — when Workers is 1, preserving the
-	// strictly-sequential contract callers inside batch.MapWorkers
-	// rely on.
-	inner := e.opt.Exact && !e.opt.sweep.NoParallel && !e.opt.sweep.NoStreaming
-	spare := 0
-	if inner {
-		spare = e.opt.workers() - outer
-	}
-	if e.an.budget == nil {
-		e.an.budget = batch.NewBudget(spare)
-	} else {
-		e.an.budget.Reset(spare)
-	}
-
-	if sequential {
+	if workers <= 1 || n < minParallelTasks {
 		for k := 0; k < n; k++ {
 			if err := e.ctx.Err(); err != nil {
 				return wrapCancelled(err)
@@ -627,10 +588,6 @@ func (e *Engine) runRound(iter int) error {
 			}
 		}
 		return nil
-	}
-	var lend *batch.Budget
-	if inner {
-		lend = e.an.budget
 	}
 
 	errs := e.errs[:n]
@@ -647,7 +604,7 @@ func (e *Engine) runRound(iter int) error {
 	// cancellation means which failing task the error names can vary
 	// with scheduling when several would fail — the error identity
 	// (ErrTooManyScenarios) is stable, the task name is not.
-	_, _ = batch.Map(n, batch.Options{Workers: workers, Lend: lend}, func(k int) (struct{}, error) {
+	_, _ = batch.Map(n, batch.Options{Workers: workers}, func(k int) (struct{}, error) {
 		// Cancellation point between parallel per-task responses: the
 		// sentinel makes batch.Map stop handing out the round's
 		// remaining tasks.

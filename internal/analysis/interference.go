@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"hsched/internal/batch"
 	"hsched/internal/model"
 )
 
@@ -92,12 +91,6 @@ type analyzer struct {
 	sigBuf      []int
 	changedBuf  []int
 	changedMark []bool
-
-	// budget bounds the goroutines an exact scenario sweep may borrow
-	// for chunk-parallel evaluation; the engine resets it per round to
-	// the workers the round's task fan-out leaves idle. nil (the
-	// standalone analyzer of the unit tests) means strictly inline.
-	budget *batch.Budget
 }
 
 func newAnalyzer(sys *model.System, opt Options) *analyzer {

@@ -84,14 +84,8 @@ type Options struct {
 	// engine collects them in index order. (A failing exact analysis
 	// reports the same wrapped error, but the task it names may vary
 	// with scheduling.) Callers that already run many analyses in
-	// parallel (batch sweeps, design searches inside batch.MapWorkers)
-	// should set 1 to avoid oversubscription.
-	//
-	// The same bound covers the nested parallelism inside one task's
-	// exact scenario sweep: workers a round leaves idle are lent to
-	// the heavy sweeps of the tasks it does compute, so the total
-	// goroutine count never exceeds Workers whichever level the work
-	// lands on.
+	// parallel (batch sweeps, design searches) should set 1 to avoid
+	// oversubscription.
 	Workers int
 
 	// sweep turns exact-sweep accelerations off. Every acceleration
@@ -104,7 +98,6 @@ type Options struct {
 type sweepToggles struct {
 	NoStreaming bool // materialise the scenario list, then sweep it sequentially (the reference)
 	NoPruning   bool // no admissible W* prune (Eq. 15 in place of Eq. 13), no subtree jumps
-	NoParallel  bool // no cursor chunks on spare workers
 	NoReuse     bool // no incumbent seeding, no unchanged-inputs round copy
 }
 
@@ -249,13 +242,11 @@ type Result struct {
 	// prune skipped across every task and round of this analysis — the
 	// work the branch-and-bound discipline saved. Always 0 for the
 	// approximate analysis. Like Delta it is a work profile, not part
-	// of the analysis outcome: the count depends on scheduling when
-	// sweeps run chunk-parallel (each chunk prunes against its own
-	// running best plus a shared monotone bound), on the replay depth
-	// on the delta path (replayed tasks sweep nothing, so they
-	// contribute no prunes), and on the engine-resident sweep seeds of
-	// earlier analyses — the bounds and verdict are bit-identical
-	// regardless.
+	// of the analysis outcome: the count is the same for every worker
+	// count, but depends on the replay depth on the delta path
+	// (replayed tasks sweep nothing, so they contribute no prunes) and
+	// on the engine-resident sweep seeds of earlier analyses — the
+	// bounds and verdict are bit-identical regardless.
 	ScenariosPruned int64
 
 	// SubtreesPruned counts the whole-subtree cursor jumps among the

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
-	"hsched/internal/batch"
 	"hsched/internal/model"
 )
 
@@ -182,16 +180,16 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 }
 
 // exactSweep runs the exact scenario enumeration of Section 3.1.1 as a
-// streamed, branch-and-bound, optionally chunk-parallel sweep over the
-// mixed-radix scenario space — the same scenarios, in the same
-// deterministic order, as the historical materialised sweep, with
-// bit-identical results for every toggle and worker combination. Two
-// layers of state make it a true tree search instead of a per-scenario
-// filter: per-axis admissible bound tables let the cursor skip whole
-// subtrees with one seek (see sweepRange), and the critical scenario of
-// the previous sweep of the same task — last round, or last analysis
-// via Engine.AnalyzeFrom — is re-evaluated under the current inputs to
-// seed the incumbent the bounds are pruned against.
+// streamed, branch-and-bound sweep over the mixed-radix scenario space
+// — the same scenarios, in the same deterministic order, as the
+// historical materialised sweep, with bit-identical results for every
+// toggle and worker combination. Two layers of state make it a true
+// tree search instead of a per-scenario filter: per-axis admissible
+// bound tables let the cursor skip whole subtrees with one seek (see
+// sweepRange), and the critical scenario of the previous sweep of the
+// same task — last round, or last analysis via Engine.AnalyzeFrom — is
+// re-evaluated under the current inputs to seed the incumbent the
+// bounds are pruned against.
 func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha float64, ts *taskScratch) (float64, critical, sweepStats, error) {
 	var st sweepStats
 	axes, aAxis, count, err := an.buildAxes(a, b, hp, ts)
@@ -269,90 +267,16 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		}
 	}
 
-	// Chunked dispatch: split the cursor range across the round's
-	// spare workers when the sweep is large enough to amortise the
-	// fan-out. The chunk count is sized to the engine's whole worker
-	// bound, not the budget's dispatch-time slack: a saturated round
-	// lends workers back as its cheap tasks drain (batch.Options.Lend),
-	// and MapRange re-polls the budget at every chunk boundary, so
-	// late-freed workers still land on the remaining chunks. Chunk
-	// results are reduced in chunk-index order below, which reproduces
-	// the sequential sweep's first-maximum tie breaking exactly.
-	chunks := 1
-	if !an.opt.sweep.NoParallel && an.budget != nil && an.opt.workers() > 1 && count >= 2*exactChunkMin {
-		chunks = count / exactChunkMin
-		if m := 4 * an.opt.workers(); chunks > m {
-			chunks = m
-		}
-	}
-	if chunks <= 1 {
-		if cap(ts.sufMin) < len(axes) {
-			ts.sufMin = make([]float64, len(axes))
-		}
-		res, err := an.sweepRange(ctx, a, b, axes, aAxis, 0, count, hp, alpha, bb, floor, reuse, nil, ts.pick[:len(axes)], ts.nu[:len(axes)], ts.sufMin[:len(axes)])
-		if err != nil {
-			return 0, unboundedCritical, st, err
-		}
-		st.pruned, st.subtrees = res.pruned, res.subtrees
-		if !res.finite {
-			return math.Inf(1), unboundedCritical, st, nil
-		}
-		an.storeSeed(a, b, res.critNu)
-		return res.best, res.crit, st, nil
-	}
-
-	// Frontier-aware chunk boundaries: aligning the cut points to the
-	// largest subtree stride that still fits a chunk keeps whole
-	// subtrees inside one chunk, so a failing prefix bound skips them
-	// with a single seek instead of two chunks each re-deciding half.
-	align := 1
-	if bb != nil {
-		target := count / chunks
-		for j := 1; j < len(bb.strides); j++ {
-			if bb.strides[j] > target {
-				break
-			}
-			align = bb.strides[j]
-		}
-	}
-
-	var shared atomic.Uint64 // Float64bits of the best response any chunk evaluated
-	if floor > 0 {
-		// The incumbent floor enters the chunked sweep as the initial
-		// shared bound: chunks already prune strictly against it
-		// (bound < shared), exactly the tie discipline the floor needs.
-		shared.Store(math.Float64bits(floor))
-	}
-	parts, err := batch.MapRangeAligned(count, chunks, align, an.budget, func(chunk, lo, hi int) (chunkResult, error) {
-		// Chunk workers need private cursor state; everything else
-		// (axes, bounds, slabs, the system) is read-only for the round.
-		pick := make([]int, len(axes))
-		nu := make([]initiator, len(axes))
-		sufMin := make([]float64, len(axes))
-		return an.sweepRange(ctx, a, b, axes, aAxis, lo, hi, hp, alpha, bb, floor, reuse, &shared, pick, nu, sufMin)
-	})
+	res, err := an.sweepRange(ctx, a, b, axes, aAxis, count, hp, alpha, bb, floor, reuse, ts)
 	if err != nil {
 		return 0, unboundedCritical, st, err
 	}
-	best := 0.0
-	crit := critical{initiator: b}
-	var critNu []initiator
-	finite := true
-	for _, p := range parts {
-		st.pruned += p.pruned
-		st.subtrees += p.subtrees
-		if !p.finite {
-			finite = false
-		}
-		if p.best > best {
-			best, crit, critNu = p.best, p.crit, p.critNu
-		}
-	}
-	if !finite {
+	st.pruned, st.subtrees = res.pruned, res.subtrees
+	if !res.finite {
 		return math.Inf(1), unboundedCritical, st, nil
 	}
-	an.storeSeed(a, b, critNu)
-	return best, crit, st, nil
+	an.storeSeed(a, b, res.critNu)
+	return res.best, res.crit, st, nil
 }
 
 // storeSeed records the critical scenario vector of a completed sweep
@@ -398,18 +322,12 @@ func seedValidFor(axes []axis, seed []initiator) bool {
 	return true
 }
 
-// exactChunkMin is the smallest cursor range worth handing to a
-// borrowed goroutine: below it the chunk's fixed-point work does not
-// amortise the dispatch, and the per-chunk prune loses too much of its
-// running-best context.
-const exactChunkMin = 2048
-
-// chunkResult is one contiguous cursor range's reduction: its best
-// response with the scenario attaining it (critNu is the full vector,
-// recorded for the next sweep's incumbent seed), the scenarios the
-// prune skipped with the whole-subtree jumps among them, and whether
-// every evaluated fixed point converged.
-type chunkResult struct {
+// sweepResult is one exact sweep's reduction: its best response with
+// the scenario attaining it (critNu is the full vector, recorded for
+// the next sweep's incumbent seed), the scenarios the prune skipped
+// with the whole-subtree jumps among them, and whether every evaluated
+// fixed point converged.
+type sweepResult struct {
 	best     float64
 	crit     critical
 	critNu   []initiator
@@ -418,19 +336,19 @@ type chunkResult struct {
 	finite   bool
 }
 
-// sweepBounds is the branch-and-bound state shared (read-only) by the
-// chunks of one exact sweep. tab[j], when non-nil, is the subtree
-// bound table of axis j: tab[j][d] upper-bounds the response of EVERY
-// scenario whose axis-j digit is d, whatever the other axes pick (see
-// prefixBounds for the admissibility argument). strides[j] is the size
-// of the subtree that fixes the digits of axes ≥ j — the run of
-// consecutive flat indices a failing bound lets the cursor skip.
+// sweepBounds is the branch-and-bound state of one exact sweep.
+// tab[j], when non-nil, is the subtree bound table of axis j: tab[j][d]
+// upper-bounds the response of EVERY scenario whose axis-j digit is d,
+// whatever the other axes pick (see prefixBounds for the admissibility
+// argument). strides[j] is the size of the subtree that fixes the
+// digits of axes ≥ j — the run of consecutive flat indices a failing
+// bound lets the cursor skip.
 type sweepBounds struct {
 	tab     [][]float64
 	strides []int
 }
 
-// sweepRange evaluates the exact scenarios with flat indices [lo, hi)
+// sweepRange evaluates the exact scenarios with flat indices [0, n)
 // in cursor order. bb, when non-nil, arms the branch-and-bound prune:
 // the cursor maintains sufMin[j] = min over axes i ≥ j of
 // tab[i][pick[i]] — an admissible bound on every scenario of the
@@ -439,45 +357,40 @@ type sweepBounds struct {
 // beat the incumbent, it finds the LARGEST failing j (the failing set
 // is down-closed: sufMin grows with j and the predicate is monotone)
 // and seeks straight past the whole subtree instead of stepping
-// through it. floor is the incumbent seeded from a previous sweep's
+// through it. The running best may prune ties (bound <= best): a tie
+// with an earlier scenario never updates best under the strict
+// r > best rule. floor is the incumbent seeded from a previous sweep's
 // critical scenario re-evaluated under the current inputs; it is a
 // response some in-space scenario attains, so pruning against it is
 // strict (bound < floor) — a tying scenario may be the first maximum —
 // and it never enters res.best. trackNu records the running best's full
 // scenario vector into res.critNu for the next sweep's seed; the caller
-// gates it on the reuse toggle. shared, when non-nil, is the
-// cross-chunk Float64bits of the best response any chunk has evaluated
-// (pre-seeded with the floor); pruning against it is strict for the
-// same tie reason, whereas the chunk-local best may prune ties
-// (bound <= best) — a tie with an earlier in-range scenario never
-// updates best under the strict r > best rule.
-func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, lo, hi int, hp [][]int, alpha float64, bb *sweepBounds, floor float64, trackNu bool, shared *atomic.Uint64, pick []int, nu []initiator, sufMin []float64) (chunkResult, error) {
-	cursorSeek(axes, pick, nu, lo)
-	res := chunkResult{crit: critical{initiator: b}, finite: true}
+// gates it on the reuse toggle. The cursor state lives in ts.
+func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, n int, hp [][]int, alpha float64, bb *sweepBounds, floor float64, trackNu bool, ts *taskScratch) (sweepResult, error) {
+	if cap(ts.sufMin) < len(axes) {
+		ts.sufMin = make([]float64, len(axes))
+	}
+	pick, nu, sufMin := ts.pick[:len(axes)], ts.nu[:len(axes)], ts.sufMin[:len(axes)]
+	cursorSeek(axes, pick, nu, 0)
+	res := sweepResult{crit: critical{initiator: b}, finite: true}
 	if bb != nil {
 		refreshSufMin(bb.tab, pick, sufMin, len(axes)-1)
 	}
 	steps := 0
-	for idx := lo; idx < hi; {
+	for idx := 0; idx < n; {
 		if steps%cancelCheckInterval == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return chunkResult{}, wrapCancelled(err)
+				return sweepResult{}, wrapCancelled(err)
 			}
 		}
 		steps++
 		if bb != nil {
-			thr := floor
-			if shared != nil {
-				if sv := math.Float64frombits(shared.Load()); sv > thr {
-					thr = sv
-				}
-			}
-			if bd := sufMin[0]; bd <= res.best || bd < thr {
+			if bd := sufMin[0]; bd <= res.best || bd < floor {
 				// Find the largest axis whose whole remaining subtree the
 				// failing bound covers, and skip it in one jump.
 				jmax := 0
 				for j := len(axes) - 1; j >= 1; j-- {
-					if x := sufMin[j]; x <= res.best || x < thr {
+					if x := sufMin[j]; x <= res.best || x < floor {
 						jmax = j
 						break
 					}
@@ -488,14 +401,12 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 					idx++
 					continue
 				}
+				// The strides divide n, so the jump never overshoots it.
 				next := idx - idx%bb.strides[jmax] + bb.strides[jmax]
-				if next > hi {
-					next = hi
-				}
 				res.pruned += int64(next - idx)
 				res.subtrees++
 				idx = next
-				if idx >= hi {
+				if idx >= n {
 					break
 				}
 				cursorSeek(axes, pick, nu, idx)
@@ -516,9 +427,6 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 			res.crit = critical{initiator: sc.c, job: p}
 			if trackNu {
 				res.critNu = append(res.critNu[:0], nu...)
-			}
-			if shared != nil {
-				sharedMax(shared, r)
 			}
 		}
 		top := cursorNext(axes, pick, nu)
@@ -547,21 +455,6 @@ func refreshSufMin(tab [][]float64, pick []int, sufMin []float64, top int) {
 			}
 		}
 		sufMin[j] = m
-	}
-}
-
-// sharedMax raises the shared best-response cell to r if r exceeds it
-// (monotone, so concurrent updates commute). Only ever called with
-// r > 0: sweep bests start at 0 and only strict improvements publish.
-func sharedMax(s *atomic.Uint64, r float64) {
-	for {
-		cur := s.Load()
-		if math.Float64frombits(cur) >= r {
-			return
-		}
-		if s.CompareAndSwap(cur, math.Float64bits(r)) {
-			return
-		}
 	}
 }
 

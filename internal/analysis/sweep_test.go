@@ -13,13 +13,13 @@ import (
 
 // seedSweepOptions returns the reference configuration of the exact
 // analysis: the historical materialise-then-evaluate sweep with every
-// acceleration (streaming, pruning, intra-task parallelism) disabled
-// and a strictly sequential engine. Every accelerated configuration
+// acceleration (streaming, pruning) disabled and a strictly
+// sequential engine. Every accelerated configuration
 // must reproduce its results bit for bit.
 func seedSweepOptions() analysis.Options {
 	return analysis.WithSweep(
 		analysis.Options{Exact: true, Workers: 1, MaxIterations: 40},
-		analysis.SweepToggles{NoStreaming: true, NoPruning: true, NoParallel: true},
+		analysis.SweepToggles{NoStreaming: true, NoPruning: true},
 	)
 }
 
@@ -87,15 +87,14 @@ func exactHeavySystem(transactions, chainLen int) *model.System {
 	return sys
 }
 
-// TestExactSweepBitIdentity is the tentpole's metamorphic contract:
-// the streamed cursor, the admissible prune and the chunk-parallel
-// dispatch — in every on/off combination and for every worker count —
-// must reproduce the seed sweep's results bit for bit: all task
+// TestExactSweepBitIdentity is the sweep's metamorphic contract: the
+// streamed cursor and the admissible prune — in every on/off
+// combination and for every worker count — must reproduce the seed sweep's results bit for bit: all task
 // bounds, critical scenarios, iteration counts and verdicts.
 func TestExactSweepBitIdentity(t *testing.T) {
 	type toggles struct {
-		name                       string
-		streamed, pruned, parallel bool
+		name             string
+		streamed, pruned bool
 	}
 	onOff := func(on bool, tag string) string {
 		if on {
@@ -106,11 +105,9 @@ func TestExactSweepBitIdentity(t *testing.T) {
 	var combos []toggles
 	for s := 0; s < 2; s++ {
 		for p := 0; p < 2; p++ {
-			for q := 0; q < 2; q++ {
-				c := toggles{streamed: s == 1, pruned: p == 1, parallel: q == 1}
-				c.name = onOff(c.streamed, "stream") + "/" + onOff(c.pruned, "prune") + "/" + onOff(c.parallel, "par")
-				combos = append(combos, c)
-			}
+			c := toggles{streamed: s == 1, pruned: p == 1}
+			c.name = onOff(c.streamed, "stream") + "/" + onOff(c.pruned, "prune")
+			combos = append(combos, c)
 		}
 	}
 
@@ -124,7 +121,7 @@ func TestExactSweepBitIdentity(t *testing.T) {
 				opt := seedSweepOptions()
 				opt.Workers = workers
 				opt = analysis.WithSweep(opt, analysis.SweepToggles{
-					NoStreaming: !c.streamed, NoPruning: !c.pruned, NoParallel: !c.parallel,
+					NoStreaming: !c.streamed, NoPruning: !c.pruned,
 				})
 				got, err := analysis.NewEngine(opt).Analyze(sys)
 				if err != nil {
@@ -142,14 +139,12 @@ func TestExactSweepBitIdentity(t *testing.T) {
 }
 
 // TestExactSweepBitIdentityHeavy covers the regime the small random
-// systems cannot reach: a sweep large enough (≥ 10^4 scenario vectors
-// on its costliest tasks) for the chunk-parallel dispatch to actually
-// engage, with borrowed goroutines, a shared cross-chunk prune bound
-// and chunk-order reduction all in play. One static pass (the sweep
-// itself, no holistic iteration on top) keeps the -race run short.
+// systems cannot reach: a sweep large enough (6^5 = 7776 scenario
+// vectors on its costliest tasks) for the subtree jumps to skip deep
+// subtrees, with the round's tasks fanned out across workers. One
+// static pass (the sweep itself, no holistic iteration on top) keeps
+// the -race run short.
 func TestExactSweepBitIdentityHeavy(t *testing.T) {
-	// Costliest tasks face 6^5 = 7776 scenario vectors — past the
-	// 2·exactChunkMin threshold, so the sweep actually splits.
 	sys := exactHeavySystem(5, 6)
 	seedEng := analysis.NewEngine(seedSweepOptions())
 	seed, err := seedEng.AnalyzeStatic(sys)
@@ -199,24 +194,43 @@ func TestExactSweepPrunesPaperExample(t *testing.T) {
 	}
 }
 
-// TestExactSweepPrunedCountStable locks the sequential prune count:
-// with one worker the sweep order is the seed order, so the number of
-// pruned scenarios is a deterministic function of the system.
+// TestExactSweepPrunedCountStable locks the prune counts as a
+// deterministic work count: every task's sweep runs sequentially in
+// the seed order whatever the worker count, so ScenariosPruned and
+// SubtreesPruned are a function of the system alone — for static and
+// dynamic analyses, with one worker or a round fanned out over many.
 func TestExactSweepPrunedCountStable(t *testing.T) {
-	sys := exactHeavySystem(4, 4)
-	first, err := analysis.NewEngine(analysis.Options{Exact: true, Workers: 1}).Analyze(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := analysis.NewEngine(analysis.Options{Exact: true, Workers: 1}).Analyze(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.ScenariosPruned != second.ScenariosPruned {
-		t.Fatalf("sequential prune count not reproducible: %d vs %d", first.ScenariosPruned, second.ScenariosPruned)
-	}
-	if first.ScenariosPruned <= 0 {
-		t.Fatalf("heavy sweep pruned nothing")
+	for _, shape := range [][2]int{{4, 4}, {5, 6}} {
+		sys := exactHeavySystem(shape[0], shape[1])
+		for _, static := range []bool{false, true} {
+			var first *analysis.Result
+			for _, workers := range []int{1, 1, 2, 8} {
+				eng := analysis.NewEngine(analysis.Options{Exact: true, Workers: workers})
+				var res *analysis.Result
+				var err error
+				if static {
+					res, err = eng.AnalyzeStatic(sys)
+				} else {
+					res, err = eng.Analyze(sys)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = res
+					if res.ScenariosPruned <= 0 || res.SubtreesPruned <= 0 {
+						t.Fatalf("%dx%d static=%v: heavy sweep pruned %d scenarios in %d subtrees, want > 0",
+							shape[0], shape[1], static, res.ScenariosPruned, res.SubtreesPruned)
+					}
+					continue
+				}
+				if res.ScenariosPruned != first.ScenariosPruned || res.SubtreesPruned != first.SubtreesPruned {
+					t.Fatalf("%dx%d static=%v workers=%d: pruned %d scenarios in %d subtrees, want %d in %d as with one worker",
+						shape[0], shape[1], static, workers, res.ScenariosPruned, res.SubtreesPruned,
+						first.ScenariosPruned, first.SubtreesPruned)
+				}
+			}
+		}
 	}
 }
 
@@ -250,10 +264,10 @@ func TestScenarioCountSaturates(t *testing.T) {
 }
 
 // BenchmarkExactSweep measures the exact sweep on the heavy workload
-// (≥ 10^5 scenario vectors on the costliest tasks) in the three
-// configurations the tentpole compares: the seed sweep, the streamed
-// and pruned sequential sweep, and the fully parallel sweep at 8
-// workers. One static pass isolates the sweep itself from holistic
+// (≥ 10^5 scenario vectors on the costliest tasks) in three
+// configurations: the seed sweep, the streamed and pruned sweep on a
+// sequential engine, and the same sweep with the round's tasks fanned
+// out over 8 workers. One static pass isolates the sweep itself from holistic
 // iteration effects.
 func BenchmarkExactSweep(b *testing.B) {
 	sys := exactHeavySystem(6, 7) // lowest-priority tasks: 7^6 = 117 649 scenarios

@@ -57,35 +57,33 @@ func TestSweepSeedBitIdentity(t *testing.T) {
 		chain := seedMutationChain(sys)
 		for s := 0; s < 2; s++ {
 			for p := 0; p < 2; p++ {
-				for q := 0; q < 2; q++ {
-					for _, workers := range []int{1, 4, 8} {
-						toggles := analysis.SweepToggles{NoStreaming: s == 0, NoPruning: p == 0, NoParallel: q == 0}
-						opt := analysis.WithSweep(analysis.Options{Exact: true, Workers: workers, MaxIterations: 40}, toggles)
-						toggles.NoReuse = true
-						cold := analysis.WithSweep(opt, toggles)
+				for _, workers := range []int{1, 4, 8} {
+					toggles := analysis.SweepToggles{NoStreaming: s == 0, NoPruning: p == 0}
+					opt := analysis.WithSweep(analysis.Options{Exact: true, Workers: workers, MaxIterations: 40}, toggles)
+					toggles.NoReuse = true
+					cold := analysis.WithSweep(opt, toggles)
 
-						eng := analysis.NewEngine(opt)
-						var prev *analysis.Result
-						for ci, cs := range chain {
-							want, err := analysis.NewEngine(cold).Analyze(cs)
-							if err != nil {
-								t.Fatal(err)
-							}
-							var got *analysis.Result
-							if prev == nil {
-								got, err = eng.Analyze(cs)
-							} else {
-								got, err = eng.AnalyzeFrom(prev, cs)
-							}
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !resultsIdentical(want, got) {
-								t.Fatalf("system %d chain %d s=%d p=%d q=%d workers=%d: seeded sweep diverged from cold",
-									si, ci, s, p, q, workers)
-							}
-							prev = got
+					eng := analysis.NewEngine(opt)
+					var prev *analysis.Result
+					for ci, cs := range chain {
+						want, err := analysis.NewEngine(cold).Analyze(cs)
+						if err != nil {
+							t.Fatal(err)
 						}
+						var got *analysis.Result
+						if prev == nil {
+							got, err = eng.Analyze(cs)
+						} else {
+							got, err = eng.AnalyzeFrom(prev, cs)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !resultsIdentical(want, got) {
+							t.Fatalf("system %d chain %d s=%d p=%d workers=%d: seeded sweep diverged from cold",
+								si, ci, s, p, workers)
+						}
+						prev = got
 					}
 				}
 			}

@@ -71,263 +71,3 @@ func TestMapEdgeCases(t *testing.T) {
 		t.Errorf("workers>n: %v, %v", out, err)
 	}
 }
-
-func TestProgressMonotone(t *testing.T) {
-	var seen []int
-	_, err := Map(50, Options{Workers: 8, Progress: func(done, total int) {
-		if total != 50 {
-			t.Errorf("total = %d", total)
-		}
-		seen = append(seen, done)
-	}}, func(i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 50 {
-		t.Fatalf("%d progress calls, want 50", len(seen))
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i] != seen[i-1]+1 {
-			t.Fatalf("progress not monotone: %v", seen)
-		}
-	}
-}
-
-func TestMapWorkersStatePerWorker(t *testing.T) {
-	// Every worker gets exactly one state; the state is visible to all
-	// of that worker's calls and is never shared between goroutines.
-	var states atomic.Int64
-	type counter struct{ calls int }
-	out, err := MapWorkers(200, Options{Workers: 4},
-		func() *counter { states.Add(1); return &counter{} },
-		func(s *counter, i int) (int, error) {
-			s.calls++
-			return i + s.calls*0, nil // result depends only on i
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := states.Load(); got < 1 || got > 4 {
-		t.Errorf("%d states created, want 1..4", got)
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapWorkersErrorPropagation(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := MapWorkers(100, Options{Workers: 3},
-		func() int { return 0 },
-		func(_ int, i int) (int, error) {
-			if i == 5 {
-				return 0, boom
-			}
-			return i, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-}
-
-func TestCount(t *testing.T) {
-	c, err := Count(100, Options{Workers: 5}, func(i int) (bool, error) {
-		return i%3 == 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 34 {
-		t.Errorf("Count = %d, want 34", c)
-	}
-	boom := errors.New("boom")
-	if _, err := Count(10, Options{}, func(i int) (bool, error) { return false, boom }); !errors.Is(err, boom) {
-		t.Errorf("Count error = %v", err)
-	}
-}
-
-func TestMapRangeCoversAndOrders(t *testing.T) {
-	for _, tc := range []struct{ n, chunks, slots int }{
-		{0, 4, 2}, {1, 4, 2}, {10, 3, 0}, {100, 7, 3}, {5, 9, 8}, {64, 64, 4},
-	} {
-		bud := NewBudget(tc.slots)
-		seen := make([]atomic.Int64, tc.n)
-		out, err := MapRange(tc.n, tc.chunks, bud, func(chunk, lo, hi int) ([2]int, error) {
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
-			return [2]int{lo, hi}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Chunks are contiguous, ordered, and cover [0, n) exactly once.
-		pos := 0
-		for c, span := range out {
-			if span[0] != pos || span[1] < span[0] {
-				t.Fatalf("n=%d chunks=%d: chunk %d spans %v, want start %d", tc.n, tc.chunks, c, span, pos)
-			}
-			pos = span[1]
-		}
-		if pos != tc.n {
-			t.Fatalf("n=%d chunks=%d: covered %d items", tc.n, tc.chunks, pos)
-		}
-		for i := range seen {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("item %d evaluated %d times", i, got)
-			}
-		}
-		// Every borrowed slot was returned.
-		free := 0
-		for bud.TryAcquire() {
-			free++
-		}
-		if free != tc.slots {
-			t.Fatalf("budget leaked: %d of %d slots free after MapRange", free, tc.slots)
-		}
-	}
-}
-
-// TestMapRangeAlignedBoundaries: interior chunk boundaries land on
-// align multiples, chunks stay contiguous and ordered, the union is
-// exactly [0, n), and chunks emptied by the rounding still invoke fn
-// (callers depend on one result per chunk index).
-func TestMapRangeAlignedBoundaries(t *testing.T) {
-	for _, tc := range []struct{ n, chunks, align int }{
-		{100, 7, 8}, {64, 4, 16}, {64, 4, 64}, // align ≥ span: all but one chunk empty
-		{10, 3, 3}, {49, 8, 7}, {100, 7, 1}, {5, 9, 4},
-	} {
-		seen := make([]atomic.Int64, tc.n)
-		calls := atomic.Int64{}
-		out, err := MapRangeAligned(tc.n, tc.chunks, tc.align, NewBudget(2), func(chunk, lo, hi int) ([2]int, error) {
-			calls.Add(1)
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
-			return [2]int{lo, hi}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(calls.Load()) != len(out) {
-			t.Fatalf("n=%d chunks=%d align=%d: fn called %d times for %d chunks (empty chunks must still be called)",
-				tc.n, tc.chunks, tc.align, calls.Load(), len(out))
-		}
-		pos := 0
-		for c, span := range out {
-			if span[0] != pos || span[1] < span[0] {
-				t.Fatalf("n=%d chunks=%d align=%d: chunk %d spans %v, want start %d",
-					tc.n, tc.chunks, tc.align, c, span, pos)
-			}
-			if c > 0 && span[0]%tc.align != 0 {
-				t.Fatalf("n=%d chunks=%d align=%d: chunk %d starts at %d, not an align multiple",
-					tc.n, tc.chunks, tc.align, c, span[0])
-			}
-			pos = span[1]
-		}
-		if pos != tc.n {
-			t.Fatalf("n=%d chunks=%d align=%d: covered %d items", tc.n, tc.chunks, tc.align, pos)
-		}
-		for i := range seen {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("item %d evaluated %d times", i, got)
-			}
-		}
-	}
-}
-
-// TestMapRangeAlignedAlignOneMatchesMapRange: align ≤ 1 must reproduce
-// MapRange's spans exactly — MapRange delegates, so a drift here would
-// silently change every existing caller.
-func TestMapRangeAlignedAlignOneMatchesMapRange(t *testing.T) {
-	span := func(chunk, lo, hi int) ([2]int, error) { return [2]int{lo, hi}, nil }
-	want, err := MapRange(100, 7, nil, span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, align := range []int{1, 0, -3} {
-		got, err := MapRangeAligned(100, 7, align, nil, span)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("align=%d: %d chunks, want %d", align, len(got), len(want))
-		}
-		for c := range got {
-			if got[c] != want[c] {
-				t.Fatalf("align=%d chunk %d: %v, want %v", align, c, got[c], want[c])
-			}
-		}
-	}
-}
-
-func TestMapRangeNilBudgetRunsInline(t *testing.T) {
-	out, err := MapRange(10, 4, nil, func(chunk, lo, hi int) (int, error) { return hi - lo, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, v := range out {
-		total += v
-	}
-	if total != 10 {
-		t.Fatalf("covered %d of 10 items", total)
-	}
-}
-
-func TestMapRangeFirstErrorInChunkOrder(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	_, err := MapRange(8, 8, NewBudget(4), func(chunk, lo, hi int) (int, error) {
-		switch chunk {
-		case 2:
-			return 0, errA
-		case 6:
-			return 0, errB
-		}
-		return 0, nil
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("err = %v, want the chunk-2 error", err)
-	}
-}
-
-func TestBudgetBoundsConcurrency(t *testing.T) {
-	bud := NewBudget(3)
-	var active, peak atomic.Int64
-	_, err := MapRange(64, 32, bud, func(chunk, lo, hi int) (int, error) {
-		a := active.Add(1)
-		for {
-			p := peak.Load()
-			if a <= p || peak.CompareAndSwap(p, a) {
-				break
-			}
-		}
-		active.Add(-1)
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Caller + at most 3 borrowed goroutines.
-	if p := peak.Load(); p > 4 {
-		t.Fatalf("observed %d concurrent chunk evaluations, budget allows 4", p)
-	}
-}
-
-func TestMapLendReleasesWorkers(t *testing.T) {
-	bud := NewBudget(0)
-	_, err := Map(8, Options{Workers: 4, Lend: bud}, func(i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every exiting worker donated its slot.
-	free := 0
-	for bud.TryAcquire() {
-		free++
-	}
-	if free != 4 {
-		t.Fatalf("lend released %d slots, want 4", free)
-	}
-}

@@ -86,7 +86,7 @@ const regressionTolerance = 0.75
 // so the almost-always-hit traffic measures the memo's serialisation
 // points — stripe locks, CLOCK touches, counters — rather than
 // analysis work; "exact-heavy" routes single-platform, high-interference systems
-// through the exact scenario sweep — the streamed/pruned/parallel
+// through the exact scenario sweep — the streamed, pruned
 // branch-and-bound hot path — and reports the scenarios and subtrees
 // the admissible bounds refuted; "exact-search" runs one exact-oracle
 // Audsley search per query, the probe-chain traffic the session-

@@ -188,6 +188,10 @@ func TestAnalyzeBinaryMalformed(t *testing.T) {
 		b, _ := EncodeAnalyzeRequestBinary(sys, OptionsSpec{})
 		return b
 	}()
+	nanDeadline, err := EncodeAnalyzeRequestBinary(experiments.PaperSystem(), OptionsSpec{DeadlineMS: math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, body := range map[string][]byte{
 		"empty":          {},
 		"short-header":   good[:binaryReqHeaderSize-1],
@@ -197,6 +201,7 @@ func TestAnalyzeBinaryMalformed(t *testing.T) {
 		"trailing-bytes": append(append([]byte(nil), good...), 0),
 		"bad-sys-ver":    badSystem,
 		"invalid-system": invalid,
+		"nan-deadline":   nanDeadline,
 	} {
 		w := doBinary(t, s, "/v1/analyze", body, true)
 		if w.Code != http.StatusBadRequest {
@@ -204,6 +209,10 @@ func TestAnalyzeBinaryMalformed(t *testing.T) {
 		}
 		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s: error Content-Type %q, want JSON", name, ct)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
+			t.Errorf("%s: error body %q: %v", name, w.Body.String(), err)
 		}
 	}
 }

@@ -361,9 +361,12 @@ func (s *Server) readBody(r *http.Request, v any) error {
 }
 
 // requestCtx derives the per-request analysis context: the options
-// block's deadline_ms wins over the X-Deadline-Ms header; neither
-// leaves the request's own context untouched. The returned deadline is
-// 0 when none applies.
+// block's deadline_ms wins over the X-Deadline-Ms header; neither, or
+// a value ≤ 0, leaves the request's own context untouched. The
+// returned deadline is 0 when none applies. NaN, ±Inf and deadlines
+// too long for a time.Duration are the client's fault: they would
+// otherwise time out at once, and NaN or Inf cannot even be encoded
+// into the 504 body.
 func requestCtx(r *http.Request, o OptionsSpec) (context.Context, context.CancelFunc, float64, error) {
 	ms := o.DeadlineMS
 	if ms == 0 {
@@ -375,12 +378,16 @@ func requestCtx(r *http.Request, o OptionsSpec) (context.Context, context.Cancel
 			ms = v
 		}
 	}
+	d := ms * float64(time.Millisecond)
+	if math.IsNaN(ms) || math.IsInf(ms, 0) || d >= math.MaxInt64 {
+		return nil, nil, 0, fmt.Errorf("%w: deadline %v ms out of range", spec.ErrInvalid, ms)
+	}
 	if ms <= 0 {
 		// No deadline: the request's own context already cancels on
 		// client disconnect, so wrapping it would only add allocation.
 		return r.Context(), func() {}, 0, nil
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms*float64(time.Millisecond)))
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(d))
 	return ctx, cancel, ms, nil
 }
 

@@ -259,13 +259,20 @@ func TestDeadline504(t *testing.T) {
 		t.Fatalf("header deadline: status %d: %s", w.Code, w.Body.String())
 	}
 
-	// A malformed header is the client's fault.
-	hreq = httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(data))
-	hreq.Header.Set("X-Deadline-Ms", "soon")
-	w = httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, hreq)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("malformed header: status %d, want 400", w.Code)
+	// A malformed header is the client's fault, and so is a value no
+	// deadline can carry: NaN, Inf, or one overflowing time.Duration.
+	for _, h := range []string{"soon", "NaN", "Inf", "1e13"} {
+		hreq = httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(data))
+		hreq.Header.Set("X-Deadline-Ms", h)
+		w = httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, hreq)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("header %q: status %d, want 400: %s", h, w.Code, w.Body.String())
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Status != http.StatusBadRequest {
+			t.Fatalf("header %q: error body %q: %v", h, w.Body.String(), err)
+		}
 	}
 
 	// The aborted analyses left no trace: the same system analysed

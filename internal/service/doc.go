@@ -25,8 +25,7 @@
 //	                                    │ mixed-radix cursor, jump
 //	                                    │ refuted subtrees via admissible
 //	                                    │ prefix bounds (Stats.Scenarios-
-//	                                    │ Pruned / SubtreesPruned) and
-//	                                    ▼ chunk-split onto idle workers
+//	                                    ▼ Pruned / SubtreesPruned)
 //
 // The mechanisms, top to bottom:
 //
