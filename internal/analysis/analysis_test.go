@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -236,26 +237,59 @@ func TestExactNeverAboveApprox(t *testing.T) {
 }
 
 // TestTooManyScenarios: the exact analysis refuses combinatorial
-// explosions instead of hanging.
+// explosions instead of hanging — and instead of wrapping the scenario
+// count around to a product it then sweeps in zero steps.
 func TestTooManyScenarios(t *testing.T) {
-	sys := &model.System{Platforms: []platform.Params{platform.Dedicated()}}
 	// 8 transactions × 5 high-priority tasks each interfere with one
 	// low-priority victim: 5^8 ≈ 390k scenarios > limit 1000.
+	wide := &model.System{Platforms: []platform.Params{platform.Dedicated()}}
 	for i := 0; i < 8; i++ {
 		tr := model.Transaction{Period: 100, Deadline: 100}
 		for j := 0; j < 5; j++ {
 			tr.Tasks = append(tr.Tasks, model.Task{WCET: 0.01, BCET: 0.01, Priority: 10})
 		}
-		sys.Transactions = append(sys.Transactions, tr)
+		wide.Transactions = append(wide.Transactions, tr)
 	}
-	sys.Transactions = append(sys.Transactions, model.Transaction{
+	wide.Transactions = append(wide.Transactions, model.Transaction{
 		Period: 100, Deadline: 100,
 		Tasks: []model.Task{{WCET: 1, BCET: 1, Priority: 1}},
 	})
-	_, err := Analyze(sys, Options{Exact: true, MaxScenarios: 1000})
-	if err == nil {
-		t.Fatalf("expected ErrTooManyScenarios")
+
+	cases := []struct {
+		name string
+		sys  *model.System
+		opt  Options
+	}{
+		{"over-limit", wide, Options{Exact: true, MaxScenarios: 1000}},
+		// 4^33 = 2^66 scenarios for the victim: a product that wraps to
+		// 0 in a machine int under the largest limit a client can send.
+		{"overflow", overflowSystem(), Options{Exact: true, MaxScenarios: math.MaxInt}},
 	}
+	for _, c := range cases {
+		if _, err := Analyze(c.sys, c.opt); !errors.Is(err, ErrTooManyScenarios) {
+			t.Errorf("%s: Analyze error %v, want ErrTooManyScenarios", c.name, err)
+		}
+		if _, err := AnalyzeStatic(c.sys, c.opt); !errors.Is(err, ErrTooManyScenarios) {
+			t.Errorf("%s: AnalyzeStatic error %v, want ErrTooManyScenarios", c.name, err)
+		}
+	}
+}
+
+// overflowSystem has 33 transactions of 4 unit tasks on one dedicated
+// platform, all at priority 10 except the last task, the victim at
+// priority 1: its exact scenario product is 4^33. Its approximate
+// bound is 132, one unit of every task.
+func overflowSystem() *model.System {
+	sys := &model.System{Platforms: []platform.Params{platform.Dedicated()}}
+	for i := 0; i < 33; i++ {
+		tr := model.Transaction{Period: 1000, Deadline: 1000}
+		for j := 0; j < 4; j++ {
+			tr.Tasks = append(tr.Tasks, model.Task{WCET: 1, BCET: 1, Priority: 10})
+		}
+		sys.Transactions = append(sys.Transactions, tr)
+	}
+	sys.Transactions[32].Tasks[3].Priority = 1
+	return sys
 }
 
 // TestOffsetBeyondPeriod: offsets larger than the period are legal

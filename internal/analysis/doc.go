@@ -35,7 +35,12 @@
 //     their response times (Eq. 13-16) are computed on
 //     Options.Workers goroutines via the batch runner and collected
 //     in task index order, making the result bit-identical for every
-//     worker count;
+//     worker count. Each task's computation first builds its phase
+//     table — the phases ϕ of Eq. (10) and the floor terms of Eq. (11)
+//     for every candidate initiator, which the busy-period and
+//     completion steps do not move — so the fixed points evaluate
+//     only the ceiling term per step; the table is rebuilt on every
+//     call, never carried across rounds;
 //  4. jitter propagation — Eq. (18) rewrites every non-initial task's
 //     jitter from its predecessor's previous-round response and the
 //     loop repeats until the responses reach a fixed point.

@@ -307,20 +307,86 @@ func (an *analyzer) phaseK(i, k, j int) float64 {
 	return phase(reduced[k], tr.Tasks[k].Jitter, reduced[j], tr.Period)
 }
 
+// phaseTable is the t-invariant half of Eq. (10)-(11) for one task
+// τa,b: for every transaction Γi with a non-empty hp_i(τa,b), every
+// candidate initiator k (hp_i, plus τa,b itself on Γa) and every
+// interfering task j ∈ hp_i, the phase ϕ^k_{i,j} and the floor term
+// ⌊(Ji,j + ϕ^k_{i,j})/Ti⌋ of W^k_i. Both read only reduced offsets and
+// jitters, which no busy-period or completion step moves, so the
+// fixed points of scenarioResponse evaluate only ⌈(t − ϕ)/Ti⌉ per step.
+//
+// The table is rebuilt by every responseTime call and never cached
+// beyond it: jitters move between holistic rounds, and the delta path,
+// sweep seeds and pooled scratch all cross round, analysis and engine
+// boundaries. Every row is read at least once per call (by the
+// approximate W* sums, or by pruneBounds on the exact path), so the
+// build never evaluates more phases than the per-step sums it replaces.
+//
+// The flat slices live in taskScratch and are reused across calls.
+// Transaction i's block starts at row[i] and holds one run of len(hp_i)
+// entries per task index k of Γi; only the candidate runs are filled.
+type phaseTable struct {
+	row []int
+	phi []float64
+	fl  []float64
+	// eps is Options.eps, hoisted out of the fixed-point steps.
+	eps float64
+}
+
+// buildPhaseTable fills pt for task (a, b) from the current reduced
+// offsets and jitters.
+func (an *analyzer) buildPhaseTable(pt *phaseTable, a, b int, hp [][]int) {
+	pt.eps = an.opt.eps()
+	pt.row = reuseRow(pt.row, len(hp))
+	size := 0
+	for i, hpI := range hp {
+		pt.row[i] = size
+		if len(hpI) > 0 {
+			size += len(an.sys.Transactions[i].Tasks) * len(hpI)
+		}
+	}
+	pt.phi = reuseRow(pt.phi, size)
+	pt.fl = reuseRow(pt.fl, size)
+	for i, hpI := range hp {
+		if len(hpI) == 0 {
+			continue
+		}
+		tr := &an.sys.Transactions[i]
+		reduced := an.slabs[i].reduced
+		for n := 0; n <= len(hpI); n++ {
+			var k int
+			switch {
+			case n < len(hpI):
+				k = hpI[n]
+			case i == a:
+				k = b
+			default:
+				continue
+			}
+			off := pt.row[i] + k*len(hpI)
+			for m, j := range hpI {
+				phi := phase(reduced[k], tr.Tasks[k].Jitter, reduced[j], tr.Period)
+				pt.phi[off+m] = phi
+				pt.fl[off+m] = floorE((tr.Tasks[j].Jitter+phi)/tr.Period, pt.eps)
+			}
+		}
+	}
+}
+
 // wk returns W^k_i(τa,b, t) per Eq. (11): the worst-case interference
-// of transaction Γi on the busy period of τa,b when the busy period is
-// initiated by τi,k at its maximal jitter. alpha is the rate of the
-// platform of the task under analysis.
-func (an *analyzer) wk(i, k int, hpI []int, alpha, t float64) float64 {
-	tr := &an.sys.Transactions[i]
-	eps := an.opt.eps()
+// of transaction Γi (tr) on the busy period of τa,b when the busy
+// period is initiated by τi,k at its maximal jitter. alpha is the rate
+// of the platform of the task under analysis; the phases and floor
+// terms come from the table.
+func (pt *phaseTable) wk(tr *model.Transaction, i, k int, hpI []int, alpha, t float64) float64 {
+	off := pt.row[i] + k*len(hpI)
+	phis := pt.phi[off : off+len(hpI)]
+	fls := pt.fl[off : off+len(hpI)]
 	sum := 0.0
-	for _, j := range hpI {
-		tj := &tr.Tasks[j]
-		phi := an.phaseK(i, k, j)
-		jobs := floorE((tj.Jitter+phi)/tr.Period, eps) + ceilE((t-phi)/tr.Period, eps)
+	for m, j := range hpI {
+		jobs := fls[m] + ceilE((t-phis[m])/tr.Period, pt.eps)
 		if jobs > 0 {
-			sum += jobs * tj.WCET / alpha
+			sum += jobs * tr.Tasks[j].WCET / alpha
 		}
 	}
 	return sum
@@ -328,10 +394,10 @@ func (an *analyzer) wk(i, k int, hpI []int, alpha, t float64) float64 {
 
 // wstar returns W*_i(τa,b, t) per Eq. (15): the pointwise maximum of
 // W^k_i over every candidate critical-instant task k in hp_i(τa,b).
-func (an *analyzer) wstar(i int, hpI []int, alpha, t float64) float64 {
+func (pt *phaseTable) wstar(tr *model.Transaction, i int, hpI []int, alpha, t float64) float64 {
 	best := 0.0
 	for _, k := range hpI {
-		if w := an.wk(i, k, hpI, alpha, t); w > best {
+		if w := pt.wk(tr, i, k, hpI, alpha, t); w > best {
 			best = w
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hsched/internal/gen"
 	"hsched/internal/model"
 	"hsched/internal/platform"
 )
@@ -103,7 +104,10 @@ func TestPhaseKPaperValues(t *testing.T) {
 // (C/α = 1/0.4 = 2.5) as a function of the busy-period length.
 func TestWkPaperValues(t *testing.T) {
 	an := newPaperAnalyzer(t)
-	hp21 := an.hpRow(0, 1)[1] // tasks of Γ2 interfering with τ1,2
+	hp := an.hpRow(0, 1)
+	hp21 := hp[1] // tasks of Γ2 interfering with τ1,2
+	var pt phaseTable
+	an.buildPhaseTable(&pt, 0, 1, hp)
 	alpha := 0.4
 	cases := []struct{ t, want float64 }{
 		{0.5, 2.5},  // one pending job (ϕ = 15: released at t=0)
@@ -112,7 +116,7 @@ func TestWkPaperValues(t *testing.T) {
 		{30.5, 7.5}, // third
 	}
 	for _, c := range cases {
-		if got := an.wk(1, 0, hp21, alpha, c.t); math.Abs(got-c.want) > 1e-9 {
+		if got := pt.wk(&an.sys.Transactions[1], 1, 0, hp21, alpha, c.t); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("W^1_2(τ1,2, %v) = %v, want %v", c.t, got, c.want)
 		}
 	}
@@ -129,11 +133,14 @@ func TestWstarIsMaxOfWk(t *testing.T) {
 	if len(hp[0]) != 2 {
 		t.Fatalf("hp_1(τ4,1) = %v, want two tasks", hp[0])
 	}
+	var pt phaseTable
+	an.buildPhaseTable(&pt, 3, 0, hp)
+	tr := &an.sys.Transactions[0]
 	alpha := 0.2
 	for _, x := range []float64{1, 5, 12, 26, 51} {
-		w0 := an.wk(0, hp[0][0], hp[0], alpha, x)
-		w1 := an.wk(0, hp[0][1], hp[0], alpha, x)
-		star := an.wstar(0, hp[0], alpha, x)
+		w0 := pt.wk(tr, 0, hp[0][0], hp[0], alpha, x)
+		w1 := pt.wk(tr, 0, hp[0][1], hp[0], alpha, x)
+		star := pt.wstar(tr, 0, hp[0], alpha, x)
 		if got := math.Max(w0, w1); math.Abs(star-got) > 1e-12 {
 			t.Errorf("W*(t=%v) = %v, want max(%v, %v)", x, star, w0, w1)
 		}
@@ -157,5 +164,108 @@ func TestExactReproducesTable3(t *testing.T) {
 		if got := res.TransactionResponse(i); math.Abs(got-w) > 1e-9 {
 			t.Errorf("exact R(Γ%d) = %v, want %v", i+1, got, w)
 		}
+	}
+}
+
+// phaseTableSystems draws the table-check population: the paper
+// system plus a few systems of each benchmark analysis shape
+// (admit-edit, exact-cold, assign-search).
+func phaseTableSystems(t *testing.T) []*model.System {
+	t.Helper()
+	out := []*model.System{paperSystem()}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, cfg := range []gen.Config{
+			{Seed: seed, Platforms: 3, Transactions: 8 + int(seed%5), ChainLen: 4,
+				PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9},
+			{Seed: seed, Platforms: 1, Transactions: 4, ChainLen: 4,
+				PeriodMin: 20, PeriodMax: 400, Utilization: 0.35, AlphaMin: 0.5, AlphaMax: 0.9,
+				RandomPriorities: true},
+			{Seed: seed, Platforms: 2, Transactions: 4, ChainLen: 3,
+				PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9},
+		} {
+			sys, err := gen.System(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, sys)
+		}
+	}
+	return out
+}
+
+// TestPhaseTableMatchesPhase: after every holistic round, each entry
+// of every task's phase table equals ϕ^k_{i,j} (Eq. 10) and
+// ⌊(Ji,j + ϕ)/Ti⌋ computed directly from that round's reduced offsets
+// and jitters, bit for bit — including the Γa row of the task under
+// analysis itself as initiator (k = b).
+func TestPhaseTableMatchesPhase(t *testing.T) {
+	selfRows := 0
+	for n, sys := range phaseTableSystems(t) {
+		var e *Engine
+		var pt phaseTable
+		check := func(iter int, _ *Result) {
+			an := &e.an
+			eps := an.opt.eps()
+			for a := range an.sys.Transactions {
+				for b := range an.sys.Transactions[a].Tasks {
+					hp := an.hpRow(a, b)
+					an.buildPhaseTable(&pt, a, b, hp)
+					for i, hpI := range hp {
+						if len(hpI) == 0 {
+							continue
+						}
+						tr := &an.sys.Transactions[i]
+						reduced := an.slabs[i].reduced
+						ks := hpI
+						if i == a {
+							ks = append(append([]int(nil), hpI...), b)
+							selfRows++
+						}
+						for _, k := range ks {
+							off := pt.row[i] + k*len(hpI)
+							for m, j := range hpI {
+								phi := phase(reduced[k], tr.Tasks[k].Jitter, reduced[j], tr.Period)
+								fl := floorE((tr.Tasks[j].Jitter+phi)/tr.Period, eps)
+								if math.Float64bits(pt.phi[off+m]) != math.Float64bits(phi) ||
+									math.Float64bits(pt.fl[off+m]) != math.Float64bits(fl) {
+									t.Fatalf("system %d round %d τ%d,%d: entry (i=%d, k=%d, j=%d) = (%v, %v), want (%v, %v)",
+										n, iter, a+1, b+1, i, k, j, pt.phi[off+m], pt.fl[off+m], phi, fl)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		e = NewEngine(Options{Workers: 1, MaxIterations: 32, Recorder: check})
+		if _, err := e.Analyze(sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if selfRows == 0 {
+		t.Fatal("no Γa row with k = b was checked")
+	}
+}
+
+// TestPhaseTableZeroAllocs: rebuilding the phase table on a warmed
+// scratch allocates nothing — the per-call rebuild rides on the
+// pooled taskScratch buffers.
+func TestPhaseTableZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations; alloc counts are meaningless")
+	}
+	sys := phaseTableSystems(t)[1]
+	an := newAnalyzer(sys, Options{})
+	var ts taskScratch
+	build := func() {
+		for a := range sys.Transactions {
+			for b := range sys.Transactions[a].Tasks {
+				an.buildPhaseTable(&ts.phases, a, b, an.hpRow(a, b))
+			}
+		}
+	}
+	build()
+	if allocs := testing.AllocsPerRun(100, build); allocs != 0 {
+		t.Errorf("phase table rebuild allocates %v per run, want 0", allocs)
 	}
 }

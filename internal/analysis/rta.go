@@ -43,7 +43,8 @@ type scenario struct {
 }
 
 // taskScratch holds the per-task-analysis buffers (scenario sets,
-// candidate lists, mixed-radix cursor state, prune bounds). The engine
+// candidate lists, mixed-radix cursor state, prune bounds, the phase
+// table). The engine
 // keeps a pool of them so that concurrent per-task response
 // computations reuse allocations instead of growing fresh slices on
 // every call.
@@ -66,6 +67,10 @@ type taskScratch struct {
 	boundFlat []float64
 	strides   []int
 	sufMin    []float64
+
+	// phases is the task's phase table, rebuilt by every responseTime
+	// call; see phaseTable.
+	phases phaseTable
 }
 
 // shrink drops scratch buffers that grew past a high-water cap, so a
@@ -110,6 +115,13 @@ func (ts *taskScratch) shrink() {
 	}
 	if cap(ts.sufMin) > maxSmallRetain {
 		ts.sufMin = nil
+	}
+	if cap(ts.phases.row) > maxSmallRetain {
+		ts.phases.row = nil
+	}
+	if cap(ts.phases.phi) > maxRetain {
+		ts.phases.phi = nil
+		ts.phases.fl = nil
 	}
 }
 
@@ -167,7 +179,8 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 	}
 
 	if !an.opt.Exact {
-		r, crit, _, ok, err := an.sweepList(ctx, a, b, an.approxScenarios(a, b, hp, ts), hp, alpha, nil)
+		an.buildPhaseTable(&ts.phases, a, b, hp)
+		r, crit, _, ok, err := an.sweepList(ctx, a, b, an.approxScenarios(a, b, hp, ts), hp, alpha, nil, &ts.phases)
 		if err != nil {
 			return 0, unboundedCritical, sweepStats{}, err
 		}
@@ -196,6 +209,8 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	if err != nil {
 		return 0, unboundedCritical, st, err
 	}
+	pt := &ts.phases
+	an.buildPhaseTable(pt, a, b, hp)
 
 	// The bound computation costs one approximate fixed point per Γa
 	// initiator; on a degenerate single-axis sweep (count equals the
@@ -212,7 +227,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		// evaluate the list sequentially — the seed sweep the streamed
 		// cursor is tested against. No subtree bounds, no incumbent
 		// seeding: this is the historical per-scenario prune, verbatim.
-		r, crit, pruned, ok, err := an.sweepList(ctx, a, b, an.materialiseScenarios(axes, aAxis, count, ts), hp, alpha, bounds)
+		r, crit, pruned, ok, err := an.sweepList(ctx, a, b, an.materialiseScenarios(axes, aAxis, count, ts), hp, alpha, bounds, pt)
 		st.pruned = pruned
 		if err != nil {
 			return 0, unboundedCritical, st, err
@@ -253,7 +268,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 				st.discarded = true
 			} else {
 				st.seeded = true
-				r, _, ok := an.scenarioResponse(a, b, scenario{c: seed[aAxis].k, nu: seed}, hp, alpha)
+				r, _, ok := an.scenarioResponse(a, b, scenario{c: seed[aAxis].k, nu: seed}, hp, alpha, pt)
 				if !ok {
 					// The seed scenario itself diverges under the current
 					// inputs. Its bound diverges too (the bound dominates),
@@ -415,7 +430,7 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 			}
 		}
 		sc := scenario{c: nu[aAxis].k, nu: nu}
-		r, p, ok := an.scenarioResponse(a, b, sc, hp, alpha)
+		r, p, ok := an.scenarioResponse(a, b, sc, hp, alpha, &ts.phases)
 		if !ok {
 			// Unbounded is absorbing: the task's response is +Inf
 			// whichever scenario diverged first.
@@ -463,7 +478,7 @@ func refreshSufMin(tab [][]float64, pick []int, sufMin []float64, top int) {
 // bounds enables the same admissible prune as sweepRange (nil for the
 // approximate path, whose scenarios ARE the bounds). ok is false when
 // a scenario's busy period diverged (the caller reports +Inf).
-func (an *analyzer) sweepList(ctx context.Context, a, b int, scenarios []scenario, hp [][]int, alpha float64, bounds []float64) (float64, critical, int64, bool, error) {
+func (an *analyzer) sweepList(ctx context.Context, a, b int, scenarios []scenario, hp [][]int, alpha float64, bounds []float64, pt *phaseTable) (float64, critical, int64, bool, error) {
 	best := 0.0
 	crit := critical{initiator: b}
 	pruned := int64(0)
@@ -477,7 +492,7 @@ func (an *analyzer) sweepList(ctx context.Context, a, b int, scenarios []scenari
 			pruned++
 			continue
 		}
-		r, p, ok := an.scenarioResponse(a, b, sc, hp, alpha)
+		r, p, ok := an.scenarioResponse(a, b, sc, hp, alpha, pt)
 		if !ok {
 			return 0, unboundedCritical, pruned, false, nil
 		}
@@ -513,7 +528,8 @@ func (an *analyzer) overloaded(a, b int, alpha float64) bool {
 // Eq. 15/16 for the approximate reduction — with at most one further
 // transaction pinned to an exact initiator (sc.pinTr, 1-based; the
 // pinned form underlies the per-axis subtree bound tables).
-func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float64) float64 {
+func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float64, pt *phaseTable) float64 {
+	txs := an.sys.Transactions
 	sum := 0.0
 	if sc.nu == nil {
 		for i, hpI := range hp {
@@ -522,11 +538,11 @@ func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float6
 			}
 			switch {
 			case i == a:
-				sum += an.wk(a, sc.c, hpI, alpha, t)
+				sum += pt.wk(&txs[a], a, sc.c, hpI, alpha, t)
 			case i+1 == sc.pinTr:
-				sum += an.wk(i, sc.pinK, hpI, alpha, t)
+				sum += pt.wk(&txs[i], i, sc.pinK, hpI, alpha, t)
 			default:
-				sum += an.wstar(i, hpI, alpha, t)
+				sum += pt.wstar(&txs[i], i, hpI, alpha, t)
 			}
 		}
 		return sum
@@ -535,7 +551,7 @@ func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float6
 		if len(hp[ch.tr]) == 0 {
 			continue
 		}
-		sum += an.wk(ch.tr, ch.k, hp[ch.tr], alpha, t)
+		sum += pt.wk(&txs[ch.tr], ch.tr, ch.k, hp[ch.tr], alpha, t)
 	}
 	return sum
 }
@@ -564,6 +580,7 @@ func (an *analyzer) buildAxes(a, b int, hp [][]int, ts *taskScratch) (axes []axi
 	axes = ts.axes[:0]
 	count = 1
 	aAxis = -1
+	limit := an.opt.maxScenarios()
 	for i, hpI := range hp {
 		var cands []int
 		if i == a {
@@ -578,12 +595,15 @@ func (an *analyzer) buildAxes(a, b int, hp [][]int, ts *taskScratch) (axes []axi
 			continue
 		}
 		axes = append(axes, axis{tr: i, cands: cands})
-		count *= len(cands)
-		if count > an.opt.maxScenarios() {
+		// Checked before multiplying, as in ScenarioCount: under a limit
+		// near math.MaxInt the product would wrap around to a small (even
+		// zero) count and the sweep would evaluate too few scenarios.
+		if count > limit/len(cands) {
 			ts.axes = axes
 			return nil, 0, 0, fmt.Errorf("%w: task τ%d,%d needs more than %d scenarios",
-				ErrTooManyScenarios, a+1, b+1, an.opt.maxScenarios())
+				ErrTooManyScenarios, a+1, b+1, limit)
 		}
+		count *= len(cands)
 	}
 	ts.axes = axes
 	if cap(ts.pick) < len(axes) {
@@ -614,7 +634,7 @@ func (an *analyzer) pruneBounds(a, b int, hp [][]int, alpha float64, cands []int
 	}
 	bounds := ts.bounds[:nTasks]
 	for _, c := range cands {
-		r, _, ok := an.scenarioResponse(a, b, scenario{c: c}, hp, alpha)
+		r, _, ok := an.scenarioResponse(a, b, scenario{c: c}, hp, alpha, &ts.phases)
 		if !ok {
 			r = math.Inf(1)
 		}
@@ -704,7 +724,7 @@ func (an *analyzer) prefixBounds(a, b int, hp [][]int, alpha float64, axes []axi
 			for _, k := range ax.cands {
 				bd := 0.0
 				for _, c := range axes[aAxis].cands {
-					r, _, ok := an.scenarioResponse(a, b, scenario{c: c, pinTr: ax.tr + 1, pinK: k}, hp, alpha)
+					r, _, ok := an.scenarioResponse(a, b, scenario{c: c, pinTr: ax.tr + 1, pinK: k}, hp, alpha, &ts.phases)
 					if !ok {
 						bd = math.Inf(1)
 						break
@@ -780,9 +800,10 @@ func (an *analyzer) materialiseScenarios(axes []axis, aAxis, count int, ts *task
 // iterative expression below Eq. 16), the job range p0..pL (Eq. 14)
 // and the completion-time fixed point for every job (Eq. 16),
 // returning the largest response time and the job index attaining it.
-// ok is false when a fixed point was not reached within
+// pt is the task's phase table, built by the enclosing responseTime
+// call. ok is false when a fixed point was not reached within
 // Options.MaxInner steps.
-func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha float64) (float64, int, bool) {
+func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha float64, pt *phaseTable) (float64, int, bool) {
 	tr := &an.sys.Transactions[a]
 	ta := &tr.Tasks[b]
 	eps := an.opt.eps()
@@ -801,7 +822,7 @@ func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha fl
 		if jobs < 0 {
 			jobs = 0
 		}
-		next := base + jobs*cOverAlpha + an.interference(a, sc, hp, alpha, L)
+		next := base + jobs*cOverAlpha + an.interference(a, sc, hp, alpha, L, pt)
 		if next <= L+eps {
 			converged = true
 			break
@@ -823,7 +844,7 @@ func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha fl
 		}
 		converged = false
 		for it := 0; it < an.opt.maxInner(); it++ {
-			next := base + (p-p0+1)*cOverAlpha + an.interference(a, sc, hp, alpha, w)
+			next := base + (p-p0+1)*cOverAlpha + an.interference(a, sc, hp, alpha, w, pt)
 			if next <= w+eps {
 				converged = true
 				break

@@ -12,6 +12,8 @@ import (
 
 	"hsched/internal/experiments"
 	"hsched/internal/gen"
+	"hsched/internal/model"
+	"hsched/internal/platform"
 	"hsched/internal/spec"
 )
 
@@ -474,6 +476,46 @@ func TestFinHelper(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"response":null`) {
 		t.Errorf("unbounded response marshalled as %s", data)
+	}
+}
+
+// TestExactScenarioOverflow422: a client may send max_scenarios up to
+// 2^63−1. A system whose exact scenario product exceeds every machine
+// int — 33 transactions of 4 same-platform tasks give the lowest-
+// priority task 4^33 scenarios — must still fail as a scenario blow-up
+// (422), in JSON and in the binary u64, never come back as a 200 whose
+// wrapped-around count swept nothing.
+func TestExactScenarioOverflow422(t *testing.T) {
+	sys := &model.System{Platforms: []platform.Params{platform.Dedicated()}}
+	for i := 0; i < 33; i++ {
+		tr := model.Transaction{Period: 1000, Deadline: 1000}
+		for j := 0; j < 4; j++ {
+			tr.Tasks = append(tr.Tasks, model.Task{WCET: 1, BCET: 1, Priority: 10})
+		}
+		sys.Transactions = append(sys.Transactions, tr)
+	}
+	sys.Transactions[32].Tasks[3].Priority = 1
+	s := New(Options{})
+
+	doc, err := json.Marshal(spec.FromSystem(sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"system": ` + string(doc) + `, "options": {"exact": true, "max_scenarios": 9223372036854775807}}`
+	if w := do(t, s, "POST", "/v1/analyze", body, nil); w.Code != http.StatusUnprocessableEntity {
+		t.Errorf("JSON: status %d, want 422: %s", w.Code, w.Body.String())
+	}
+
+	bin, err := EncodeAnalyzeRequestBinary(sys, OptionsSpec{Exact: true, MaxScenarios: math.MaxInt64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(bin))
+	req.Header.Set("Content-Type", ContentTypeBinary)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Errorf("binary: status %d, want 422: %s", w.Code, w.Body.String())
 	}
 }
 

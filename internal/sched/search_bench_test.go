@@ -6,6 +6,7 @@ import (
 
 	"hsched/internal/analysis"
 	"hsched/internal/gen"
+	"hsched/internal/model"
 	"hsched/internal/service"
 )
 
@@ -55,4 +56,42 @@ func BenchmarkExactSearch(b *testing.B) {
 	b.Run("session-reuse", func(b *testing.B) {
 		run(b, analysis.Options{Exact: true, Workers: 1})
 	})
+}
+
+// audsleySearchSystems draws the assign-search benchmark shape: two
+// platforms, four three-task chains, the verdict-only oracle of a
+// design tool. A fixed cycle of seeds spreads the measurement over
+// searches of different lengths instead of timing one system.
+func audsleySearchSystems(tb testing.TB) []*model.System {
+	tb.Helper()
+	out := make([]*model.System, 16)
+	for k := range out {
+		sys, err := gen.System(gen.Config{
+			Seed: int64(1 + k), Platforms: 2, Transactions: 4, ChainLen: 3,
+			PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[k] = sys
+	}
+	return out
+}
+
+// BenchmarkAudsleySearch measures one whole Audsley search with the
+// approximate oracle capped at 32 holistic rounds per probe, through a
+// fresh single-shard service per search: the per-request work of a
+// served priority search.
+func BenchmarkAudsleySearch(b *testing.B) {
+	systems := audsleySearchSystems(b)
+	opt := analysis.Options{MaxIterations: 32, Workers: 1}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc := service.New(service.Options{Shards: 1, Analysis: opt})
+		work := systems[i%len(systems)].Clone()
+		if _, _, err := Assign(ctx, work, PolicyAudsley, AssignOptions{Analysis: opt, Service: svc}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
