@@ -318,9 +318,10 @@ func (an *analyzer) phaseK(i, k, j int) float64 {
 // The table is rebuilt by every responseTime call and never cached
 // beyond it: jitters move between holistic rounds, and the delta path,
 // sweep seeds and pooled scratch all cross round, analysis and engine
-// boundaries. Every row is read at least once per call (by the
-// approximate W* sums, or by pruneBounds on the exact path), so the
-// build never evaluates more phases than the per-step sums it replaces.
+// boundaries. Every row is read at least once per call (by the W*
+// sums of the approximate scenarios or of pruneBounds, or by the exact
+// sweep itself), so the build never evaluates more phases than the
+// per-step sums it replaces.
 //
 // The flat slices live in taskScratch and are reused across calls.
 // Transaction i's block starts at row[i] and holds one run of len(hp_i)
@@ -351,25 +352,24 @@ func (an *analyzer) buildPhaseTable(pt *phaseTable, a, b int, hp [][]int) {
 		if len(hpI) == 0 {
 			continue
 		}
-		tr := &an.sys.Transactions[i]
-		reduced := an.slabs[i].reduced
-		for n := 0; n <= len(hpI); n++ {
-			var k int
-			switch {
-			case n < len(hpI):
-				k = hpI[n]
-			case i == a:
-				k = b
-			default:
-				continue
-			}
-			off := pt.row[i] + k*len(hpI)
-			for m, j := range hpI {
-				phi := phase(reduced[k], tr.Tasks[k].Jitter, reduced[j], tr.Period)
-				pt.phi[off+m] = phi
-				pt.fl[off+m] = floorE((tr.Tasks[j].Jitter+phi)/tr.Period, pt.eps)
-			}
+		for _, k := range hpI {
+			an.fillPhaseRun(pt, i, k, hpI)
 		}
+		if i == a {
+			an.fillPhaseRun(pt, i, b, hpI)
+		}
+	}
+}
+
+// fillPhaseRun fills the run of initiator k in transaction i's block.
+func (an *analyzer) fillPhaseRun(pt *phaseTable, i, k int, hpI []int) {
+	tr := &an.sys.Transactions[i]
+	reduced := an.slabs[i].reduced
+	off := pt.row[i] + k*len(hpI)
+	for m, j := range hpI {
+		phi := phase(reduced[k], tr.Tasks[k].Jitter, reduced[j], tr.Period)
+		pt.phi[off+m] = phi
+		pt.fl[off+m] = floorE((tr.Tasks[j].Jitter+phi)/tr.Period, pt.eps)
 	}
 }
 

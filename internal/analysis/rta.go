@@ -44,10 +44,9 @@ type scenario struct {
 
 // taskScratch holds the per-task-analysis buffers (scenario sets,
 // candidate lists, mixed-radix cursor state, prune bounds, the phase
-// table). The engine
-// keeps a pool of them so that concurrent per-task response
-// computations reuse allocations instead of growing fresh slices on
-// every call.
+// table). The engine keeps a pool of them so that concurrent per-task
+// response computations reuse allocations instead of growing fresh
+// slices on every call.
 type taskScratch struct {
 	scenarios []scenario
 	cands     []int
@@ -209,8 +208,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	if err != nil {
 		return 0, unboundedCritical, st, err
 	}
-	pt := &ts.phases
-	an.buildPhaseTable(pt, a, b, hp)
+	an.buildPhaseTable(&ts.phases, a, b, hp)
 
 	// The bound computation costs one approximate fixed point per Γa
 	// initiator; on a degenerate single-axis sweep (count equals the
@@ -227,7 +225,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		// evaluate the list sequentially — the seed sweep the streamed
 		// cursor is tested against. No subtree bounds, no incumbent
 		// seeding: this is the historical per-scenario prune, verbatim.
-		r, crit, pruned, ok, err := an.sweepList(ctx, a, b, an.materialiseScenarios(axes, aAxis, count, ts), hp, alpha, bounds, pt)
+		r, crit, pruned, ok, err := an.sweepList(ctx, a, b, an.materialiseScenarios(axes, aAxis, count, ts), hp, alpha, bounds, &ts.phases)
 		st.pruned = pruned
 		if err != nil {
 			return 0, unboundedCritical, st, err
@@ -268,7 +266,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 				st.discarded = true
 			} else {
 				st.seeded = true
-				r, _, ok := an.scenarioResponse(a, b, scenario{c: seed[aAxis].k, nu: seed}, hp, alpha, pt)
+				r, _, ok := an.scenarioResponse(a, b, scenario{c: seed[aAxis].k, nu: seed}, hp, alpha, &ts.phases)
 				if !ok {
 					// The seed scenario itself diverges under the current
 					// inputs. Its bound diverges too (the bound dominates),
