@@ -364,10 +364,9 @@ func (an *analyzer) buildPhaseTable(pt *phaseTable, a, b int, hp [][]int) {
 // fillPhaseRun fills the run of initiator k in transaction i's block.
 func (an *analyzer) fillPhaseRun(pt *phaseTable, i, k int, hpI []int) {
 	tr := &an.sys.Transactions[i]
-	reduced := an.slabs[i].reduced
 	off := pt.row[i] + k*len(hpI)
 	for m, j := range hpI {
-		phi := phase(reduced[k], tr.Tasks[k].Jitter, reduced[j], tr.Period)
+		phi := an.phaseK(i, k, j)
 		pt.phi[off+m] = phi
 		pt.fl[off+m] = floorE((tr.Tasks[j].Jitter+phi)/tr.Period, pt.eps)
 	}

@@ -25,12 +25,14 @@ func paperFile() *spec.File {
 
 // slowSystem generates a system whose analysis runs for hundreds of
 // milliseconds — long enough that a tens-of-milliseconds request
-// deadline expires mid-iteration (the 504 path) and that a concurrent
-// request reliably observes it in flight (the 429 path).
+// deadline expires mid-iteration (the 504 path), that a 150 ms one
+// does too, and that a concurrent request reliably observes it in
+// flight (the 429 path). About 0.55 s sequential on a 2-vCPU Xeon;
+// size it up if the analysis gets faster.
 func slowSystem(t *testing.T) *spec.File {
 	t.Helper()
 	sys, err := gen.System(gen.Config{
-		Seed: 11, Platforms: 4, Transactions: 50, ChainLen: 8,
+		Seed: 11, Platforms: 4, Transactions: 50, ChainLen: 10,
 		PeriodMin: 50, PeriodMax: 1000, Utilization: 0.65,
 		AlphaMin: 0.5, AlphaMax: 0.9,
 	})

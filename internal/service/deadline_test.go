@@ -12,14 +12,15 @@ import (
 
 // slowApproxSystem generates a system whose approximate holistic
 // analysis runs for hundreds of milliseconds over tens of fixed-point
-// rounds (~10 ms per round cold on the development container) — slow
-// enough that a tens-of-milliseconds deadline provably expires in the
-// middle of the iteration, fast enough that the test's follow-up full
-// recompute stays affordable even under -race.
+// rounds (about 0.55 s sequential on a 2-vCPU Xeon) — slow enough that
+// a tens-of-milliseconds deadline provably expires in the middle of
+// the iteration, fast enough that the test's follow-up full recompute
+// stays affordable even under -race. Size it up if the analysis gets
+// faster.
 func slowApproxSystem(t *testing.T) *model.System {
 	t.Helper()
 	sys, err := gen.System(gen.Config{
-		Seed: 11, Platforms: 4, Transactions: 50, ChainLen: 8,
+		Seed: 11, Platforms: 4, Transactions: 50, ChainLen: 10,
 		PeriodMin: 50, PeriodMax: 1000, Utilization: 0.65,
 		AlphaMin: 0.5, AlphaMax: 0.9,
 	})
