@@ -14,8 +14,7 @@ import (
 // uncancelled exact analysis runs for many seconds (more than 12 s
 // sequentially on a 2-vCPU Xeon, over many holistic rounds of exact
 // sweeps) — long enough that a prompt abort is unambiguous. Size it up
-// if the analysis gets faster: at utilisation 0.45 it once took 13 s
-// and now finishes in under one.
+// if the analysis gets faster.
 func heavyExactConfig() gen.Config {
 	return gen.Config{
 		Seed: 5, Platforms: 1, Transactions: 6, ChainLen: 5,

@@ -36,11 +36,8 @@
 //     Options.Workers goroutines via the batch runner and collected
 //     in task index order, making the result bit-identical for every
 //     worker count. Each task's computation first builds its phase
-//     table — the phases ϕ of Eq. (10) and the floor terms of Eq. (11)
-//     for every candidate initiator, which the busy-period and
-//     completion steps do not move — so the fixed points evaluate
-//     only the ceiling term per step; the table is rebuilt on every
-//     call, never carried across rounds;
+//     table (see phaseTable), so the fixed points evaluate only the
+//     ceiling term of Eq. (11) per step;
 //  4. jitter propagation — Eq. (18) rewrites every non-initial task's
 //     jitter from its predecessor's previous-round response and the
 //     loop repeats until the responses reach a fixed point.

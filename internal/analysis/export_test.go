@@ -9,3 +9,9 @@ func WithSweep(opt Options, t SweepToggles) Options {
 	opt.sweep = t
 	return opt
 }
+
+// BenchShape and BenchShapes expose the benchmark's analysis shapes to
+// the external test package.
+type BenchShape = benchShape
+
+var BenchShapes = benchShapes

@@ -5,13 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"hash"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"hsched/internal/analysis"
@@ -21,16 +19,10 @@ import (
 	"hsched/internal/sched"
 )
 
-// updateGolden rewrites testdata/golden_*.txt from the current code.
-// The corpus pins the analysis outputs across commits: regenerate it
-// only for a change that is meant to move results, never to make a
-// kernel optimisation pass.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_*.txt")
-
-// goldenShape is one population of the cross-commit corpus. The
-// generator configurations mirror the benchmark's analysis workloads
-// (admit-edit, exact-cold, assign-search), so the corpus covers the
-// systems the served analysis actually runs on.
+// goldenShape is one population of the cross-commit corpus: the paper
+// system and the benchmark's analysis shapes (admit-edit, exact-cold,
+// assign-search), so the corpus covers the systems the served analysis
+// actually runs on.
 type goldenShape struct {
 	name  string
 	seeds int
@@ -39,28 +31,15 @@ type goldenShape struct {
 }
 
 func goldenShapes() []goldenShape {
-	return []goldenShape{
+	out := []goldenShape{
 		{name: "paper", seeds: 1, system: func(int64) (*model.System, error) { return experiments.PaperSystem(), nil }},
-		{name: "admit-edit", seeds: 30, system: func(seed int64) (*model.System, error) {
-			return gen.System(gen.Config{
-				Seed: seed, Platforms: 3, Transactions: 8 + int(seed%5), ChainLen: 4,
-				PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9,
-			})
-		}},
-		{name: "exact-cold", seeds: 30, system: func(seed int64) (*model.System, error) {
-			return gen.System(gen.Config{
-				Seed: seed, Platforms: 1, Transactions: 4, ChainLen: 4,
-				PeriodMin: 20, PeriodMax: 400, Utilization: 0.35, AlphaMin: 0.5, AlphaMax: 0.9,
-				RandomPriorities: true,
-			})
-		}},
-		{name: "assign-search", seeds: 30, system: func(seed int64) (*model.System, error) {
-			return gen.System(gen.Config{
-				Seed: seed, Platforms: 2, Transactions: 4, ChainLen: 3,
-				PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9,
-			})
-		}},
 	}
+	for _, sh := range analysis.BenchShapes {
+		out = append(out, goldenShape{name: sh.Name, seeds: 30, system: func(seed int64) (*model.System, error) {
+			return gen.System(sh.Config(seed))
+		}})
+	}
+	return out
 }
 
 // goldenOptions are the option sets every (shape, seed, mode) line
@@ -190,12 +169,6 @@ func TestGoldenCorpus(t *testing.T) {
 				}
 			}
 			path := filepath.Join("testdata", "golden_"+sh.name+".txt")
-			if *updateGolden {
-				if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
 			f, err := os.Open(path)
 			if err != nil {
 				t.Fatal(err)

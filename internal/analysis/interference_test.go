@@ -167,23 +167,40 @@ func TestExactReproducesTable3(t *testing.T) {
 	}
 }
 
+// benchShape is one generator configuration of the benchmark's
+// analysis workloads (perfbench/workload.go), drawn per seed.
+type benchShape struct {
+	Name   string
+	Config func(seed int64) gen.Config
+}
+
+// benchShapes are the admit-edit, exact-cold and assign-search shapes.
+// The phase-table checks here and the golden corpus (through
+// export_test.go) draw their systems from them.
+var benchShapes = []benchShape{
+	{Name: "admit-edit", Config: func(seed int64) gen.Config {
+		return gen.Config{Seed: seed, Platforms: 3, Transactions: 8 + int(seed%5), ChainLen: 4,
+			PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9}
+	}},
+	{Name: "exact-cold", Config: func(seed int64) gen.Config {
+		return gen.Config{Seed: seed, Platforms: 1, Transactions: 4, ChainLen: 4,
+			PeriodMin: 20, PeriodMax: 400, Utilization: 0.35, AlphaMin: 0.5, AlphaMax: 0.9,
+			RandomPriorities: true}
+	}},
+	{Name: "assign-search", Config: func(seed int64) gen.Config {
+		return gen.Config{Seed: seed, Platforms: 2, Transactions: 4, ChainLen: 3,
+			PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9}
+	}},
+}
+
 // phaseTableSystems draws the table-check population: the paper
-// system plus a few systems of each benchmark analysis shape
-// (admit-edit, exact-cold, assign-search).
+// system plus a few systems of each benchmark shape.
 func phaseTableSystems(t *testing.T) []*model.System {
 	t.Helper()
 	out := []*model.System{paperSystem()}
 	for seed := int64(1); seed <= 4; seed++ {
-		for _, cfg := range []gen.Config{
-			{Seed: seed, Platforms: 3, Transactions: 8 + int(seed%5), ChainLen: 4,
-				PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9},
-			{Seed: seed, Platforms: 1, Transactions: 4, ChainLen: 4,
-				PeriodMin: 20, PeriodMax: 400, Utilization: 0.35, AlphaMin: 0.5, AlphaMax: 0.9,
-				RandomPriorities: true},
-			{Seed: seed, Platforms: 2, Transactions: 4, ChainLen: 3,
-				PeriodMin: 20, PeriodMax: 400, Utilization: 0.4, AlphaMin: 0.4, AlphaMax: 0.9},
-		} {
-			sys, err := gen.System(cfg)
+		for _, sh := range benchShapes {
+			sys, err := gen.System(sh.Config(seed))
 			if err != nil {
 				t.Fatal(err)
 			}

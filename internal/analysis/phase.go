@@ -20,10 +20,8 @@ func floorE(x, eps float64) float64 { return math.Floor(x + eps) }
 
 // phase returns ϕ^k_{i,j} per Eq. (10): the first activation of τi,j
 // after the critical instant t=0 created by τi,k experiencing its
-// maximal jitter. The interference sums never call it per fixed-point
-// step: every responseTime call evaluates it once per (k, j) into the
-// task's phaseTable, rebuilt on every call because the jitters it
-// reads move between holistic rounds:
+// maximal jitter. The interference sums read it from the task's
+// phaseTable, not per fixed-point step:
 //
 //	ϕ^k_{i,j} = Ti − (φi,k + Ji,k − φi,j) mod Ti
 //

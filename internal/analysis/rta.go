@@ -67,8 +67,7 @@ type taskScratch struct {
 	strides   []int
 	sufMin    []float64
 
-	// phases is the task's phase table, rebuilt by every responseTime
-	// call; see phaseTable.
+	// phases is the task's phase table; see phaseTable.
 	phases phaseTable
 }
 
