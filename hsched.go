@@ -161,10 +161,11 @@ type (
 	// pipeline (interference construction → scenario enumeration →
 	// parallel per-task responses → jitter propagation). Exact
 	// scenario sweeps stream from a mixed-radix cursor and run true
-	// branch-and-bound: admissible prefix bounds jump whole refuted
-	// subtrees (AnalysisResult.ScenariosPruned / SubtreesPruned count
-	// the savings). One Analyzer serves one goroutine; results are
-	// identical for every worker count and every sweep toggle.
+	// branch-and-bound: one table of admissible per-initiator bounds
+	// jumps whole refuted subtrees (AnalysisResult.ScenariosPruned /
+	// SubtreesPruned count the savings). One Analyzer serves one
+	// goroutine; results are identical for every worker count and
+	// every sweep toggle.
 	// Analyzer.AnalyzeFrom re-analyses an edited system incrementally,
 	// seeded by a previous result — including each sweep's critical
 	// scenario, re-evaluated as the next sweep's incumbent floor, the

@@ -93,13 +93,6 @@ type analyzer struct {
 	changedMark []bool
 }
 
-func newAnalyzer(sys *model.System, opt Options) *analyzer {
-	an := &analyzer{}
-	an.bind(sys, opt)
-	an.refreshOffsets()
-	return an
-}
-
 // shapeSignatureTx appends the structural signature of transaction i
 // to dst: the task count plus every task's platform index and priority
 // — exactly the per-transaction inputs the hp rows depend on (Eq. 17).

@@ -39,6 +39,16 @@ func paperSystem() *model.System {
 	}
 }
 
+// newAnalyzer binds sys to a fresh analyzer with its reduced offsets
+// derived: the interference-construction stage on its own, outside
+// any engine.
+func newAnalyzer(sys *model.System, opt Options) *analyzer {
+	an := &analyzer{}
+	an.bind(sys, opt)
+	an.refreshOffsets()
+	return an
+}
+
 // newPaperAnalyzer prepares the paper example at iteration 0 of the
 // holistic loop: offsets at the φmin values, jitters zero.
 func newPaperAnalyzer(t *testing.T) *analyzer {

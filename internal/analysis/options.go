@@ -251,11 +251,14 @@ type Result struct {
 
 	// SubtreesPruned counts the whole-subtree cursor jumps among the
 	// pruned scenarios: each is one branch-and-bound decision that
-	// skipped a contiguous run of scenario vectors (the subtree fixing
-	// a failing suffix of axis digits) with a single seek instead of
-	// stepping through them. The ratio ScenariosPruned/SubtreesPruned
-	// is the average subtree size the bounds refuted. A work profile
-	// like ScenariosPruned, with the same caveats.
+	// skipped a contiguous run of scenario vectors (the rest of the
+	// subtree fixing the digits of the Γa axis and the axes above it,
+	// whose per-initiator bound failed) with a single seek instead of
+	// stepping through them. A sweep whose Γa axis is axis 0 steps
+	// instead, so its prunes count no subtree. The ratio
+	// ScenariosPruned/SubtreesPruned is the average subtree size the
+	// bounds refuted. A work profile like ScenariosPruned, with the
+	// same caveats.
 	SubtreesPruned int64
 
 	// history is the replay state: every holistic round's detached

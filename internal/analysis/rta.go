@@ -22,24 +22,13 @@ type initiator struct{ tr, k int }
 //   - nu != nil: an exact scenario vector of Section 3.1.1 — one
 //     initiator per transaction with interfering tasks (Eq. 12).
 //
-// On the approximate encoding, pinTr optionally pins ONE further
-// transaction to an exact initiator: pinTr is the 1-based transaction
-// index (0, the zero value, means no pin — a 0-based field would make
-// the zero-value scenario silently pin transaction 0) and pinK the
-// initiator task charged via W^pinK instead of W*. The pinned form is
-// what the per-axis subtree bound tables of the branch-and-bound sweep
-// are computed from (see prefixBounds); the plain exact encoding
-// ignores both fields.
-//
 // Scenarios are plain data (no captured closures): the interference
 // they induce is evaluated by analyzer.interference, which keeps the
 // per-scenario footprint to a few words and lets the engine pool the
 // backing slices across calls.
 type scenario struct {
-	c     int
-	pinTr int
-	pinK  int
-	nu    []initiator
+	c  int
+	nu []initiator
 }
 
 // taskScratch holds the per-task-analysis buffers (scenario sets,
@@ -57,15 +46,6 @@ type taskScratch struct {
 	// O(count·axes) backing the materialised sweep used to pin here.
 	nu     []initiator
 	bounds []float64
-
-	// Branch-and-bound scratch: boundTab holds the per-axis subtree
-	// bound tables (sub-slices of boundFlat), strides the mixed-radix
-	// subtree sizes and sufMin the cursor's running suffix minima; see
-	// prefixBounds and sweepRange.
-	boundTab  [][]float64
-	boundFlat []float64
-	strides   []int
-	sufMin    []float64
 
 	// phases is the task's phase table; see phaseTable.
 	phases phaseTable
@@ -101,18 +81,6 @@ func (ts *taskScratch) shrink() {
 	}
 	if cap(ts.bounds) > maxSmallRetain {
 		ts.bounds = nil
-	}
-	if cap(ts.boundTab) > maxSmallRetain {
-		ts.boundTab = nil
-	}
-	if cap(ts.boundFlat) > maxSmallRetain {
-		ts.boundFlat = nil
-	}
-	if cap(ts.strides) > maxSmallRetain {
-		ts.strides = nil
-	}
-	if cap(ts.sufMin) > maxSmallRetain {
-		ts.sufMin = nil
 	}
 	if cap(ts.phases.row) > maxSmallRetain {
 		ts.phases.row = nil
@@ -195,12 +163,13 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 // — the same scenarios, in the same deterministic order, as the
 // historical materialised sweep, with bit-identical results for every
 // toggle and worker combination. Two layers of state make it a true
-// tree search instead of a per-scenario filter: per-axis admissible
-// bound tables let the cursor skip whole subtrees with one seek (see
-// sweepRange), and the critical scenario of the previous sweep of the
-// same task — last round, or last analysis via Engine.AnalyzeFrom — is
-// re-evaluated under the current inputs to seed the incumbent the
-// bounds are pruned against.
+// tree search instead of a per-scenario filter: the admissible
+// per-initiator bounds of pruneBounds let the cursor skip the whole
+// subtree under a Γa initiator with one seek (see sweepRange), and the
+// critical scenario of the previous sweep of the same task — last
+// round, or last analysis via Engine.AnalyzeFrom — is re-evaluated
+// under the current inputs to seed the incumbent the bounds are pruned
+// against.
 func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha float64, ts *taskScratch) (float64, critical, sweepStats, error) {
 	var st sweepStats
 	axes, aAxis, count, err := an.buildAxes(a, b, hp, ts)
@@ -235,11 +204,6 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		return r, crit, st, nil
 	}
 
-	var bb *sweepBounds
-	if bounds != nil {
-		bb = an.prefixBounds(a, b, hp, alpha, axes, aAxis, count, bounds, ts)
-	}
-
 	// Incumbent seeding: re-evaluate the critical scenario recorded by
 	// the previous sweep of this task under the CURRENT offsets and
 	// jitters. Whatever inputs that scenario was recorded under, it is
@@ -259,7 +223,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	// are small but whose seeds are near-perfect.
 	reuse := !an.opt.sweep.NoReuse
 	floor := 0.0
-	if bb != nil && reuse {
+	if bounds != nil && reuse {
 		if seed := an.slabs[a].seedNu[b]; len(seed) > 0 {
 			if !seedValidFor(axes, seed) {
 				st.discarded = true
@@ -279,7 +243,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		}
 	}
 
-	res, err := an.sweepRange(ctx, a, b, axes, aAxis, count, hp, alpha, bb, floor, reuse, ts)
+	res, err := an.sweepRange(ctx, a, b, axes, aAxis, count, hp, alpha, bounds, floor, reuse, ts)
 	if err != nil {
 		return 0, unboundedCritical, st, err
 	}
@@ -348,46 +312,34 @@ type sweepResult struct {
 	finite   bool
 }
 
-// sweepBounds is the branch-and-bound state of one exact sweep.
-// tab[j], when non-nil, is the subtree bound table of axis j: tab[j][d]
-// upper-bounds the response of EVERY scenario whose axis-j digit is d,
-// whatever the other axes pick (see prefixBounds for the admissibility
-// argument). strides[j] is the size of the subtree that fixes the
-// digits of axes ≥ j — the run of consecutive flat indices a failing
-// bound lets the cursor skip.
-type sweepBounds struct {
-	tab     [][]float64
-	strides []int
-}
-
 // sweepRange evaluates the exact scenarios with flat indices [0, n)
-// in cursor order. bb, when non-nil, arms the branch-and-bound prune:
-// the cursor maintains sufMin[j] = min over axes i ≥ j of
-// tab[i][pick[i]] — an admissible bound on every scenario of the
-// subtree that keeps the digits of axes ≥ j — and when the tightest of
-// them (sufMin[0], the current scenario's own bound) cannot strictly
-// beat the incumbent, it finds the LARGEST failing j (the failing set
-// is down-closed: sufMin grows with j and the predicate is monotone)
-// and seeks straight past the whole subtree instead of stepping
-// through it. The running best may prune ties (bound <= best): a tie
-// with an earlier scenario never updates best under the strict
-// r > best rule. floor is the incumbent seeded from a previous sweep's
-// critical scenario re-evaluated under the current inputs; it is a
-// response some in-space scenario attains, so pruning against it is
-// strict (bound < floor) — a tying scenario may be the first maximum —
-// and it never enters res.best. trackNu records the running best's full
-// scenario vector into res.critNu for the next sweep's seed; the caller
-// gates it on the reuse toggle. The cursor state lives in ts.
-func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, n int, hp [][]int, alpha float64, bb *sweepBounds, floor float64, trackNu bool, ts *taskScratch) (sweepResult, error) {
-	if cap(ts.sufMin) < len(axes) {
-		ts.sufMin = make([]float64, len(axes))
-	}
-	pick, nu, sufMin := ts.pick[:len(axes)], ts.nu[:len(axes)], ts.sufMin[:len(axes)]
+// in cursor order. bounds, when non-nil, arms the branch-and-bound
+// prune: bounds[c] is pruneBounds' admissible bound on every scenario
+// whose Γa initiator is c, so when the current scenario's bound cannot
+// strictly beat the incumbent, neither can any scenario that keeps the
+// digits of axes ≥ aAxis, and the cursor seeks straight past that
+// whole subtree instead of stepping through it (on aAxis == 0 the
+// subtree is the scenario itself). The running best may prune ties
+// (bound <= best): a tie with an earlier scenario never updates best
+// under the strict r > best rule. floor is the incumbent seeded from a
+// previous sweep's critical scenario re-evaluated under the current
+// inputs; it is a response some in-space scenario attains, so pruning
+// against it is strict (bound < floor) — a tying scenario may be the
+// first maximum — and it never enters res.best. trackNu records the
+// running best's full scenario vector into res.critNu for the next
+// sweep's seed; the caller gates it on the reuse toggle. The cursor
+// state lives in ts.
+func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, n int, hp [][]int, alpha float64, bounds []float64, floor float64, trackNu bool, ts *taskScratch) (sweepResult, error) {
+	pick, nu := ts.pick[:len(axes)], ts.nu[:len(axes)]
 	cursorSeek(axes, pick, nu, 0)
-	res := sweepResult{crit: critical{initiator: b}, finite: true}
-	if bb != nil {
-		refreshSufMin(bb.tab, pick, sufMin, len(axes)-1)
+	// stride is the size of the subtree that fixes the digits of axes
+	// ≥ aAxis: the run of consecutive flat indices sharing one Γa
+	// initiator. It divides n, so a jump never overshoots it.
+	stride := 1
+	for _, ax := range axes[:aAxis] {
+		stride *= len(ax.cands)
 	}
+	res := sweepResult{crit: critical{initiator: b}, finite: true}
 	steps := 0
 	for idx := 0; idx < n; {
 		if steps%cancelCheckInterval == 0 && ctx != nil {
@@ -396,25 +348,15 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 			}
 		}
 		steps++
-		if bb != nil {
-			if bd := sufMin[0]; bd <= res.best || bd < floor {
-				// Find the largest axis whose whole remaining subtree the
-				// failing bound covers, and skip it in one jump.
-				jmax := 0
-				for j := len(axes) - 1; j >= 1; j-- {
-					if x := sufMin[j]; x <= res.best || x < floor {
-						jmax = j
-						break
-					}
-				}
-				if jmax == 0 {
+		if bounds != nil {
+			if bd := bounds[nu[aAxis].k]; bd <= res.best || bd < floor {
+				if aAxis == 0 {
 					res.pruned++
-					refreshSufMin(bb.tab, pick, sufMin, cursorNext(axes, pick, nu))
+					cursorNext(axes, pick, nu)
 					idx++
 					continue
 				}
-				// The strides divide n, so the jump never overshoots it.
-				next := idx - idx%bb.strides[jmax] + bb.strides[jmax]
+				next := idx - idx%stride + stride
 				res.pruned += int64(next - idx)
 				res.subtrees++
 				idx = next
@@ -422,7 +364,6 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 					break
 				}
 				cursorSeek(axes, pick, nu, idx)
-				refreshSufMin(bb.tab, pick, sufMin, len(axes)-1)
 				continue
 			}
 		}
@@ -441,33 +382,10 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 				res.critNu = append(res.critNu[:0], nu...)
 			}
 		}
-		top := cursorNext(axes, pick, nu)
-		if bb != nil {
-			refreshSufMin(bb.tab, pick, sufMin, top)
-		}
+		cursorNext(axes, pick, nu)
 		idx++
 	}
 	return res, nil
-}
-
-// refreshSufMin rebuilds the suffix minima of the axes ≤ top after the
-// cursor digits of those axes moved; entries above top are unchanged
-// by construction of the mixed-radix order (cursorNext reports the
-// highest rolled axis). Axes without a bound table contribute +Inf —
-// they never tighten a subtree bound, only their neighbours do.
-func refreshSufMin(tab [][]float64, pick []int, sufMin []float64, top int) {
-	m := math.Inf(1)
-	if top+1 < len(sufMin) {
-		m = sufMin[top+1]
-	}
-	for j := top; j >= 0; j-- {
-		if t := tab[j]; t != nil {
-			if v := t[pick[j]]; v < m {
-				m = v
-			}
-		}
-		sufMin[j] = m
-	}
 }
 
 // sweepList evaluates an explicit scenario list in order — the
@@ -522,9 +440,7 @@ func (an *analyzer) overloaded(a, b int, alpha float64) bool {
 // interference returns the total higher-priority demand the scenario sc
 // charges to a busy period of length t of τa,b (already scaled by 1/α),
 // excluding the jobs of τa,b itself: Eq. 13 for exact scenario vectors,
-// Eq. 15/16 for the approximate reduction — with at most one further
-// transaction pinned to an exact initiator (sc.pinTr, 1-based; the
-// pinned form underlies the per-axis subtree bound tables).
+// Eq. 15/16 for the approximate reduction.
 func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float64, pt *phaseTable) float64 {
 	txs := an.sys.Transactions
 	sum := 0.0
@@ -533,12 +449,9 @@ func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float6
 			if len(hpI) == 0 {
 				continue
 			}
-			switch {
-			case i == a:
+			if i == a {
 				sum += pt.wk(&txs[a], a, sc.c, hpI, alpha, t)
-			case i+1 == sc.pinTr:
-				sum += pt.wk(&txs[i], i, sc.pinK, hpI, alpha, t)
-			default:
+			} else {
 				sum += pt.wstar(&txs[i], i, hpI, alpha, t)
 			}
 		}
@@ -641,105 +554,6 @@ func (an *analyzer) pruneBounds(a, b int, hp [][]int, alpha float64, cands []int
 	return bounds
 }
 
-// pairBoundAmortise gates the pairwise bound tables: one table entry
-// costs |cands_a| approximate fixed points (each comparable to a few
-// scenario evaluations, the W* sums included), so the tables only pay
-// for themselves when the scenario product dwarfs their construction.
-// Below the gate the sweep keeps only the free aAxis table — the
-// per-initiator bounds pruneBounds computed anyway.
-const pairBoundAmortise = 8
-
-// prefixBounds assembles the branch-and-bound state of one exact
-// sweep: the per-axis subtree bound tables and the mixed-radix
-// strides. The aAxis table is the per-initiator bound pruneBounds
-// already computed, re-indexed by candidate position. For every other
-// axis j — when count amortises the construction — entry d is
-//
-//	max over c ∈ cands_a of the fixed point of the approximate
-//	scenario charging Γa its exact W^c, axis j's transaction its
-//	exact W^{cands_j[d]}, and every remaining transaction W*,
-//
-// which is admissible for EVERY exact scenario whose axis-j digit is d:
-// the pinned interference dominates the exact one termwise (W* ≥ every
-// W^k pointwise, Eq. 15), the busy-period and completion fixed points
-// are monotone in the interference, the dominated job range is a
-// subset, and the max over c covers whichever Γa initiator the
-// scenario picks (the phase ϕ of Eq. 10 depends on it). A subtree
-// fixing the digits of axes ≥ j therefore has min over i ≥ j of
-// tab[i][pick[i]] as an upper bound on every response inside it — the
-// suffix minimum sweepRange prunes whole subtrees against. An entry
-// whose own fixed point diverges is +Inf, which never prunes.
-func (an *analyzer) prefixBounds(a, b int, hp [][]int, alpha float64, axes []axis, aAxis, count int, bounds []float64, ts *taskScratch) *sweepBounds {
-	n := len(axes)
-	if cap(ts.strides) < n+1 {
-		ts.strides = make([]int, n+1)
-	}
-	strides := ts.strides[:n+1]
-	strides[0] = 1
-	for j := 0; j < n; j++ {
-		strides[j+1] = strides[j] * len(axes[j].cands)
-	}
-
-	if cap(ts.boundTab) < n {
-		ts.boundTab = make([][]float64, n)
-	}
-	tab := ts.boundTab[:n]
-	for j := range tab {
-		tab[j] = nil
-	}
-
-	pairCost := 0
-	for j, ax := range axes {
-		if j != aAxis {
-			pairCost += len(ax.cands)
-		}
-	}
-	pairCost *= len(axes[aAxis].cands)
-	buildPairs := pairCost > 0 && count >= pairBoundAmortise*pairCost
-
-	need := len(axes[aAxis].cands)
-	if buildPairs {
-		need += pairCost / len(axes[aAxis].cands)
-	}
-	if cap(ts.boundFlat) < need {
-		ts.boundFlat = make([]float64, 0, need)
-	}
-	flat := ts.boundFlat[:0]
-
-	start := len(flat)
-	for _, c := range axes[aAxis].cands {
-		flat = append(flat, bounds[c])
-	}
-	tab[aAxis] = flat[start:len(flat):len(flat)]
-
-	if buildPairs {
-		for j, ax := range axes {
-			if j == aAxis {
-				continue
-			}
-			start = len(flat)
-			for _, k := range ax.cands {
-				bd := 0.0
-				for _, c := range axes[aAxis].cands {
-					r, _, ok := an.scenarioResponse(a, b, scenario{c: c, pinTr: ax.tr + 1, pinK: k}, hp, alpha, &ts.phases)
-					if !ok {
-						bd = math.Inf(1)
-						break
-					}
-					if r > bd {
-						bd = r
-					}
-				}
-				flat = append(flat, bd)
-			}
-			tab[j] = flat[start:len(flat):len(flat)]
-		}
-	}
-
-	ts.boundTab, ts.boundFlat, ts.strides = tab, flat, strides
-	return &sweepBounds{tab: tab, strides: strides}
-}
-
 // cursorSeek positions the mixed-radix scenario cursor at flat index
 // idx: pick[i] is the candidate index of axis i — axis 0 is the
 // fastest-varying digit, exactly the enumeration order of the
@@ -756,20 +570,17 @@ func cursorSeek(axes []axis, pick []int, nu []initiator, idx int) {
 }
 
 // cursorNext advances the cursor one scenario, rewriting only the nu
-// entries of the axes whose digit moved — amortised O(1) per step. It
-// returns the highest axis index whose digit changed, which is exactly
-// the prefix of suffix minima the branch-and-bound sweep must refresh.
-func cursorNext(axes []axis, pick []int, nu []initiator) int {
+// entries of the axes whose digit moved — amortised O(1) per step.
+func cursorNext(axes []axis, pick []int, nu []initiator) {
 	for i := range axes {
 		pick[i]++
 		if pick[i] < len(axes[i].cands) {
 			nu[i] = initiator{tr: axes[i].tr, k: axes[i].cands[pick[i]]}
-			return i
+			return
 		}
 		pick[i] = 0
 		nu[i] = initiator{tr: axes[i].tr, k: axes[i].cands[0]}
 	}
-	return len(axes) - 1
 }
 
 // materialiseScenarios expands the axes into the full scenario list by

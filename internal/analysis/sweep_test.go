@@ -199,36 +199,37 @@ func TestExactSweepPrunesPaperExample(t *testing.T) {
 // the seed order whatever the worker count, so ScenariosPruned and
 // SubtreesPruned are a function of the system alone — for static and
 // dynamic analyses, with one worker or a round fanned out over many.
+// The exact values are a work gate: a change that moves either count
+// fails here even when its results stay bit-identical.
 func TestExactSweepPrunedCountStable(t *testing.T) {
-	for _, shape := range [][2]int{{4, 4}, {5, 6}} {
-		sys := exactHeavySystem(shape[0], shape[1])
-		for _, static := range []bool{false, true} {
-			var first *analysis.Result
-			for _, workers := range []int{1, 1, 2, 8} {
-				eng := analysis.NewEngine(analysis.Options{Exact: true, Workers: workers})
-				var res *analysis.Result
-				var err error
-				if static {
-					res, err = eng.AnalyzeStatic(sys)
-				} else {
-					res, err = eng.Analyze(sys)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if first == nil {
-					first = res
-					if res.ScenariosPruned <= 0 || res.SubtreesPruned <= 0 {
-						t.Fatalf("%dx%d static=%v: heavy sweep pruned %d scenarios in %d subtrees, want > 0",
-							shape[0], shape[1], static, res.ScenariosPruned, res.SubtreesPruned)
-					}
-					continue
-				}
-				if res.ScenariosPruned != first.ScenariosPruned || res.SubtreesPruned != first.SubtreesPruned {
-					t.Fatalf("%dx%d static=%v workers=%d: pruned %d scenarios in %d subtrees, want %d in %d as with one worker",
-						shape[0], shape[1], static, workers, res.ScenariosPruned, res.SubtreesPruned,
-						first.ScenariosPruned, first.SubtreesPruned)
-				}
+	cases := []struct {
+		transactions, chainLen int
+		static                 bool
+		scenarios, subtrees    int64
+	}{
+		{4, 4, false, 5301, 192},
+		{4, 4, true, 1332, 48},
+		{5, 6, false, 335420, 864},
+		{5, 6, true, 55920, 144},
+	}
+	for _, c := range cases {
+		sys := exactHeavySystem(c.transactions, c.chainLen)
+		for _, workers := range []int{1, 1, 2, 8} {
+			eng := analysis.NewEngine(analysis.Options{Exact: true, Workers: workers})
+			var res *analysis.Result
+			var err error
+			if c.static {
+				res, err = eng.AnalyzeStatic(sys)
+			} else {
+				res, err = eng.Analyze(sys)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ScenariosPruned != c.scenarios || res.SubtreesPruned != c.subtrees {
+				t.Fatalf("%dx%d static=%v workers=%d: pruned %d scenarios in %d subtrees, want %d in %d",
+					c.transactions, c.chainLen, c.static, workers, res.ScenariosPruned, res.SubtreesPruned,
+					c.scenarios, c.subtrees)
 			}
 		}
 	}

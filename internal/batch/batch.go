@@ -63,9 +63,11 @@ func Map[T any](n int, opt Options, fn func(i int) (T, error)) ([]T, error) {
 				}
 				v, err := fn(i)
 				if err != nil {
+					// Stop the other workers before formatting the error,
+					// so they claim no further items meanwhile.
+					failed.Store(true)
 					errOnce.Do(func() {
 						firstErr = fmt.Errorf("batch: item %d: %w", i, err)
-						failed.Store(true)
 					})
 					return
 				}

@@ -41,10 +41,19 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestMapErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
+	// Items past 17 wait until item 17 has started, so a worker holding
+	// 17 that is descheduled before calling fn cannot let the others
+	// run the whole range before any error exists. The only window
+	// left is between fn(17) returning and Map recording the failure.
+	started := make(chan struct{})
 	_, err := Map(1000, Options{Workers: 4}, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 17 {
+			close(started)
 			return 0, boom
+		}
+		if i > 17 {
+			<-started
 		}
 		return i, nil
 	})

@@ -24,8 +24,8 @@
 //	                                    │ exact sweeps stream from a
 //	                                    │ mixed-radix cursor, jump
 //	                                    │ refuted subtrees via admissible
-//	                                    │ prefix bounds (Stats.Scenarios-
-//	                                    ▼ Pruned / SubtreesPruned)
+//	                                    │ per-initiator bounds (Stats.
+//	                                    ▼ ScenariosPruned / SubtreesPruned)
 //
 // The mechanisms, top to bottom:
 //

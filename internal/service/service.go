@@ -146,11 +146,10 @@ type Stats struct {
 	// exact path. Always 0 for purely approximate traffic.
 	ScenariosPruned int64 `json:"scenarios_pruned"`
 	// SubtreesPruned accumulates the whole cursor subtrees the exact
-	// sweeps refuted with a single prefix bound instead of per-scenario
-	// checks (analysis.Result.SubtreesPruned summed over all misses).
-	// ScenariosPruned/SubtreesPruned is the average refuted-subtree
-	// size — the depth the branch-and-bound bounds cut at. Always 0
-	// for purely approximate traffic.
+	// sweeps refuted with a single per-initiator bound instead of
+	// per-scenario checks (analysis.Result.SubtreesPruned summed over
+	// all misses). ScenariosPruned/SubtreesPruned is the average
+	// refuted-subtree size. Always 0 for purely approximate traffic.
 	SubtreesPruned int64 `json:"subtrees_pruned"`
 	// InternHits counts Intern/Interned calls answered by an existing
 	// resident system — each one a decoded copy that collapsed onto
