@@ -39,13 +39,13 @@
 //	       └─ ProbeSession (Service.NewSession) — pins the previous
 //	          probe's result as the next probe's incremental seed;
 //	          per-session SessionStats roll up into ServiceStats
-//	          └─ Service — concurrency-safe front-end: engine pool
-//	             sharded by System.Fingerprint, CLOCK verdict memo
-//	             keyed by (fingerprint, normalised options) with
-//	             cost-weighted eviction, singleflight dedup of
-//	             concurrent identical queries, a delta-seed pool that
-//	             re-analyses near-match queries incrementally,
-//	             context-aware cancellation
+//	          └─ Service — concurrency-safe front-end: stripes
+//	             routed by System.Fingerprint, each holding a CLOCK
+//	             verdict memo keyed by (fingerprint, normalised
+//	             options), an intern pool and resident engines;
+//	             singleflight dedup of concurrent identical queries,
+//	             one delta-seed window that re-analyses near-match
+//	             queries incrementally, context-aware cancellation
 //	              └─ Analyzer (analysis.Engine) — one goroutine's
 //	                 reusable engine: transaction-keyed state slabs,
 //	                 per-round parallel response computation, one

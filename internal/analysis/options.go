@@ -282,6 +282,10 @@ type Result struct {
 	// rkey identifies the analysis semantics the result was computed
 	// under; a seed is only valid for an analysis with the same key.
 	rkey ReplayKey
+
+	// eps is the convergence tolerance the result was computed under,
+	// the guard band of MeetsDeadline.
+	eps float64
 }
 
 // DeltaInfo reports the work profile of an incremental analysis.
@@ -329,15 +333,23 @@ func (r *Result) TransactionResponse(i int) float64 {
 	return row[len(row)-1].Worst
 }
 
-// computeVerdict decides Schedulable from the final round: every
-// transaction's end-to-end response must be finite and within its
-// deadline, compared with the configured convergence tolerance as the
-// guard band (the same ε the fixed points were computed under).
+// MeetsDeadline reports whether transaction i's end-to-end response is
+// finite and within its deadline, with the convergence tolerance the
+// analysis ran under as the guard band (the same ε the fixed points
+// were computed under). Schedulable is this test over every
+// transaction of a converged analysis; per-transaction verdicts must
+// use it too, so the two never disagree.
+func (r *Result) MeetsDeadline(i int) bool {
+	rt := r.TransactionResponse(i)
+	return !math.IsInf(rt, 1) && rt <= r.System.Transactions[i].Deadline+r.eps
+}
+
+// computeVerdict decides Schedulable from the final round.
 func (r *Result) computeVerdict(eps float64) {
+	r.eps = eps
 	r.Schedulable = true
 	for i := range r.Tasks {
-		rt := r.TransactionResponse(i)
-		if math.IsInf(rt, 1) || rt > r.System.Transactions[i].Deadline+eps {
+		if !r.MeetsDeadline(i) {
 			r.Schedulable = false
 			return
 		}

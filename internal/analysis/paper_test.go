@@ -127,3 +127,28 @@ func TestPaperIteration0ByHand(t *testing.T) {
 		}
 	}
 }
+
+// TestMeetsDeadlineGuardBand: the per-transaction test and the system
+// verdict share one guard band, the analysis's ε. Γ1's response of 31
+// against a deadline of 31 − 5e-10 passes under the default ε = 1e-9
+// and fails under ε = 1e-12, in both the verdict and MeetsDeadline.
+func TestMeetsDeadlineGuardBand(t *testing.T) {
+	sys := experiments.PaperSystem()
+	sys.Transactions[0].Deadline = 31 - 5e-10
+	for _, c := range []struct {
+		eps  float64
+		want bool
+	}{{0, true}, {1e-12, false}} {
+		res, err := analysis.NewEngine(analysis.Options{Epsilon: c.eps}).Analyze(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res.TransactionResponse(0); r != 31 {
+			t.Fatalf("Γ1 response %v, want 31", r)
+		}
+		if res.Schedulable != c.want || res.MeetsDeadline(0) != c.want {
+			t.Errorf("ε=%g: Schedulable %v, MeetsDeadline(0) %v, want both %v",
+				c.eps, res.Schedulable, res.MeetsDeadline(0), c.want)
+		}
+	}
+}

@@ -1,15 +1,13 @@
 // Package cache is the one bounded map of the analysis service and
-// its HTTP transport: a cost-weighted CLOCK cache behind the verdict
-// memo, the delta-seed pool, the intern pool, the parse memo and the
-// session registry.
+// its HTTP transport: a CLOCK cache behind the verdict memo, the
+// delta-seed window, the intern pool, the parse memo and the session
+// registry.
 //
 // Entries form a list in insertion order. A hit never reorders it; the
 // caller sets the entry's touched bit instead. Scanning from the cold
 // end, the evictor clears a touched entry's bit and rotates it to the
-// hot end (its second chance); among the first untouched entries met
-// (a quarter of the cache, at most evictionSample) the cheapest goes,
-// the coldest on ties. Cost 0 everywhere reduces this to "first
-// untouched entry from the cold end", and with no touches to FIFO.
+// hot end (its second chance), and evicts the first untouched entry it
+// meets. With no touches this is FIFO.
 //
 // A Clock holds no lock of its own: every method, and Entry.Value,
 // runs under the caller's mutex; only Entry.Touch may run outside it.
@@ -20,14 +18,8 @@ import (
 	"sync/atomic"
 )
 
-// evictionSample bounds how many untouched cold-end entries the
-// evictor weighs against each other. Larger samples protect expensive
-// entries more but let stale ones linger.
-const evictionSample = 8
-
-// Clock is a bounded map from K to V with cost-weighted CLOCK
-// eviction; see the package doc. The zero value is not usable;
-// construct with New.
+// Clock is a bounded map from K to V with CLOCK eviction; see the
+// package doc. The zero value is not usable; construct with New.
 type Clock[K comparable, V any] struct {
 	capacity int
 	index    map[K]*Entry[K, V]
@@ -41,7 +33,6 @@ type Clock[K comparable, V any] struct {
 type Entry[K comparable, V any] struct {
 	key            K
 	value          V
-	cost           int64
 	touched        atomic.Bool // the CLOCK bit; written outside the caller's lock
 	colder, hotter *Entry[K, V]
 }
@@ -71,21 +62,21 @@ func (e *Entry[K, V]) Value() V { return e.value }
 // since been evicted is harmless.
 func (e *Entry[K, V]) Touch() { e.touched.Store(true) }
 
-// Put stores v under k with the given recomputation cost and returns
-// the value it evicted to stay within capacity, if any. A new key
-// enters at the hot end and is never its own victim; an existing key
-// has its value and cost replaced and moves to the hot end.
-func (c *Clock[K, V]) Put(k K, v V, cost int64) (evicted V, ok bool) {
+// Put stores v under k and returns the value it evicted to stay
+// within capacity, if any. A new key enters at the hot end and is
+// never its own victim; an existing key has its value replaced and
+// moves to the hot end.
+func (c *Clock[K, V]) Put(k K, v V) (evicted V, ok bool) {
 	if c.capacity < 1 {
 		return evicted, false
 	}
 	if e := c.index[k]; e != nil {
-		e.value, e.cost = v, cost
+		e.value = v
 		c.unlink(e)
 		c.pushHot(e)
 		return evicted, false
 	}
-	e := &Entry[K, V]{key: k, value: v, cost: cost}
+	e := &Entry[K, V]{key: k, value: v}
 	c.index[k] = e
 	c.pushHot(e)
 	if len(c.index) <= c.capacity {
@@ -97,36 +88,25 @@ func (c *Clock[K, V]) Put(k K, v V, cost int64) (evicted V, ok bool) {
 	return victim.value, true
 }
 
-// victim runs one eviction sweep and returns the entry to evict,
-// never fresh (the entry the triggering Put just inserted). The sample
-// size is taken over the post-insert length.
+// victim runs one eviction sweep and returns the entry to evict, never
+// fresh (the entry the triggering Put just pushed to the hot end). The
+// sweep visits each older entry at most once, cold end first, so a
+// Touch racing it cannot make it spin: a touched entry has its bit
+// cleared and rotates past fresh, and the first untouched one is the
+// victim. If every older entry was touched, they now follow fresh in
+// their old order and the coldest of them goes.
 func (c *Clock[K, V]) victim(fresh *Entry[K, V]) *Entry[K, V] {
-	sample := min((len(c.index)+3)/4, evictionSample)
-	var victim *Entry[K, V]
-	for e, seen := c.root.hotter, 0; e != &c.root && seen < sample; {
+	e := c.root.hotter
+	for e != fresh {
 		next := e.hotter
-		switch {
-		case e == fresh:
-		case e.touched.CompareAndSwap(true, false):
-			// Second chance. The entry lands past fresh, so the scan
-			// meets it again, untouched, if the sample is not full.
-			c.unlink(e)
-			c.pushHot(e)
-		default:
-			seen++
-			if victim == nil || e.cost < victim.cost {
-				victim = e
-			}
+		if !e.touched.CompareAndSwap(true, false) {
+			return e
 		}
+		c.unlink(e)
+		c.pushHot(e)
 		e = next
 	}
-	if victim == nil {
-		// Only a Touch racing the sweep can re-set a bit it cleared.
-		if victim = c.root.hotter; victim == fresh {
-			victim = fresh.hotter
-		}
-	}
-	return victim
+	return fresh.hotter
 }
 
 // Delete removes k and returns the value it held, if any.

@@ -36,85 +36,37 @@ func touch[V any](t *testing.T, c *Clock[string, V], k string) {
 // next untouched entry goes. The cleared bit buys exactly one pass.
 func TestClockSecondChanceRotation(t *testing.T) {
 	c := New[string, int](3)
-	c.Put("a", 1, 0)
-	c.Put("b", 2, 0)
-	c.Put("c", 3, 0)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Put("c", 3)
 	wantKeys(t, c, "c", "b", "a")
 	c.Get("a").Touch()
-	if v, ok := c.Put("d", 4, 0); !ok || v != 2 {
+	if v, ok := c.Put("d", 4); !ok || v != 2 {
 		t.Fatalf("evicted %v, %v; want b's value 2", v, ok)
 	}
 	wantKeys(t, c, "a", "d", "c")
-	if v, ok := c.Put("e", 5, 0); !ok || v != 3 {
+	if v, ok := c.Put("e", 5); !ok || v != 3 {
 		t.Fatalf("evicted %v, %v; want c's value 3", v, ok)
 	}
 	wantKeys(t, c, "e", "a", "d")
-	if v, ok := c.Put("f", 6, 0); !ok || v != 4 {
+	if v, ok := c.Put("f", 6); !ok || v != 4 {
 		t.Fatalf("evicted %v, %v; want d's value 4", v, ok)
 	}
-	if v, ok := c.Put("g", 7, 0); !ok || v != 1 {
+	if v, ok := c.Put("g", 7); !ok || v != 1 {
 		t.Fatalf("evicted %v, %v; want a's value 1 once its bit is spent", v, ok)
 	}
 	wantKeys(t, c, "g", "f", "e")
 }
 
-// TestClockCostWeightedVictim: among the sampled untouched cold-end
-// entries the cheapest goes, the coldest on ties; touched entries are
-// not sampled; entries past the sample are never weighed.
-func TestClockCostWeightedVictim(t *testing.T) {
-	// Capacity 8: the ninth Put samples (9+3)/4 = 3 entries.
-	c := New[string, int](8)
-	costs := []int64{100, 5, 50, 1, 1, 1, 1, 1}
-	for i, cost := range costs {
-		c.Put(string(rune('a'+i)), i, cost)
-	}
-	if v, ok := c.Put("i", 8, 1); !ok || v != 1 {
-		t.Fatalf("evicted %v, %v; want b (cost 5, cheapest of a b c)", v, ok)
-	}
-
-	// Touching the cheapest sampled entry takes it out of the sample.
-	c = New[string, int](8)
-	for i, cost := range costs {
-		c.Put(string(rune('a'+i)), i, cost)
-	}
-	touch(t, c, "b")
-	if v, ok := c.Put("i", 8, 1); !ok || v != 3 {
-		t.Fatalf("evicted %v, %v; want d: b rotated out, so the sample is a c d", v, ok)
-	}
-
-	// Equal costs: the coldest goes.
-	c = New[string, int](4)
-	for i := range 4 {
-		c.Put(string(rune('a'+i)), i, 7)
-	}
-	if v, ok := c.Put("e", 4, 7); !ok || v != 0 {
-		t.Fatalf("evicted %v, %v; want a (coldest of equal costs)", v, ok)
-	}
-
-	// The sample is capped at evictionSample: a cheap entry just past
-	// it is not weighed.
-	c = New[string, int](64)
-	for i := range 64 {
-		cost := int64(10)
-		if i == evictionSample {
-			cost = 0
-		}
-		c.Put(string(rune('A'+i)), i, cost)
-	}
-	if v, ok := c.Put("zz", 64, 10); !ok || v != 0 {
-		t.Fatalf("evicted %v, %v; want the coldest (the cheap entry lies past the sample)", v, ok)
-	}
-}
-
 // TestClockPutRefresh: Put on a resident key replaces its value and
-// cost and moves it to the hot end, evicting nothing.
+// moves it to the hot end, evicting nothing.
 func TestClockPutRefresh(t *testing.T) {
 	c := New[string, string](4)
-	c.Put("a", "a1", 1)
-	c.Put("b", "b1", 5)
-	c.Put("c", "c1", 9)
-	c.Put("d", "d1", 9)
-	if _, ok := c.Put("a", "a2", 100); ok {
+	c.Put("a", "a1")
+	c.Put("b", "b1")
+	c.Put("c", "c1")
+	c.Put("d", "d1")
+	if _, ok := c.Put("a", "a2"); ok {
 		t.Fatal("refreshing a resident key evicted")
 	}
 	if c.Len() != 4 {
@@ -124,15 +76,6 @@ func TestClockPutRefresh(t *testing.T) {
 		t.Fatalf("refreshed value %q, want a2", v)
 	}
 	wantKeys(t, c, "a", "d", "c", "b")
-
-	// Rotate b, c, d past a: the sweep then samples a (cost 100 now)
-	// and b (cost 5); with a's old cost of 1 it would be the victim.
-	for _, k := range []string{"b", "c", "d"} {
-		touch(t, c, k)
-	}
-	if v, ok := c.Put("e", "e1", 1); !ok || v != "b1" {
-		t.Fatalf("evicted %q, %v; want b1 (a's refreshed cost protects it)", v, ok)
-	}
 }
 
 // TestClockFreshNeverVictim: when every other entry was touched since
@@ -141,12 +84,12 @@ func TestClockFreshNeverVictim(t *testing.T) {
 	for _, capacity := range []int{1, 2, 5} {
 		c := New[string, int](capacity)
 		for i := range capacity {
-			c.Put(string(rune('a'+i)), i, 0)
+			c.Put(string(rune('a'+i)), i)
 		}
 		for i := range capacity {
 			touch(t, c, string(rune('a'+i)))
 		}
-		if v, ok := c.Put("new", -1, 0); !ok || v != 0 {
+		if v, ok := c.Put("new", -1); !ok || v != 0 {
 			t.Fatalf("capacity %d: evicted %v, %v; want the coldest old entry (0)", capacity, v, ok)
 		}
 		if c.Get("new") == nil {
@@ -159,7 +102,7 @@ func TestClockFreshNeverVictim(t *testing.T) {
 func TestClockDeleteClearLenAll(t *testing.T) {
 	c := New[string, int](4)
 	for i, k := range []string{"a", "b", "c"} {
-		c.Put(k, i, 0)
+		c.Put(k, i)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
@@ -190,11 +133,11 @@ func TestClockDeleteClearLenAll(t *testing.T) {
 		t.Fatal("Clear left entries resident")
 	}
 	wantKeys[int](t, c)
-	c.Put("d", 3, 0)
+	c.Put("d", 3)
 	wantKeys(t, c, "d")
 
 	zero := New[string, int](0)
-	if _, ok := zero.Put("a", 1, 0); ok || zero.Len() != 0 || zero.Get("a") != nil {
+	if _, ok := zero.Put("a", 1); ok || zero.Len() != 0 || zero.Get("a") != nil {
 		t.Fatal("a zero-capacity cache stored an entry")
 	}
 }
@@ -208,7 +151,7 @@ func TestClockGetZeroAllocs(t *testing.T) {
 	c := New[[4]int, *int](16)
 	x := 7
 	for i := range 16 {
-		c.Put([4]int{i}, &x, int64(i))
+		c.Put([4]int{i}, &x)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		e := c.Get([4]int{3})
@@ -263,7 +206,7 @@ func TestClockConcurrentTouchEviction(t *testing.T) {
 			for i := range iters {
 				k := (i*5 + g*3) % keySpace
 				mu.Lock()
-				c.Put(k, k*k, int64(k%3))
+				c.Put(k, k*k)
 				if c.Len() > capacity {
 					t.Errorf("Len = %d past capacity %d", c.Len(), capacity)
 				}

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
 	"hsched/internal/analysis"
@@ -71,10 +70,10 @@ func Assign(args []string, stdout, stderr io.Writer) int {
 		for j, tb := range res.Tasks[i] {
 			verdict := ""
 			if j == len(res.Tasks[i])-1 {
-				if math.IsInf(tb.Worst, 1) || tb.Worst > tr.Deadline {
-					verdict = "MISS"
-				} else {
+				if res.MeetsDeadline(i) {
 					verdict = "ok"
+				} else {
+					verdict = "MISS"
 				}
 			}
 			fmt.Fprintf(w, "%s\tPi%d\t%d\t%.3f\t%.3f\t%s\n",

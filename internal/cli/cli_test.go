@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hsched/internal/experiments"
+	"hsched/internal/spec"
 )
 
 func writeFile(path string, data []byte) error {
@@ -76,6 +79,29 @@ func TestAnalyzeUnschedulableExitCode(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "MISS") {
 		t.Errorf("missing MISS marker:\n%s", out.String())
+	}
+}
+
+// TestAnalyzeVerdictGuardBand: a response of D + 5e-10 lies inside the
+// default ε = 1e-9 guard band, so the system is schedulable and its
+// row must read "ok", not "MISS".
+func TestAnalyzeVerdictGuardBand(t *testing.T) {
+	sys := experiments.PaperSystem()
+	sys.Transactions[0].Deadline = 31 - 5e-10 // Γ1's response is 31
+	doc, err := json.Marshal(spec.FromSystem(sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "band.json")
+	if err := writeFile(path, doc); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := Analyze([]string{"-spec", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, want 0; out:\n%s%s", code, out.String(), errb.String())
+	}
+	if strings.Contains(out.String(), "MISS") {
+		t.Errorf("schedulable system printed a MISS row:\n%s", out.String())
 	}
 }
 

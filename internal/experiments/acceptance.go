@@ -32,14 +32,7 @@ type AcceptancePoint struct {
 // the sweep enforces that as an invariant); the tight best-case
 // refinement sits between them.
 func AcceptanceRatio(utils []float64, perPoint int, seed int64) ([]AcceptancePoint, error) {
-	return AcceptanceRatioWorkers(utils, perPoint, seed, 0)
-}
-
-// AcceptanceRatioWorkers is AcceptanceRatio with an explicit bound on
-// the batch workers (0 selects GOMAXPROCS), for callers that share the
-// machine with other sweeps.
-func AcceptanceRatioWorkers(utils []float64, perPoint int, seed int64, workers int) ([]AcceptancePoint, error) {
-	return AcceptanceRatioService(utils, perPoint, seed, workers, nil)
+	return AcceptanceRatioService(utils, perPoint, seed, 0, nil)
 }
 
 // acceptanceVariants are the three analysis configurations the sweep

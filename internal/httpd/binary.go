@@ -188,7 +188,7 @@ func writeBinaryAnalyzeResponse(w http.ResponseWriter, res *analysis.Result, ela
 		tr := &res.System.Transactions[i]
 		endToEnd := res.Tasks[i][len(res.Tasks[i])-1].Worst
 		sched := uint64(0)
-		if !math.IsInf(endToEnd, 1) && endToEnd <= tr.Deadline {
+		if res.MeetsDeadline(i) {
 			sched = 1
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(tr.Deadline))

@@ -11,6 +11,7 @@ import (
 
 	"hsched/internal/experiments"
 	"hsched/internal/service"
+	"hsched/internal/spec"
 )
 
 // doBinary posts a binary analyze body (with binary Accept when
@@ -334,5 +335,44 @@ func TestAnalyzeHandlerAllocs(t *testing.T) {
 	binAllocs := testing.AllocsPerRun(200, func() { post(binBody, true) })
 	if binAllocs >= jsonAllocs {
 		t.Errorf("binary hit path allocates %.0f/op, JSON hit path %.0f/op — binary should be leaner", binAllocs, jsonAllocs)
+	}
+}
+
+// TestTransactionVerdictGuardBand: a response just past its deadline
+// but inside the analysis's convergence tolerance (D + 5e-10 under the
+// default ε = 1e-9) is schedulable at system level, so both codecs
+// must report the transaction schedulable too.
+func TestTransactionVerdictGuardBand(t *testing.T) {
+	sys := experiments.PaperSystem()
+	sys.Transactions[0].Deadline = 31 - 5e-10 // Γ1's response is 31
+	s := New(Options{})
+
+	var jsonResp AnalyzeResponse
+	w := do(t, s, "POST", "/v1/analyze", &AnalyzeRequest{System: spec.FromSystem(sys)}, &jsonResp)
+	if w.Code != http.StatusOK {
+		t.Fatalf("json status %d: %s", w.Code, w.Body.String())
+	}
+	body, err := EncodeAnalyzeRequestBinary(sys, OptionsSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := doBinary(t, s, "/v1/analyze", body, true)
+	if bw.Code != http.StatusOK {
+		t.Fatalf("binary status %d: %s", bw.Code, bw.Body.String())
+	}
+	binResp, err := DecodeAnalyzeResponseBinary(bw.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for codec, resp := range map[string]*AnalyzeResponse{"json": &jsonResp, "binary": binResp} {
+		if r := resp.Transactions[0].Response; r == nil || *r != 31 {
+			t.Fatalf("%s: Γ1 response %v, want 31", codec, r)
+		}
+		if !resp.Schedulable {
+			t.Fatalf("%s: system verdict unschedulable, want schedulable inside the guard band", codec)
+		}
+		if !resp.Transactions[0].Schedulable {
+			t.Fatalf("%s: Γ1 reported unschedulable while the system is schedulable", codec)
+		}
 	}
 }

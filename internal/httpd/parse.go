@@ -72,6 +72,6 @@ func (p *parseMemo) put(key [sha256.Size]byte, sys *model.System, fp model.Finge
 	}
 	parsed := &parsedAnalyze{sys: sys, fp: fp, opt: opt}
 	p.mu.Lock()
-	p.byKey.Put(key, parsed, 0)
+	p.byKey.Put(key, parsed)
 	p.mu.Unlock()
 }

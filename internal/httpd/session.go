@@ -63,7 +63,7 @@ func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, erro
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if victim, ok := r.byToken.Put(s.token, s, 0); ok {
+	if victim, ok := r.byToken.Put(s.token, s); ok {
 		victim.probe.Drop()
 		r.evicted++
 	}

@@ -373,7 +373,7 @@ func buildAnalyzeResponse(res *analysis.Result, bounds bool, elapsedMS float64) 
 			Name:        tr.Name,
 			Deadline:    tr.Deadline,
 			Response:    fin(endToEnd),
-			Schedulable: !math.IsInf(endToEnd, 1) && endToEnd <= tr.Deadline,
+			Schedulable: res.MeetsDeadline(i),
 		}
 		if bounds {
 			for j, tb := range res.Tasks[i] {

@@ -117,8 +117,7 @@ func AudsleyContext(ctx context.Context, sys *model.System, opt AudsleyOptions) 
 					if err != nil {
 						return nil, false, fmt.Errorf("sched: audsley oracle: %w", err)
 					}
-					tr := &sys.Transactions[refs[c].i]
-					if res.TransactionResponse(refs[c].i) <= tr.Deadline+1e-9 {
+					if res.MeetsDeadline(refs[c].i) {
 						assigned[c] = true
 						found = true
 						break

@@ -16,7 +16,7 @@
 //	in-flight table ───────── dup ──► wait on leader      (~analysis)
 //	  │ leader
 //	  ▼
-//	delta-seed pool ── near-match ──► AnalyzeFrom:        (fraction of
+//	delta-seed window ─ near-match ─► AnalyzeFrom:        (fraction of
 //	  │ no seed                       replay unchanged,    a cold run)
 //	  │                               recompute dirty
 //	  ▼
@@ -27,13 +27,18 @@
 //	                                    │ per-initiator bounds (Stats.
 //	                                    ▼ ScenariosPruned / SubtreesPruned)
 //
+// State is placed by how it is looked up. Everything looked up by
+// fingerprint — the memo, the in-flight table, the intern pool and the
+// resident engines — lives in Options.Shards stripes routed by
+// fingerprint, so one query takes exactly one stripe mutex. The
+// delta-seed window is looked up by similarity, so it is one list for
+// the whole service.
+//
 // The mechanisms, top to bottom:
 //
 //   - a lock-striped verdict memo of detached *analysis.Results keyed
-//     by (fingerprint, normalised options). The memo is split into
-//     Options.Shards independent stripes routed by fingerprint (the
-//     same routing as the engine pool, so one query takes exactly one
-//     stripe mutex), each holding its slice of the capacity.
+//     by (fingerprint, normalised options), each stripe holding its
+//     slice of the capacity.
 //     Options.Normalised materialises defaulted fields, so a
 //     zero-value Options and an explicitly-spelled-default Options
 //     share an entry; Workers is excluded from keys (results are
@@ -45,12 +50,9 @@
 //     (an atomic, touched outside the lock) instead of reordering a
 //     list. Each stripe's memo is an internal/cache Clock, the one
 //     bounded map every layer here and in internal/httpd uses.
-//     Eviction is second-chance and cost-weighted: the evictor scans
-//     from the cold end, rotates touched entries back with their bit
-//     cleared, and among the untouched sample evicts the
-//     cheapest-to-recompute entry first — never the entry being
-//     inserted — so exact-analysis verdicts (~30× the recomputation
-//     price of approximate ones) survive bursts of cheap traffic;
+//     Eviction is second-chance: the evictor scans from the cold end,
+//     rotates touched entries back with their bit cleared, and evicts
+//     the first untouched entry — never the entry being inserted;
 //
 //   - singleflight-style deduplication: concurrent identical queries
 //     block on the first one's in-flight analysis instead of running
@@ -58,10 +60,11 @@
 //     cancelled, a waiting caller whose own context is still live
 //     retries and becomes the new leader;
 //
-//   - a delta-seed pool of recent results (Options.DeltaWindow), the
-//     same Clock per stripe with no touches and no costs — a FIFO
-//     window. A miss diffs the incoming system against the pool by
-//     per-transaction fingerprint overlap; the best near-match seeds
+//   - a delta-seed window of recent results (Options.DeltaWindow): one
+//     Clock for the whole service under one mutex taken only on the
+//     miss path, never touched — a FIFO window. A miss diffs the
+//     incoming system against it newest first by per-transaction
+//     fingerprint overlap; the best near-match (the newest on ties) seeds
 //     Engine.AnalyzeFrom, which replays the recorded per-round state
 //     of every transaction the edit provably cannot reach and
 //     recomputes only the dirty rest — bit-identical to a cold
@@ -88,9 +91,10 @@
 //     distinct system — and a transport that already knows the
 //     fingerprint (the SHA-256 of the canonical wire bytes IS the
 //     fingerprint; see model.System.MarshalBinary) answers a repeat
-//     without decoding at all. The pool is one Clock per stripe;
-//     residents carry no cost, so eviction takes the first entry not
-//     looked up since the last sweep. Interned systems must never be
+//     without decoding at all. The pool is one more Clock per stripe,
+//     beside the memo under the same stripe mutex, so eviction takes
+//     the first resident not looked up since the last sweep.
+//     Interned systems must never be
 //     mutated. Stats reports InternHits, InternMisses and Resident
 //     (a gauge: distinct systems currently pooled).
 //

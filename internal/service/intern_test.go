@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"hsched/internal/gen"
@@ -105,6 +106,57 @@ func TestInternEviction(t *testing.T) {
 	a2, _ := svc.Intern(mk(100))
 	if a2 == a {
 		t.Fatal("evicted pointer returned by a fresh intern (pool kept a stale reference)")
+	}
+}
+
+// TestInternConcurrentWithMemo interns and analyses from several
+// goroutines at once, so intern lookups, installs and memo traffic
+// share each stripe's mutex (its assertions fire under -race). Every
+// caller must get the one resident pointer per fingerprint, and the
+// intern counters must balance at quiescence.
+func TestInternConcurrentWithMemo(t *testing.T) {
+	const population, goroutines, iters = 4, 8, 40
+	svc := New(Options{Shards: 2})
+	mk := func(k int) *model.System {
+		sys := internTestSystem(t)
+		sys.Transactions[0].Period = float64(100 * (k + 1))
+		return sys
+	}
+	residents := make([]chan *model.System, population)
+	for k := range residents {
+		residents[k] = make(chan *model.System, goroutines*iters)
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range iters {
+				k := (g + i) % population
+				sys, fp := svc.Intern(mk(k))
+				residents[k] <- sys
+				if _, err := svc.AnalyzeFingerprinted(context.Background(), fp, sys, svc.opt.Analysis, false); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range residents {
+		close(residents[k])
+		var first *model.System
+		for sys := range residents[k] {
+			if first == nil {
+				first = sys
+			} else if sys != first {
+				t.Fatalf("system %d interned to two pointers", k)
+			}
+		}
+	}
+	st := svc.Stats()
+	if st.InternHits+st.InternMisses != goroutines*iters || st.InternMisses != population || st.Resident != population {
+		t.Fatalf("intern counters %+v, want %d calls, %d misses and residents", st, goroutines*iters, population)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hsched/internal/analysis"
 	"hsched/internal/cache"
@@ -18,8 +17,8 @@ import (
 type Options struct {
 	// Shards is the number of stripes the service's state is split
 	// into. Each stripe owns one slice of the verdict memo, in-flight
-	// table and delta-seed pool behind a short-held mutex, plus one set
-	// of resident analysis engines behind a long-held one; queries are
+	// table and intern pool behind a short-held mutex, plus one set of
+	// resident analysis engines behind a long-held one; queries are
 	// routed by system fingerprint, so one fingerprint touches exactly
 	// one stripe — repeated queries on the same system land on the same
 	// warm engine while distinct systems spread across stripes and run
@@ -37,9 +36,9 @@ type Options struct {
 	// and AnalyzeStatic; AnalyzeOptions overrides it per query.
 	Analysis analysis.Options
 
-	// DeltaWindow bounds the pool of recent results the service keeps
-	// as incremental-analysis seeds, divided evenly across stripes: on
-	// a memo miss the incoming system is diffed against the pool (by
+	// DeltaWindow bounds the window of recent results the service
+	// keeps as incremental-analysis seeds, one window shared by every
+	// stripe: on a memo miss the incoming system is diffed against it (by
 	// per-transaction fingerprint overlap) and a near-match routes the
 	// query through Engine.AnalyzeFrom, which replays the unchanged
 	// transactions' state instead of recomputing it — the fast path for
@@ -183,7 +182,7 @@ type counter struct {
 }
 
 // counters is the service's live tally, one padded atomic per Stats
-// field (intern counters live in internPool).
+// field.
 //
 // Counting protocol: each query increments exactly one attribution
 // counter — hits (memo hit or in-flight dedup, the latter also bumping
@@ -205,6 +204,9 @@ type counters struct {
 	roundsSaved     counter
 	scenariosPruned counter
 	subtreesPruned  counter
+	internHits      counter
+	internMisses    counter
+	resident        counter // gauge: intern residents, all stripes
 }
 
 // optKey is the comparable form of normalised analysis options used in
@@ -249,31 +251,27 @@ type inflight struct {
 	err  error
 }
 
-// stripe owns one fingerprint slice of every piece of per-system
-// service state: the memo, the in-flight table, the delta-seed pool
-// and the resident engines. Routing is model.Fingerprint.Shard, so one
-// fingerprint touches exactly one stripe and a query acquires at most
-// one stripe mutex. Three locks with three very different hold times
-// live here deliberately:
+// stripe owns one fingerprint slice of the per-system service state:
+// the memo, the in-flight table, the intern pool and the resident
+// engines. Routing is model.Fingerprint.Shard, so one fingerprint
+// touches exactly one stripe and a query acquires at most one stripe
+// mutex. The two locks have very different hold times:
 //
-//   - mu guards the memo and in-flight table — map/list operations
-//     only, never held across an analysis, and taken exactly once per
-//     memoised query (the memo's cache.Clock has no lock of its own);
+//   - mu guards the memo, the in-flight table and the intern pool —
+//     map operations only, never held across an analysis, and taken
+//     exactly once per memoised query (a cache.Clock has no lock of
+//     its own);
 //   - engMu guards the resident engines and IS held across an
 //     analysis (engines are single-goroutine), so a long cold run
-//     never blocks the stripe's hit path;
-//   - seedMu guards the stripe's slice of the delta-seed pool, taken
-//     only on the miss path (seed scan + store).
+//     never blocks the stripe's hit path.
 type stripe struct {
 	mu       sync.Mutex
-	memo     *cache.Clock[cacheKey, *analysis.Result] // cost: analysis wall time, ns
+	memo     *cache.Clock[cacheKey, *analysis.Result]
 	inflight map[cacheKey]*inflight
+	intern   *cache.Clock[model.Fingerprint, *model.System] // nil: interning disabled
 
 	engMu   sync.Mutex
 	engines map[engineKey]*analysis.Engine
-
-	seedMu sync.Mutex
-	seeds  *cache.Clock[cacheKey, seedEntry] // never touched: a FIFO window
 
 	_ [64]byte // keep neighbouring stripes' mutexes off one cache line
 }
@@ -281,8 +279,8 @@ type stripe struct {
 // Service is a concurrency-safe front-end over a pool of resident
 // analysis engines: the long-running "admission control" shape of the
 // ROADMAP. It routes each query to a stripe by system fingerprint,
-// memoises detached Results in per-stripe cost-weighted CLOCK caches
-// keyed by (fingerprint, normalised options), and deduplicates concurrent
+// memoises detached Results in per-stripe CLOCK caches keyed by
+// (fingerprint, normalised options), and deduplicates concurrent
 // identical queries singleflight-style so the analysis runs once.
 //
 // Returned *Results are shared: a memo hit hands the same pointer to
@@ -293,50 +291,44 @@ type stripe struct {
 type Service struct {
 	opt Options
 
-	// stripes is the fingerprint-routed state; seedWindow is the
-	// per-stripe slice of Options.DeltaWindow (0 = disabled), fixed at
-	// construction.
-	stripes    []stripe
-	seedWindow int
+	// stripes is the fingerprint-routed state.
+	stripes []stripe
 
 	ctr counters
 
-	// seedSeq stamps seed-pool entries with a global insertion order so
-	// cross-stripe seed scans can break ties by recency without any
-	// shared list.
-	seedSeq atomic.Int64
-
-	// intern is the fingerprint-keyed pool of canonical resident
-	// systems (nil when disabled); it is striped like the memo and its
-	// counters are merged into Stats snapshots.
-	intern *internPool
+	// seeds is the delta-seed window (nil when the delta path is
+	// disabled): one list for the whole service, because a seed is
+	// looked up by similarity, not by fingerprint. It is never
+	// touched, so it evicts in insertion order, and All yields it
+	// newest first.
+	seedMu sync.Mutex
+	seeds  *cache.Clock[cacheKey, seedEntry]
 }
 
 // seedEntry is one delta-seed candidate: a recent result plus the
-// precomputed per-transaction fingerprints its matching runs on. seq
-// is the Service-wide recency stamp (seedSeq).
+// precomputed per-transaction fingerprints its matching runs on.
 type seedEntry struct {
 	txFPs []model.Fingerprint
 	res   *analysis.Result
-	seq   int64
 }
 
 // New constructs a Service with the given options.
 func New(opt Options) *Service {
 	n := opt.shards()
-	s := &Service{
-		opt:        opt,
-		stripes:    make([]stripe, n),
-		seedWindow: perStripe(opt.deltaWindow(), n),
-		intern:     newInternPool(opt.internCapacity(), n),
+	s := &Service{opt: opt, stripes: make([]stripe, n)}
+	if w := opt.deltaWindow(); w > 0 {
+		s.seeds = cache.New[cacheKey, seedEntry](w)
 	}
 	capPerStripe := perStripe(opt.capacity(), n)
+	internPerStripe := perStripe(opt.internCapacity(), n)
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.memo = cache.New[cacheKey, *analysis.Result](capPerStripe)
 		st.inflight = make(map[cacheKey]*inflight)
 		st.engines = make(map[engineKey]*analysis.Engine)
-		st.seeds = cache.New[cacheKey, seedEntry](s.seedWindow)
+		if internPerStripe > 0 {
+			st.intern = cache.New[model.Fingerprint, *model.System](internPerStripe)
+		}
 	}
 	return s
 }
@@ -394,9 +386,9 @@ func (s *Service) Stats() Stats {
 	st.RoundsSaved = s.ctr.roundsSaved.Load()
 	st.ScenariosPruned = s.ctr.scenariosPruned.Load()
 	st.SubtreesPruned = s.ctr.subtreesPruned.Load()
-	if s.intern != nil {
-		st.InternHits, st.InternMisses, st.Resident = s.intern.snapshot()
-	}
+	st.InternHits = s.ctr.internHits.Load()
+	st.InternMisses = s.ctr.internMisses.Load()
+	st.Resident = s.ctr.resident.Load()
 	return st
 }
 
@@ -410,16 +402,19 @@ func (s *Service) Reset() {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		st.memo.Clear()
+		if st.intern != nil {
+			s.ctr.resident.Add(-int64(st.intern.Len()))
+			st.intern.Clear()
+		}
 		st.mu.Unlock()
-		st.seedMu.Lock()
-		st.seeds.Clear()
-		st.seedMu.Unlock()
 		st.engMu.Lock()
 		clear(st.engines)
 		st.engMu.Unlock()
 	}
-	if s.intern != nil {
-		s.intern.reset()
+	if s.seeds != nil {
+		s.seedMu.Lock()
+		s.seeds.Clear()
+		s.seedMu.Unlock()
 	}
 }
 
@@ -528,7 +523,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		// transparently, so a bad candidate only costs the plan.
 		var seed *analysis.Result
 		var txFPs []model.Fingerprint
-		if !static && opt.Recorder == nil && s.seedWindow > 0 {
+		if !static && opt.Recorder == nil && s.seeds != nil {
 			txFPs = sys.TransactionFingerprints()
 			if sess != nil {
 				seed = sess.currentSeed()
@@ -538,21 +533,9 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			}
 		}
 
-		res, cost, err := s.run(ctx, st, sys, opt, static, seed)
+		res, err := s.run(ctx, st, sys, opt, static, seed)
 		if sess != nil {
 			sess.noteExecuted(res)
-		}
-
-		// The memo's eviction prices entries by recomputation cost,
-		// which for a delta-produced result is its *cold* cost, not the
-		// measured incremental run (a re-miss has no guarantee of a
-		// seed). Scale the measurement back up by the fraction of
-		// task-rounds actually computed.
-		if res != nil && res.Delta != nil {
-			total := res.Iterations * (res.Delta.CleanTasks + res.Delta.DirtyTasks)
-			if computed := total - res.Delta.TaskRoundsSaved; computed > 0 && total > computed {
-				cost = cost * time.Duration(total) / time.Duration(computed)
-			}
 		}
 
 		// Callers and the memo receive the result stripped of its
@@ -562,7 +545,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		shared := res
 		if err == nil {
 			if txFPs != nil && res.HasReplayState() {
-				s.storeSeed(st, key, txFPs, res)
+				s.storeSeed(key, txFPs, res)
 			}
 			shared = res.WithoutReplayState()
 		}
@@ -572,7 +555,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		st.mu.Lock()
 		delete(st.inflight, key)
 		if err == nil {
-			_, evicted = st.memo.Put(key, shared, int64(cost))
+			_, evicted = st.memo.Put(key, shared)
 		}
 		st.mu.Unlock()
 		if evicted {
@@ -595,15 +578,13 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 	}
 }
 
-// findSeed scans every stripe's seed pool for the best incremental
-// baseline for a system with the given transaction fingerprints: same
+// findSeed scans the seed window for the best incremental baseline
+// for a system with the given transaction fingerprints: same
 // normalised options, same platform count, maximal transaction
-// overlap, then fewest platform-parameter differences, then recency
-// (the seedSeq stamp — the cross-stripe replacement for a single
-// recency-ordered list). Each stripe is scanned under its own seedMu
-// and the candidate's res pointer is captured inside that locked
-// region (storeSeed may rewrite it); stripes are compared lock-free
-// afterwards. Returns nil when nothing overlaps.
+// overlap, then fewest platform-parameter differences. The window is
+// scanned newest first and only a strictly better candidate replaces
+// the incumbent, so recency breaks ties. Returns nil when nothing
+// overlaps.
 func (s *Service) findSeed(opt optKey, txFPs []model.Fingerprint, sys *model.System) *analysis.Result {
 	counts := make(map[model.Fingerprint]int, len(txFPs))
 	for _, fp := range txFPs {
@@ -611,55 +592,46 @@ func (s *Service) findSeed(opt optKey, txFPs []model.Fingerprint, sys *model.Sys
 	}
 	var best *analysis.Result
 	bestScore, bestPlat := 0, 0
-	bestSeq := int64(-1)
 	used := make(map[model.Fingerprint]int, len(txFPs))
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.seedMu.Lock()
-		for key, se := range st.seeds.All() {
-			if key.opt != opt || len(se.res.System.Platforms) != len(sys.Platforms) {
-				continue
-			}
-			// Multiset overlap: each incoming transaction can match at
-			// most its multiplicity in the candidate.
-			clear(used)
-			overlap := 0
-			for _, fp := range se.txFPs {
-				if used[fp] < counts[fp] {
-					used[fp]++
-					overlap++
-				}
-			}
-			if overlap == 0 {
-				continue
-			}
-			samePlat := 0
-			for m := range sys.Platforms {
-				if se.res.System.Platforms[m] == sys.Platforms[m] {
-					samePlat++
-				}
-			}
-			if overlap > bestScore ||
-				(overlap == bestScore && samePlat > bestPlat) ||
-				(overlap == bestScore && samePlat == bestPlat && se.seq > bestSeq) {
-				best, bestScore, bestPlat, bestSeq = se.res, overlap, samePlat, se.seq
+	s.seedMu.Lock()
+	defer s.seedMu.Unlock()
+	for key, se := range s.seeds.All() {
+		if key.opt != opt || len(se.res.System.Platforms) != len(sys.Platforms) {
+			continue
+		}
+		// Multiset overlap: each incoming transaction can match at
+		// most its multiplicity in the candidate.
+		clear(used)
+		overlap := 0
+		for _, fp := range se.txFPs {
+			if used[fp] < counts[fp] {
+				used[fp]++
+				overlap++
 			}
 		}
-		st.seedMu.Unlock()
+		if overlap == 0 {
+			continue
+		}
+		samePlat := 0
+		for m := range sys.Platforms {
+			if se.res.System.Platforms[m] == sys.Platforms[m] {
+				samePlat++
+			}
+		}
+		if overlap > bestScore || (overlap == bestScore && samePlat > bestPlat) {
+			best, bestScore, bestPlat = se.res, overlap, samePlat
+		}
 	}
 	return best
 }
 
-// storeSeed records a fresh result in its stripe's slice of the
-// delta-seed pool, replacing any entry with the same cache key. Seeds
-// are never touched and carry no cost, so the pool evicts the oldest
-// past the per-stripe window. The seedSeq stamp gives the entry its
-// recency rank for cross-stripe findSeed scans.
-func (s *Service) storeSeed(st *stripe, key cacheKey, txFPs []model.Fingerprint, res *analysis.Result) {
-	seq := s.seedSeq.Add(1)
-	st.seedMu.Lock()
-	st.seeds.Put(key, seedEntry{txFPs: txFPs, res: res, seq: seq}, 0)
-	st.seedMu.Unlock()
+// storeSeed records a fresh result as the newest entry of the seed
+// window, replacing any entry with the same cache key; past the window
+// the oldest goes.
+func (s *Service) storeSeed(key cacheKey, txFPs []model.Fingerprint, res *analysis.Result) {
+	s.seedMu.Lock()
+	s.seeds.Put(key, seedEntry{txFPs: txFPs, res: res})
+	s.seedMu.Unlock()
 }
 
 // maxEnginesPerStripe bounds the resident engines one stripe keeps. A
@@ -675,10 +647,7 @@ const maxEnginesPerStripe = 8
 // stripe, constructing the engine on first use. A non-nil seed routes
 // the analysis through the incremental path; the engine falls back to
 // a cold run when the seed turns out not to be soundly replayable.
-// cost is the wall time of the engine call alone — measured past the
-// engine-lock acquisition, so queueing behind an unrelated analysis
-// does not misprice this entry for the eviction policy.
-func (s *Service) run(ctx context.Context, st *stripe, sys *model.System, opt analysis.Options, static bool, seed *analysis.Result) (res *analysis.Result, cost time.Duration, err error) {
+func (s *Service) run(ctx context.Context, st *stripe, sys *model.System, opt analysis.Options, static bool, seed *analysis.Result) (*analysis.Result, error) {
 	// Workers is resolved to its effective value for the engine key so
 	// Workers:0 and an explicit Workers:GOMAXPROCS share one engine.
 	workers := opt.Workers
@@ -699,22 +668,20 @@ func (s *Service) run(ctx context.Context, st *stripe, sys *model.System, opt an
 		engOpt := opt.Normalised()
 		// With the delta path disabled no Result will ever be used as
 		// a seed, so don't pay for recording replay state. The flag is
-		// uniform per service (seedWindow is fixed at construction),
-		// so it cannot alias engines across settings.
-		engOpt.DisableReplayState = s.seedWindow == 0
+		// uniform per service (seeds is fixed at construction), so it
+		// cannot alias engines across settings.
+		engOpt.DisableReplayState = s.seeds == nil
 		eng = analysis.NewEngine(engOpt)
 		st.engines[ek] = eng
 	}
-	start := time.Now()
 	switch {
 	case static:
-		res, err = eng.AnalyzeStaticContext(ctx, sys)
+		return eng.AnalyzeStaticContext(ctx, sys)
 	case seed != nil:
-		res, err = eng.AnalyzeFromContext(ctx, seed, sys)
+		return eng.AnalyzeFromContext(ctx, seed, sys)
 	default:
-		res, err = eng.AnalyzeContext(ctx, sys)
+		return eng.AnalyzeContext(ctx, sys)
 	}
-	return res, time.Since(start), err
 }
 
 // runFresh executes one analysis on a throwaway engine (recorder

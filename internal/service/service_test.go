@@ -356,6 +356,48 @@ func TestServiceDeltaDisabled(t *testing.T) {
 	}
 }
 
+// TestServiceDeltaWindowGlobal pins the seed window as one list for the
+// whole service: with four stripes and DeltaWindow 2, only the two
+// newest results seed a near-match, wherever their fingerprints route.
+// The bases sit on three distinct stripes, so a window kept per stripe
+// would still hold the oldest one.
+func TestServiceDeltaWindowGlobal(t *testing.T) {
+	ctx := context.Background()
+	const shards = 4
+	var bases []*model.System
+	onStripe := map[int]bool{}
+	for seed := int64(40); len(bases) < 3; seed++ {
+		sys := testSystem(t, seed)
+		if sh := sys.Fingerprint().Shard(shards); !onStripe[sh] {
+			onStripe[sh] = true
+			bases = append(bases, sys)
+		}
+	}
+	near := func(sys *model.System) *model.System {
+		mut := sys.Clone()
+		mut.Transactions[2].Tasks[0].WCET *= 1.01
+		return mut
+	}
+	svc := service.New(service.Options{Shards: shards, DeltaWindow: 2, Analysis: analysis.Options{Workers: 1}})
+	query := func(sys *model.System) {
+		t.Helper()
+		if _, err := svc.Analyze(ctx, sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sys := range bases {
+		query(sys)
+	}
+	query(near(bases[0]))
+	if st := svc.Stats(); st.DeltaHits != 0 {
+		t.Fatalf("stats = %+v: the oldest base fell out of the two-entry window and must not seed", st)
+	}
+	query(near(bases[2]))
+	if st := svc.Stats(); st.DeltaHits != 1 {
+		t.Fatalf("stats = %+v: the newest base is in the window and must seed its near-match", st)
+	}
+}
+
 // TestServiceDeltaDistinctOptions: a resident result computed under
 // different analysis options must not seed the query (the trajectories
 // differ), and the engine-level fallback keeps the answer correct.
@@ -379,54 +421,6 @@ func TestServiceDeltaDistinctOptions(t *testing.T) {
 	sameAnalysis(t, got, want)
 	if st := svc.Stats(); st.DeltaHits != 0 {
 		t.Fatalf("stats = %+v: options mismatch must not delta-seed", st)
-	}
-}
-
-// TestServiceCostWeightedEviction: an expensive exact-analysis verdict
-// survives a burst of cheap insertions that would displace it under
-// pure LRU — the eviction policy weighs the measured recomputation
-// cost of the oldest entries.
-func TestServiceCostWeightedEviction(t *testing.T) {
-	ctx := context.Background()
-	const capacity = 4
-	svc := service.New(service.Options{Shards: 1, Capacity: capacity, Analysis: analysis.Options{Workers: 1}})
-
-	// One expensive entry first: a single-platform high-interference
-	// system under the exact analysis — the shape whose scenario space
-	// survives even the branch-and-bound bounds, keeping it orders of
-	// magnitude above the approximate queries.
-	big, err := gen.System(gen.Config{
-		Seed: 99, Platforms: 1, Transactions: 6, ChainLen: 5,
-		PeriodMin: 10, PeriodMax: 1000, Utilization: 0.4,
-		AlphaMin: 0.4, AlphaMax: 0.9, RandomPriorities: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := analysis.Options{Workers: 1, Exact: true}
-	if _, err := svc.AnalyzeOptions(ctx, big, exact); err != nil {
-		t.Fatal(err)
-	}
-
-	// A burst of cheap approximate queries fills the memo past
-	// capacity; under pure LRU the exact entry would be the first
-	// casualty.
-	for k := 0; k < capacity+2; k++ {
-		if _, err := svc.Analyze(ctx, testSystem(t, int64(30+k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := svc.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("stats = %+v: the burst must have evicted", st)
-	}
-
-	misses := st.Misses
-	if _, err := svc.AnalyzeOptions(ctx, big, exact); err != nil {
-		t.Fatal(err)
-	}
-	if st = svc.Stats(); st.Misses != misses {
-		t.Fatalf("stats = %+v: the expensive exact verdict was evicted by cheap entries", st)
 	}
 }
 
