@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	hsched [-spec system.json] [-exact] [-static] [-tight] [-dump] [-sensitivity] [-workers n] [-cache] [-delta]
+//	hsched [-spec system.json] [-exact] [-static] [-tight] [-dump] [-sensitivity] [-workers n] [-cache]
 //	hsched assign [-spec system.json] [-policy rm|dm|hopa|audsley] [-iterations n] [-exact] [-workers n] [-cache] [-delta]
 //	hsched bench [-workload default|exact-heavy|assign] [-systems n] [-mutations n] [-queries n] [-goroutines n] [-shards n] [-capacity n] [-exact] [-seed n] [-util u] [-delta] [-json] [-remote URL] [-pipeline n] [-codec json|binary]
 //	hsched serve [-addr host:port] [-shards n] [-cache n] [-delta] [-max-inflight n] [-max-sessions n] [-parse-memo n] [-workers n] [-drain d]

@@ -44,8 +44,8 @@
 //	             verdict memo keyed by (fingerprint, normalised
 //	             options), an intern pool and resident engines;
 //	             singleflight dedup of concurrent identical queries,
-//	             one delta-seed window that re-analyses near-match
-//	             queries incrementally, context-aware cancellation
+//	             a session's misses re-analysed incrementally off its
+//	             pinned seed, context-aware cancellation
 //	              └─ Analyzer (analysis.Engine) — one goroutine's
 //	                 reusable engine: transaction-keyed state slabs,
 //	                 per-round parallel response computation, one

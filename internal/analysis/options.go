@@ -313,9 +313,8 @@ func (r *Result) HasReplayState() bool { return len(r.history) > 0 }
 // WithoutReplayState returns the result stripped of its replay
 // history: a shallow copy sharing every other field (or r itself when
 // there is nothing to strip). The analysis service memoises stripped
-// results and keeps the full ones only in its bounded seed pool, so
-// a large verdict memo does not pin thousands of unreachable
-// histories.
+// results and keeps a full one only as a session's pinned seed, so a
+// large verdict memo does not pin thousands of unreachable histories.
 func (r *Result) WithoutReplayState() *Result {
 	if len(r.history) == 0 && r.sweepNu == nil {
 		return r

@@ -1,7 +1,6 @@
 // Package cache is the one bounded map of the analysis service and
 // its HTTP transport: a CLOCK cache behind the verdict memo, the
-// delta-seed window, the intern pool, the parse memo and the session
-// registry.
+// intern pool, the parse memo and the session registry.
 //
 // Entries form a list in insertion order. A hit never reorders it; the
 // caller sets the entry's touched bit instead. Scanning from the cold
@@ -13,10 +12,7 @@
 // runs under the caller's mutex; only Entry.Touch may run outside it.
 package cache
 
-import (
-	"iter"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Clock is a bounded map from K to V with CLOCK eviction; see the
 // package doc. The zero value is not usable; construct with New.
@@ -127,18 +123,6 @@ func (c *Clock[K, V]) Len() int { return len(c.index) }
 func (c *Clock[K, V]) Clear() {
 	clear(c.index)
 	c.root.colder, c.root.hotter = &c.root, &c.root
-}
-
-// All yields every entry from the hot end to the cold end — most
-// recently inserted or rotated first. It touches nothing.
-func (c *Clock[K, V]) All() iter.Seq2[K, V] {
-	return func(yield func(K, V) bool) {
-		for e := c.root.colder; e != &c.root; e = e.colder {
-			if !yield(e.key, e.value) {
-				return
-			}
-		}
-	}
 }
 
 func (c *Clock[K, V]) pushHot(e *Entry[K, V]) {

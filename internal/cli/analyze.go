@@ -43,7 +43,6 @@ func Analyze(args []string, stdout, stderr io.Writer) int {
 		sensitivity = fs.Bool("sensitivity", false, "also report the critical WCET scaling factor")
 		workers     = fs.Int("workers", 0, "per-round response-time workers (0 = all CPUs, 1 = sequential; results are identical)")
 		cache       = fs.Bool("cache", false, "route the analysis through a memoised analysis service and print cache statistics")
-		delta       = fs.Bool("delta", true, "with -cache: let the service re-analyse near-matches incrementally (delta path)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -71,11 +70,7 @@ func Analyze(args []string, stdout, stderr io.Writer) int {
 		// The service front-end: one-shot here, but the same path an
 		// embedding admission controller uses. (-sensitivity's probes
 		// run their own engine and are not counted in the stats line.)
-		deltaWindow := 0
-		if !*delta {
-			deltaWindow = -1
-		}
-		svc = service.New(service.Options{Analysis: opt, DeltaWindow: deltaWindow})
+		svc = service.New(service.Options{Analysis: opt})
 		if *static {
 			res, err = svc.AnalyzeStatic(context.Background(), sys)
 		} else {

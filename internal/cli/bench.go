@@ -72,18 +72,17 @@ const regressionTolerance = 0.75
 // Bench implements `hsched bench`: a service-throughput benchmark over
 // a generated workload. It draws a population of random base systems,
 // extends each into a chain of single-transaction mutations (the
-// admission-control traffic shape the delta path serves), fires a
-// stream of queries at one shared analysis service from many
-// goroutines (queries round-robin over the population, so the
-// steady-state hit rate is high and every mutation is one step from a
-// resident result), and reports throughput, cache hit rate, delta hit
-// rate and p50/p99 latency — humanly, or as JSON with -json.
+// admission-control traffic shape), fires a stream of queries at one
+// shared analysis service from many goroutines (queries round-robin
+// over the population, so the steady-state hit rate is high), and
+// reports throughput, cache hit rate, delta hit rate and p50/p99
+// latency — humanly, or as JSON with -json.
 //
-// Five workload presets exist: "default" exercises the memo and
-// delta paths with the approximate analysis on multi-platform chains;
-// "contended" is the same population driven from more goroutines than
-// processors (16 by default; record and compare it at GOMAXPROCS=4),
-// so the almost-always-hit traffic measures the memo's serialisation
+// Five workload presets exist: "default" exercises the memo with the
+// approximate analysis on multi-platform chains; "contended" is the
+// same population driven from more goroutines than processors (16
+// by default; record and compare it at GOMAXPROCS=4), so the
+// almost-always-hit traffic measures the memo's serialisation
 // points — stripe locks, CLOCK touches, counters — rather than
 // analysis work; "exact-heavy" routes single-platform, high-interference systems
 // through the exact scenario sweep — the streamed, pruned
@@ -122,7 +121,7 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1, "workload generator seed")
 		exact      = fs.Bool("exact", false, "use the exact analysis for the workload")
 		util       = fs.Float64("util", 0.45, "per-platform utilisation of the generated systems")
-		delta      = fs.Bool("delta", true, "route near-match queries through the incremental (delta) analysis")
+		delta      = fs.Bool("delta", true, "let session probes (the assign and exact-search workloads) re-analyse incrementally off their previous result (delta path)")
 		jsonOut    = fs.Bool("json", false, "emit a machine-readable JSON report instead of text")
 		compare    = fs.String("compare", "", "baseline report file; exit non-zero when throughput regresses >25% against the matching workload entry")
 		remote     = fs.String("remote", "", "benchmark a running `hsched serve` instance at this base URL instead of the in-process service")
@@ -229,8 +228,7 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 
 	// Population: each base system plus a chain of cumulative
 	// single-transaction retunings — consecutive chain elements are one
-	// parameter apart, exactly the near-match shape the delta path
-	// absorbs.
+	// parameter apart.
 	pop := make([]*model.System, 0, *systems*(*mutations+1))
 	for k := 0; k < *systems; k++ {
 		cfg := gen.Config{
@@ -295,15 +293,11 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		}
 		query, flush, finalStats = q, fl, fin
 	} else {
-		deltaWindow := 0
-		if !*delta {
-			deltaWindow = -1
-		}
 		svc := service.New(service.Options{
-			Shards:      *shards,
-			Capacity:    *capacity,
-			DeltaWindow: deltaWindow,
-			Analysis:    analysis.Options{Exact: *exact, StopAtDeadlineMiss: true, Workers: 1},
+			Shards:       *shards,
+			Capacity:     *capacity,
+			DisableDelta: !*delta,
+			Analysis:     analysis.Options{Exact: *exact, StopAtDeadlineMiss: true, Workers: 1},
 		})
 		// One query is one service call — except on the assign
 		// workload, where it is one whole priority-assignment search

@@ -342,7 +342,7 @@ func TestBench(t *testing.T) {
 
 func TestBenchJSON(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := Bench([]string{"-systems", "4", "-mutations", "2", "-queries", "96", "-goroutines", "2", "-json"}, &out, &errb); code != 0 {
+	if code := Bench([]string{"-workload", "assign", "-systems", "4", "-mutations", "2", "-queries", "24", "-goroutines", "2", "-json"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	var rep struct {
@@ -361,21 +361,22 @@ func TestBenchJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("bench -json output is not valid JSON: %v\n%s", err, out.String())
 	}
-	if rep.Queries != 96 || rep.Cache.Queries != 96 {
-		t.Errorf("report queries = %d/%d, want 96", rep.Queries, rep.Cache.Queries)
+	// Each query is one search, which probes the service at least once.
+	if rep.Queries != 24 || rep.Cache.Queries < 24 {
+		t.Errorf("report queries = %d/%d, want 24 searches of at least one probe each", rep.Queries, rep.Cache.Queries)
 	}
 	if rep.Throughput <= 0 || rep.Latency.P99us <= 0 {
 		t.Errorf("report missing throughput/latency: %+v", rep)
 	}
-	// The mutation-chain workload must exercise the delta path.
+	// The session-driven searches must exercise the delta path.
 	if rep.Cache.DeltaHits == 0 || rep.Cache.RoundsSaved == 0 {
-		t.Errorf("mutation-chain bench never hit the delta path: %+v", rep)
+		t.Errorf("assign bench never hit the delta path: %+v", rep)
 	}
 }
 
 func TestBenchDeltaOff(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := Bench([]string{"-systems", "4", "-mutations", "2", "-queries", "48", "-goroutines", "2", "-delta=false", "-json"}, &out, &errb); code != 0 {
+	if code := Bench([]string{"-workload", "assign", "-systems", "4", "-mutations", "1", "-queries", "12", "-goroutines", "2", "-delta=false", "-json"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	var rep struct {

@@ -29,7 +29,7 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		shards      = fs.Int("shards", 0, "engine shards of the service (0 = all CPUs)")
 		cache       = fs.Int("cache", 0, "verdict-memo capacity in entries (0 = default, negative = memo off)")
-		delta       = fs.Bool("delta", true, "route near-match queries through the incremental (delta) analysis")
+		delta       = fs.Bool("delta", true, "let session probes re-analyse incrementally off their previous result (delta path)")
 		maxInflight = fs.Int("max-inflight", 0, "concurrent analyses beyond which requests are shed with a 429 (0 = unbounded)")
 		maxSessions = fs.Int("max-sessions", 0, "probe sessions kept before LRU eviction (0 = default 1024)")
 		parseMemo   = fs.Int("parse-memo", 0, "analyze bodies kept in the body-hash decode cache (0 = default 512, negative = off)")
@@ -51,16 +51,12 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 		runtime.SetBlockProfileRate(int(time.Millisecond.Nanoseconds()))
 	}
 
-	deltaWindow := 0
-	if !*delta {
-		deltaWindow = -1
-	}
 	defOpt := analysis.Options{Workers: *workers}
 	svc := service.New(service.Options{
-		Shards:      *shards,
-		Capacity:    *cache,
-		DeltaWindow: deltaWindow,
-		Analysis:    defOpt,
+		Shards:       *shards,
+		Capacity:     *cache,
+		DisableDelta: !*delta,
+		Analysis:     defOpt,
 	})
 	srv := httpd.New(httpd.Options{
 		Service:      svc,

@@ -70,12 +70,12 @@ type Options struct {
 	Analysis analysis.Options
 	// Service, when non-nil, is the analysis service the feasibility
 	// oracle queries — sharing it across searches shares its engine
-	// pool, verdict memo and delta-seed pool. When nil, Minimize runs
-	// a private single-shard service for the duration of the search:
-	// the binary searches and coordinate-descent passes re-probe
-	// identical (system, platform-parameters) points, which the memo
-	// answers outright, and every fresh probe is one platform away
-	// from a resident result, which the service's incremental path
+	// pool and verdict memo. When nil, Minimize runs a private
+	// single-shard service for the duration of the search: the binary
+	// searches and coordinate-descent passes re-probe identical
+	// (system, platform-parameters) points, which the memo answers
+	// outright, and every fresh probe is one platform away from the
+	// search session's previous result, which the incremental path
 	// re-analyses by replaying the unaffected transactions (see
 	// ServiceStats.DeltaHits / RoundsSaved).
 	Service *service.Service
@@ -135,8 +135,7 @@ func MinimizeContext(ctx context.Context, sys *model.System, families []Family, 
 	// All oracle traffic flows through one probe session: the searches
 	// below move one platform's parameters at a time, so the session's
 	// pinned previous result seeds each fresh probe's incremental
-	// re-analysis deterministically instead of relying on what the
-	// shared delta pool happens to retain.
+	// re-analysis deterministically.
 	sess := svc.NewSession()
 
 	work := sys.Clone()

@@ -194,7 +194,7 @@ func TestMinimizeDeltaPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := service.New(service.Options{Shards: 1, DeltaWindow: -1})
+	cold := service.New(service.Options{Shards: 1, DisableDelta: true})
 	resOff, err := design.Minimize(sys, fams, design.Options{Service: cold})
 	if err != nil {
 		t.Fatal(err)

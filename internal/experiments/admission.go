@@ -28,13 +28,14 @@ type ChurnReport struct {
 // paper's sensor-fusion example that mutates one transaction at a time
 // — admit a background transaction, retune its budget, drop it again,
 // with slowly drifting parameters so every event is a genuinely new
-// system. All queries go through one service; identical re-queries hit
-// the verdict memo, near-matches run incrementally, and only the first
-// few events pay a cold analysis. svc == nil constructs a private
-// sequential service; pass an explicit (fresh, unshared) one to read
-// its raw Stats afterwards — the report's Stats snapshot covers
-// whatever else the service served, so sharing one with other
-// workloads mixes their counters in.
+// system. All queries go through one probe session of the service, the
+// admission controller's shape: identical re-queries hit the verdict
+// memo, every other event runs incrementally off the session's previous
+// result, and only the first event pays a cold analysis. svc == nil
+// constructs a private sequential service; pass an explicit (fresh,
+// unshared) one to read its raw Stats afterwards — the report's Stats
+// snapshot covers whatever else the service served, so sharing one
+// with other workloads mixes their counters in.
 func AdmissionChurn(steps int, svc *service.Service) (*ChurnReport, error) {
 	if steps <= 0 {
 		steps = 30
@@ -43,6 +44,7 @@ func AdmissionChurn(steps int, svc *service.Service) (*ChurnReport, error) {
 		svc = service.New(service.Options{Shards: 1, Analysis: analysis.Options{Workers: 1}})
 	}
 	ctx := context.Background()
+	sess := svc.NewSession()
 
 	base := PaperSystem()
 	sys := base
@@ -67,7 +69,7 @@ func AdmissionChurn(steps int, svc *service.Service) (*ChurnReport, error) {
 			sys = sys.Clone()
 			sys.Transactions = sys.Transactions[:len(sys.Transactions)-1]
 		}
-		res, err := svc.Analyze(ctx, sys)
+		res, err := sess.Analyze(ctx, sys)
 		if err != nil {
 			return nil, fmt.Errorf("admission churn step %d: %w", k, err)
 		}

@@ -35,7 +35,7 @@
 // aborts the fixed-point iteration mid-flight and the client receives
 // a 504 carrying the elapsed time and a service-stats snapshot. The
 // service guarantees an aborted analysis leaves no trace in the
-// verdict memo or the delta-seed pool.
+// verdict memo or a session's pinned seed.
 //
 // /v1/analyze and the session analyze endpoint negotiate a second,
 // binary content type: a request with Content-Type
@@ -53,12 +53,12 @@
 // previous successful result as the seed of the next probe, so a
 // client chaining one-edit-apart probes (an admission controller, a
 // remote priority search) rides the incremental path
-// (Engine.AnalyzeFrom) deterministically instead of depending on
-// delta-pool luck. Session-scoped probes accept either a full spec or
+// (Engine.AnalyzeFrom) deterministically; a sessionless query runs
+// cold on a memo miss. Session-scoped probes accept either a full spec or
 // a model.Diff-shaped edit (platform parameter changes, transaction
 // set/remove/add) applied against the session's last accepted system.
 // The registry is bounded by the same CLOCK cache (internal/cache) as
-// the parse memo and the service's memo and pools; abandoned tokens
+// the parse memo and the service's memo and intern pool; abandoned tokens
 // eventually drop their pinned seeds.
 //
 // Error contract: malformed or inconsistent requests are 400s whose

@@ -68,19 +68,6 @@ func TestTransactionFingerprintIgnoresDerivedOffsets(t *testing.T) {
 	}
 }
 
-func TestTransactionFingerprintsOrder(t *testing.T) {
-	sys := diffSystem()
-	fps := sys.TransactionFingerprints()
-	if len(fps) != len(sys.Transactions) {
-		t.Fatalf("got %d fingerprints for %d transactions", len(fps), len(sys.Transactions))
-	}
-	for i := range sys.Transactions {
-		if fps[i] != sys.Transactions[i].Fingerprint() {
-			t.Fatalf("fingerprint %d out of order", i)
-		}
-	}
-}
-
 func TestDiffIdentical(t *testing.T) {
 	a, b := diffSystem(), diffSystem()
 	d := model.Diff(a, b)

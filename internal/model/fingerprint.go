@@ -114,14 +114,3 @@ func (tr *Transaction) Fingerprint() Fingerprint {
 	}
 	return sha256.Sum256(buf)
 }
-
-// TransactionFingerprints returns the analysis fingerprints of all
-// transactions, in declaration order. It is the raw material of Diff
-// and of the analysis service's delta-seed matching.
-func (s *System) TransactionFingerprints() []Fingerprint {
-	fps := make([]Fingerprint, len(s.Transactions))
-	for i := range s.Transactions {
-		fps[i] = s.Transactions[i].Fingerprint()
-	}
-	return fps
-}

@@ -49,7 +49,7 @@ func paperSystem() *model.System {
 // every probe runs cold on a resident engine, which is exactly the
 // pre-session private-engine oracle.
 func coldService() *service.Service {
-	return service.New(service.Options{Shards: 1, Capacity: -1, DeltaWindow: -1})
+	return service.New(service.Options{Shards: 1, Capacity: -1, DisableDelta: true})
 }
 
 // multiPlatformSystem returns a generated 3-platform system with

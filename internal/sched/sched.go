@@ -86,9 +86,8 @@ type HOPAOptions struct {
 	Analysis analysis.Options
 	// Service, when non-nil, is the analysis service the oracle probes
 	// route through (via a probe Session) — sharing it across searches
-	// shares its engine pool, verdict memo and delta-seed pool. When
-	// nil, the search runs a private single-shard service for its
-	// duration.
+	// shares its engine pool and verdict memo. When nil, the search
+	// runs a private single-shard service for its duration.
 	Service *service.Service
 }
 

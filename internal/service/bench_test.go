@@ -26,8 +26,7 @@ func benchSystem(b *testing.B) *model.System {
 
 // BenchmarkServiceHit measures a memoised query: fingerprint + memo
 // lookup, no analysis. Compare against BenchmarkServiceMiss for the
-// memo's win on repeated queries (~6× as of PR 3 — it was ~30× in
-// PR 2, before the miss path itself got ~7× faster).
+// memo's win on repeated queries.
 func BenchmarkServiceHit(b *testing.B) {
 	ctx := context.Background()
 	sys := benchSystem(b)
@@ -59,6 +58,10 @@ func BenchmarkServiceMiss(b *testing.B) {
 		if _, err := svc.Analyze(ctx, sys); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if st := svc.Stats(); st.DeltaHits != 0 {
+		b.Fatalf("stats = %+v: a sessionless query must run cold, not replay", st)
 	}
 }
 

@@ -16,9 +16,9 @@
 //	in-flight table ───────── dup ──► wait on leader      (~analysis)
 //	  │ leader
 //	  ▼
-//	delta-seed window ─ near-match ─► AnalyzeFrom:        (fraction of
-//	  │ no seed                       replay unchanged,    a cold run)
-//	  │                               recompute dirty
+//	session delta ── pinned seed ───► AnalyzeFrom:        (fraction of
+//	  │ no session                      replay unchanged,    a cold run)
+//	  │                                 recompute dirty
 //	  ▼
 //	resident engine ────────────────► cold Analyze        (full work)
 //	                                    │ exact sweeps stream from a
@@ -30,9 +30,8 @@
 // State is placed by how it is looked up. Everything looked up by
 // fingerprint — the memo, the in-flight table, the intern pool and the
 // resident engines — lives in Options.Shards stripes routed by
-// fingerprint, so one query takes exactly one stripe mutex. The
-// delta-seed window is looked up by similarity, so it is one list for
-// the whole service.
+// fingerprint, so one query takes exactly one stripe mutex. The only
+// delta seed is a Session's pinned result, held by the session.
 //
 // The mechanisms, top to bottom:
 //
@@ -60,17 +59,15 @@
 //     cancelled, a waiting caller whose own context is still live
 //     retries and becomes the new leader;
 //
-//   - a delta-seed window of recent results (Options.DeltaWindow): one
-//     Clock for the whole service under one mutex taken only on the
-//     miss path, never touched — a FIFO window. A miss diffs the
-//     incoming system against it newest first by per-transaction
-//     fingerprint overlap; the best near-match (the newest on ties) seeds
-//     Engine.AnalyzeFrom, which replays the recorded per-round state
-//     of every transaction the edit provably cannot reach and
-//     recomputes only the dirty rest — bit-identical to a cold
-//     analysis, a fraction of the work. Stats.DeltaHits counts the
+//   - session delta: a Session's miss is seeded with the session's
+//     pinned previous result and runs Engine.AnalyzeFrom, which
+//     replays the recorded per-round state of every transaction the
+//     edit provably cannot reach and recomputes only the dirty rest —
+//     bit-identical to a cold analysis, a fraction of the work. A miss
+//     without a session runs cold. Stats.DeltaHits counts the
 //     analyses served this way and Stats.RoundsSaved the per-task
-//     response computations the replay skipped;
+//     response computations the replay skipped; Options.DisableDelta
+//     turns the rung off;
 //
 //   - a pool of resident analysis.Engines, one set per stripe.
 //     Engines amortise their transaction-keyed slabs (interference
@@ -103,9 +100,8 @@
 // controller trialling edits — probe chains of one-edit-apart systems
 // and should hold a Session (NewSession): the session pins the
 // caller's previous result as the explicit seed of the next probe, so
-// the chained probes ride the incremental path deterministically
-// instead of depending on what the shared pool retains, and
-// SessionStats attributes the session's share of the traffic
+// the chained probes ride the incremental path deterministically,
+// and SessionStats attributes the session's share of the traffic
 // (probes, memo hits, executed analyses, delta hits, rounds saved).
 // The pinned result also carries the previous probe's exact-sweep
 // state — each task's critical scenario vector — which the next
@@ -137,7 +133,7 @@
 // one-platform-apart probes delta-hit), the experiments acceptance and
 // policy sweeps share one Service across their workers,
 // experiments.AdmissionChurn replays the canonical admit/retune/drop
-// workload against one, and the hsched façade's package-level
+// workload through one session, and the hsched façade's package-level
 // Analyze/AnalyzeStatic are thin wrappers over a process-wide default
 // Service.
 //

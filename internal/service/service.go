@@ -36,16 +36,15 @@ type Options struct {
 	// and AnalyzeStatic; AnalyzeOptions overrides it per query.
 	Analysis analysis.Options
 
-	// DeltaWindow bounds the window of recent results the service
-	// keeps as incremental-analysis seeds, one window shared by every
-	// stripe: on a memo miss the incoming system is diffed against it (by
-	// per-transaction fingerprint overlap) and a near-match routes the
-	// query through Engine.AnalyzeFrom, which replays the unchanged
-	// transactions' state instead of recomputing it — the fast path for
-	// admission-control traffic that mutates one transaction at a
-	// time. 0 selects 4 × shards; a negative value disables the delta
-	// path entirely.
-	DeltaWindow int
+	// DisableDelta turns the incremental path off: engines record no
+	// replay state and sessions never pin a seed, so every miss runs
+	// cold. By default a Session's miss is seeded with the session's
+	// previous result and routed through Engine.AnalyzeFrom, which
+	// replays the unchanged transactions' state instead of recomputing
+	// it — the fast path for search loops and admission controllers
+	// that mutate one transaction at a time. A query without a session
+	// always runs cold on a miss.
+	DisableDelta bool
 
 	// InternCapacity bounds the fingerprint-keyed intern pool of
 	// canonical resident systems (see Intern) in entries, divided
@@ -69,17 +68,6 @@ func (o Options) capacity() int {
 		return 4096
 	default:
 		return o.Capacity
-	}
-}
-
-func (o Options) deltaWindow() int {
-	switch {
-	case o.DeltaWindow < 0:
-		return 0
-	case o.DeltaWindow == 0:
-		return 4 * o.shards()
-	default:
-		return o.DeltaWindow
 	}
 }
 
@@ -129,8 +117,8 @@ type Stats struct {
 	// waiting on a concurrent identical query instead of the memo.
 	InflightDedups int64 `json:"inflight_dedups"`
 	// DeltaHits counts the subset of Misses whose analysis ran
-	// incrementally, seeded by a resident near-match — same result
-	// bits, a fraction of the work.
+	// incrementally, seeded by a session's pinned previous result —
+	// same result bits, a fraction of the work.
 	DeltaHits int64 `json:"delta_hits"`
 	// RoundsSaved accumulates the per-task response-time computations
 	// the delta hits skipped by replaying unchanged transactions
@@ -295,30 +283,12 @@ type Service struct {
 	stripes []stripe
 
 	ctr counters
-
-	// seeds is the delta-seed window (nil when the delta path is
-	// disabled): one list for the whole service, because a seed is
-	// looked up by similarity, not by fingerprint. It is never
-	// touched, so it evicts in insertion order, and All yields it
-	// newest first.
-	seedMu sync.Mutex
-	seeds  *cache.Clock[cacheKey, seedEntry]
-}
-
-// seedEntry is one delta-seed candidate: a recent result plus the
-// precomputed per-transaction fingerprints its matching runs on.
-type seedEntry struct {
-	txFPs []model.Fingerprint
-	res   *analysis.Result
 }
 
 // New constructs a Service with the given options.
 func New(opt Options) *Service {
 	n := opt.shards()
 	s := &Service{opt: opt, stripes: make([]stripe, n)}
-	if w := opt.deltaWindow(); w > 0 {
-		s.seeds = cache.New[cacheKey, seedEntry](w)
-	}
 	capPerStripe := perStripe(opt.capacity(), n)
 	internPerStripe := perStripe(opt.internCapacity(), n)
 	for i := range s.stripes {
@@ -410,11 +380,6 @@ func (s *Service) Reset() {
 		st.engMu.Lock()
 		clear(st.engines)
 		st.engMu.Unlock()
-	}
-	if s.seeds != nil {
-		s.seedMu.Lock()
-		s.seeds.Clear()
-		s.seedMu.Unlock()
 	}
 }
 
@@ -515,22 +480,12 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		s.ctr.misses.Add(1)
 		s.ctr.queries.Add(1)
 
-		// Before running cold, look for a seed for an incremental
-		// analysis: the session's pinned previous result first (the
-		// deterministic chained-probe path), then a resident near-match
-		// from the delta pool — same options, overlapping transaction
-		// set. The engine re-verifies soundness and falls back
-		// transparently, so a bad candidate only costs the plan.
+		// A session's pinned previous result seeds an incremental
+		// analysis. The engine re-verifies soundness and falls back
+		// transparently, so a bad seed only costs the plan.
 		var seed *analysis.Result
-		var txFPs []model.Fingerprint
-		if !static && opt.Recorder == nil && s.seeds != nil {
-			txFPs = sys.TransactionFingerprints()
-			if sess != nil {
-				seed = sess.currentSeed()
-			}
-			if seed == nil {
-				seed = s.findSeed(key.opt, txFPs, sys)
-			}
+		if sess != nil {
+			seed = sess.currentSeed()
 		}
 
 		res, err := s.run(ctx, st, sys, opt, static, seed)
@@ -539,14 +494,11 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		}
 
 		// Callers and the memo receive the result stripped of its
-		// replay history; only the bounded seed pool keeps the full
+		// replay history; only a session's pinned seed keeps the full
 		// version, so the memo's thousands of entries never pin
 		// unreachable histories.
 		shared := res
 		if err == nil {
-			if txFPs != nil && res.HasReplayState() {
-				s.storeSeed(key, txFPs, res)
-			}
 			shared = res.WithoutReplayState()
 		}
 
@@ -576,62 +528,6 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		close(fl.done)
 		return shared, err
 	}
-}
-
-// findSeed scans the seed window for the best incremental baseline
-// for a system with the given transaction fingerprints: same
-// normalised options, same platform count, maximal transaction
-// overlap, then fewest platform-parameter differences. The window is
-// scanned newest first and only a strictly better candidate replaces
-// the incumbent, so recency breaks ties. Returns nil when nothing
-// overlaps.
-func (s *Service) findSeed(opt optKey, txFPs []model.Fingerprint, sys *model.System) *analysis.Result {
-	counts := make(map[model.Fingerprint]int, len(txFPs))
-	for _, fp := range txFPs {
-		counts[fp]++
-	}
-	var best *analysis.Result
-	bestScore, bestPlat := 0, 0
-	used := make(map[model.Fingerprint]int, len(txFPs))
-	s.seedMu.Lock()
-	defer s.seedMu.Unlock()
-	for key, se := range s.seeds.All() {
-		if key.opt != opt || len(se.res.System.Platforms) != len(sys.Platforms) {
-			continue
-		}
-		// Multiset overlap: each incoming transaction can match at
-		// most its multiplicity in the candidate.
-		clear(used)
-		overlap := 0
-		for _, fp := range se.txFPs {
-			if used[fp] < counts[fp] {
-				used[fp]++
-				overlap++
-			}
-		}
-		if overlap == 0 {
-			continue
-		}
-		samePlat := 0
-		for m := range sys.Platforms {
-			if se.res.System.Platforms[m] == sys.Platforms[m] {
-				samePlat++
-			}
-		}
-		if overlap > bestScore || (overlap == bestScore && samePlat > bestPlat) {
-			best, bestScore, bestPlat = se.res, overlap, samePlat
-		}
-	}
-	return best
-}
-
-// storeSeed records a fresh result as the newest entry of the seed
-// window, replacing any entry with the same cache key; past the window
-// the oldest goes.
-func (s *Service) storeSeed(key cacheKey, txFPs []model.Fingerprint, res *analysis.Result) {
-	s.seedMu.Lock()
-	s.seeds.Put(key, seedEntry{txFPs: txFPs, res: res})
-	s.seedMu.Unlock()
 }
 
 // maxEnginesPerStripe bounds the resident engines one stripe keeps. A
@@ -668,9 +564,9 @@ func (s *Service) run(ctx context.Context, st *stripe, sys *model.System, opt an
 		engOpt := opt.Normalised()
 		// With the delta path disabled no Result will ever be used as
 		// a seed, so don't pay for recording replay state. The flag is
-		// uniform per service (seeds is fixed at construction), so it
-		// cannot alias engines across settings.
-		engOpt.DisableReplayState = s.seeds == nil
+		// uniform per service, so it cannot alias engines across
+		// settings.
+		engOpt.DisableReplayState = s.opt.DisableDelta
 		eng = analysis.NewEngine(engOpt)
 		st.engines[ek] = eng
 	}
@@ -686,7 +582,7 @@ func (s *Service) run(ctx context.Context, st *stripe, sys *model.System, opt an
 
 // runFresh executes one analysis on a throwaway engine (recorder
 // queries only — the recorder is baked into the engine's options).
-// Recorder results never enter the seed pool, so replay state is
+// Recorder results never become session seeds, so replay state is
 // never recorded for them.
 func (s *Service) runFresh(ctx context.Context, sys *model.System, opt analysis.Options, static bool) (*analysis.Result, error) {
 	opt.DisableReplayState = true

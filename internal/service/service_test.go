@@ -274,10 +274,11 @@ func TestServiceRecorderBypassesMemo(t *testing.T) {
 	}
 }
 
-// TestServiceDeltaPath: a query one transaction away from a resident
-// result is routed through the incremental analysis — counted as a
-// DeltaHit with RoundsSaved accumulated — and still answers with the
-// exact bits a fresh cold engine produces.
+// TestServiceDeltaPath: a session probe one transaction away from the
+// session's previous result is routed through the incremental analysis
+// — counted as a DeltaHit with RoundsSaved accumulated — and still
+// answers with the exact bits a fresh cold engine produces. A plain
+// query without a session never rides the delta path.
 func TestServiceDeltaPath(t *testing.T) {
 	ctx := context.Background()
 	// The paper example with its background load retuned: the edit
@@ -287,10 +288,11 @@ func TestServiceDeltaPath(t *testing.T) {
 	mut.Transactions[3].Tasks[0].WCET = 7.5
 
 	svc := service.New(service.Options{Shards: 2, Analysis: analysis.Options{Workers: 1}})
-	if _, err := svc.Analyze(ctx, base); err != nil {
+	sess := svc.NewSession()
+	if _, err := sess.Analyze(ctx, base); err != nil {
 		t.Fatal(err)
 	}
-	got, err := svc.Analyze(ctx, mut)
+	got, err := sess.Analyze(ctx, mut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,14 +314,14 @@ func TestServiceDeltaPath(t *testing.T) {
 	}
 
 	// Service-returned results are stripped of replay history (only
-	// the bounded seed pool keeps the full copies), so a large memo
+	// the session's pinned seed keeps the full copy), so a large memo
 	// never pins unreachable histories.
 	if got.HasReplayState() {
 		t.Fatalf("service-returned result still carries replay state")
 	}
 
 	// Re-querying either system is a plain memo hit, not a delta hit.
-	if _, err := svc.Analyze(ctx, mut); err != nil {
+	if _, err := sess.Analyze(ctx, mut); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := svc.Stats(); st2.DeltaHits != st.DeltaHits || st2.Hits != st.Hits+1 {
@@ -327,79 +329,52 @@ func TestServiceDeltaPath(t *testing.T) {
 	}
 
 	// A second single-transaction step chains off the previous
-	// mutation's seed — the full-history copy the pool retained.
+	// mutation's seed — the full-history copy the session pinned.
 	mut2 := mut.Clone()
 	mut2.Transactions[3].Tasks[0].WCET = 7.25
-	if _, err := svc.Analyze(ctx, mut2); err != nil {
+	if _, err := sess.Analyze(ctx, mut2); err != nil {
 		t.Fatal(err)
 	}
-	if st3 := svc.Stats(); st3.DeltaHits < st.DeltaHits+1 {
-		t.Fatalf("stats = %+v: chained mutation must delta-hit off the pooled seed", st3)
+	st3 := svc.Stats()
+	if st3.DeltaHits < st.DeltaHits+1 {
+		t.Fatalf("stats = %+v: chained mutation must delta-hit off the pinned seed", st3)
+	}
+
+	// The same one-transaction step issued without a session runs cold:
+	// sessions are the only delta path.
+	plain := mut2.Clone()
+	plain.Transactions[3].Tasks[0].WCET = 7.75
+	res, err := svc.Analyze(ctx, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st4 := svc.Stats(); res.Delta != nil || st4.DeltaHits != st3.DeltaHits || st4.Misses != st3.Misses+1 {
+		t.Fatalf("stats = %+v: a plain near-match query must run cold, with 0 delta hits", st4)
 	}
 }
 
-// TestServiceDeltaDisabled: DeltaWindow < 0 turns the seed pool off.
+// TestServiceDeltaDisabled: DisableDelta turns the session delta path
+// off.
 func TestServiceDeltaDisabled(t *testing.T) {
 	ctx := context.Background()
 	base := experiments.PaperSystem()
 	mut := base.Clone()
-	mut.Transactions[3].Tasks[0].WCET = 7.5 // would delta-hit with the pool on
-	svc := service.New(service.Options{Shards: 1, DeltaWindow: -1, Analysis: analysis.Options{Workers: 1}})
-	if _, err := svc.Analyze(ctx, base); err != nil {
+	mut.Transactions[3].Tasks[0].WCET = 7.5 // would delta-hit with the delta path on
+	svc := service.New(service.Options{Shards: 1, DisableDelta: true, Analysis: analysis.Options{Workers: 1}})
+	sess := svc.NewSession()
+	if _, err := sess.Analyze(ctx, base); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Analyze(ctx, mut); err != nil {
+	if _, err := sess.Analyze(ctx, mut); err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Stats(); st.DeltaHits != 0 {
-		t.Fatalf("stats = %+v: DeltaWindow < 0 must disable the delta path", st)
+		t.Fatalf("stats = %+v: DisableDelta must disable the delta path", st)
 	}
 }
 
-// TestServiceDeltaWindowGlobal pins the seed window as one list for the
-// whole service: with four stripes and DeltaWindow 2, only the two
-// newest results seed a near-match, wherever their fingerprints route.
-// The bases sit on three distinct stripes, so a window kept per stripe
-// would still hold the oldest one.
-func TestServiceDeltaWindowGlobal(t *testing.T) {
-	ctx := context.Background()
-	const shards = 4
-	var bases []*model.System
-	onStripe := map[int]bool{}
-	for seed := int64(40); len(bases) < 3; seed++ {
-		sys := testSystem(t, seed)
-		if sh := sys.Fingerprint().Shard(shards); !onStripe[sh] {
-			onStripe[sh] = true
-			bases = append(bases, sys)
-		}
-	}
-	near := func(sys *model.System) *model.System {
-		mut := sys.Clone()
-		mut.Transactions[2].Tasks[0].WCET *= 1.01
-		return mut
-	}
-	svc := service.New(service.Options{Shards: shards, DeltaWindow: 2, Analysis: analysis.Options{Workers: 1}})
-	query := func(sys *model.System) {
-		t.Helper()
-		if _, err := svc.Analyze(ctx, sys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, sys := range bases {
-		query(sys)
-	}
-	query(near(bases[0]))
-	if st := svc.Stats(); st.DeltaHits != 0 {
-		t.Fatalf("stats = %+v: the oldest base fell out of the two-entry window and must not seed", st)
-	}
-	query(near(bases[2]))
-	if st := svc.Stats(); st.DeltaHits != 1 {
-		t.Fatalf("stats = %+v: the newest base is in the window and must seed its near-match", st)
-	}
-}
-
-// TestServiceDeltaDistinctOptions: a resident result computed under
-// different analysis options must not seed the query (the trajectories
+// TestServiceDeltaDistinctOptions: a session seed computed under
+// different analysis options must not seed the probe (the trajectories
 // differ), and the engine-level fallback keeps the answer correct.
 func TestServiceDeltaDistinctOptions(t *testing.T) {
 	ctx := context.Background()
@@ -407,10 +382,11 @@ func TestServiceDeltaDistinctOptions(t *testing.T) {
 	mut := base.Clone()
 	mut.Transactions[3].Tasks[0].WCET = 7.5
 	svc := service.New(service.Options{Shards: 1})
-	if _, err := svc.AnalyzeOptions(ctx, base, analysis.Options{Workers: 1, TightBestCase: true}); err != nil {
+	sess := svc.NewSession()
+	if _, err := sess.AnalyzeOptions(ctx, base, analysis.Options{Workers: 1, TightBestCase: true}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := svc.AnalyzeOptions(ctx, mut, analysis.Options{Workers: 1})
+	got, err := sess.AnalyzeOptions(ctx, mut, analysis.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

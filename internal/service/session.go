@@ -26,8 +26,7 @@ type SessionStats struct {
 	// resident engine.
 	Executed int64 `json:"executed"`
 	// DeltaHits counts the subset of Executed that rode the
-	// incremental path, seeded by the session's pinned previous result
-	// (or, for the first probes, a delta-pool near-match).
+	// incremental path, seeded by the session's pinned previous result.
 	DeltaHits int64 `json:"delta_hits"`
 	// RoundsSaved accumulates the per-task response-time computations
 	// the session's delta hits skipped (analysis.DeltaInfo.
@@ -41,13 +40,12 @@ type SessionStats struct {
 // design search moving one platform's bandwidth (package design), an
 // admission controller trialling one transaction.
 //
-// A plain Service query finds its incremental baseline by scanning the
-// shared delta-seed pool, so whether a probe runs incrementally
-// depends on what other traffic evicted — delta-pool luck. A Session
-// instead holds the caller's previous *Result (with its replay state
-// intact) as the explicit seed of the next probe, so chained one-edit
-// probes ride Engine.AnalyzeFrom deterministically. Results are
-// bit-identical either way; only the work profile changes.
+// Sessions are the service's only delta path: a plain Service query
+// runs cold on a memo miss, while a Session holds the caller's
+// previous *Result (with its replay state intact) as the explicit seed
+// of the next probe, so chained one-edit probes ride
+// Engine.AnalyzeFrom deterministically. Results are bit-identical
+// either way; only the work profile changes.
 //
 // Sessions are cheap (one pointer plus counters): create one per
 // search, not one per process. A session's probes flow through the
@@ -61,8 +59,8 @@ type SessionStats struct {
 //
 // The pinned seed keeps one full Result (with replay history) alive;
 // sessions on a service with the delta path disabled
-// (Options.DeltaWindow < 0) never pin — probes still memoise, they
-// just run cold on a miss.
+// (Options.DisableDelta) never pin — probes still memoise, they just
+// run cold on a miss.
 type Session struct {
 	svc *Service
 
@@ -105,8 +103,8 @@ func (ss *Session) Stats() SessionStats {
 }
 
 // Drop unpins the session's seed, releasing the replay history it
-// keeps alive. The next probe falls back to the service's delta-seed
-// pool (or runs cold). Counters are preserved.
+// keeps alive. The next probe that misses the memo runs cold.
+// Counters are preserved.
 func (ss *Session) Drop() {
 	ss.mu.Lock()
 	ss.seed = nil

@@ -94,18 +94,17 @@ func TestSessionChainedProbes(t *testing.T) {
 }
 
 // TestSessionPinnedSeedBeatsPoolLuck: two interleaved mutation chains
-// over disjoint systems, on a service whose delta pool holds a single
-// entry. Plain service queries lose the pool entry to the other chain
-// between probes and run cold; sessions pin their own seed and keep
-// riding the incremental path — the tentpole determinism claim.
+// over disjoint systems. Plain service queries never delta-hit —
+// sessions are the only delta path; sessions pin their own seed and
+// keep riding the incremental path however the chains interleave —
+// the determinism claim.
 func TestSessionPinnedSeedBeatsPoolLuck(t *testing.T) {
 	chainA := mutateChain(sessionChainSystem(t, 11), 6)
 	chainB := mutateChain(sessionChainSystem(t, 23), 6)
 	ctx := context.Background()
 
-	// Plain interleaved queries: the one-slot pool always holds the
-	// other chain's (non-overlapping) result when a probe misses.
-	plain := New(Options{Shards: 1, DeltaWindow: 1})
+	// Plain interleaved queries run cold on every miss.
+	plain := New(Options{Shards: 1})
 	for k := range chainA {
 		if _, err := plain.Analyze(ctx, chainA[k]); err != nil {
 			t.Fatal(err)
@@ -115,11 +114,11 @@ func TestSessionPinnedSeedBeatsPoolLuck(t *testing.T) {
 		}
 	}
 	if st := plain.Stats(); st.DeltaHits != 0 {
-		t.Fatalf("plain interleaved queries delta-hit %d times; the pool-luck baseline is broken", st.DeltaHits)
+		t.Fatalf("plain interleaved queries delta-hit %d times; only sessions may seed the delta path", st.DeltaHits)
 	}
 
 	// Session-pinned probes on an identically configured service.
-	pinned := New(Options{Shards: 1, DeltaWindow: 1})
+	pinned := New(Options{Shards: 1})
 	sessA, sessB := pinned.NewSession(), pinned.NewSession()
 	for k := range chainA {
 		if _, err := sessA.Analyze(ctx, chainA[k]); err != nil {
@@ -143,7 +142,7 @@ func TestSessionPinnedSeedBeatsPoolLuck(t *testing.T) {
 // results unaffected.
 func TestSessionOnDeltaDisabledService(t *testing.T) {
 	chain := mutateChain(sessionChainSystem(t, 31), 4)
-	svc := New(Options{Shards: 1, DeltaWindow: -1})
+	svc := New(Options{Shards: 1, DisableDelta: true})
 	sess := svc.NewSession()
 	ctx := context.Background()
 	for _, sys := range chain {

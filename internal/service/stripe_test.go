@@ -45,8 +45,7 @@ func TestServiceHitZeroAllocs(t *testing.T) {
 // checks verdict correctness and counter balance afterwards. Its real
 // assertions fire under -race: the hit path touches entries and bumps
 // counters outside the stripe mutex, the evictor rotates touched
-// entries under it, and the seed pool is scanned cross-stripe, all of
-// which must be clean.
+// entries under it, all of which must be clean.
 func TestServiceStripeStress(t *testing.T) {
 	ctx := context.Background()
 	const (
