@@ -37,7 +37,8 @@
 //     in task index order, making the result bit-identical for every
 //     worker count. Each task's computation first builds its phase
 //     table (see phaseTable), so the fixed points evaluate only the
-//     ceiling term of Eq. (11) per step;
+//     ceiling term of Eq. (11) per step, and every scenario's shared
+//     first step reads its interference from the table's L0 row;
 //  4. jitter propagation — Eq. (18) rewrites every non-initial task's
 //     jitter from its predecessor's previous-round response and the
 //     loop repeats until the responses reach a fixed point.

@@ -103,10 +103,13 @@ type Engine struct {
 	// nothing. subtrees counts the whole-subtree cursor jumps among
 	// them (the branch-and-bound decisions), sweepSeeded / sweepDiscarded
 	// the sweeps that used, respectively threw away, a recorded
-	// incumbent seed, and roundCopied the per-task computations the
-	// unchanged-inputs round fast path replaced with a copy.
+	// incumbent seed, roundCopied the per-task computations the
+	// unchanged-inputs round fast path replaced with a copy, and evals
+	// the W^k_i evaluations of the computed tasks (each task's phase
+	// table counts its own; the total is added once per task).
 	pruned         atomic.Int64
 	subtrees       atomic.Int64
+	evals          atomic.Int64
 	sweepSeeded    atomic.Int64
 	sweepDiscarded atomic.Int64
 	roundCopied    atomic.Int64
@@ -343,6 +346,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 func (e *Engine) resetCounters() {
 	e.pruned.Store(0)
 	e.subtrees.Store(0)
+	e.evals.Store(0)
 	e.sweepSeeded.Store(0)
 	e.sweepDiscarded.Store(0)
 	e.roundCopied.Store(0)
@@ -669,6 +673,9 @@ func (e *Engine) analyzeTask(i, j int, ts *taskScratch) error {
 	if st.subtrees != 0 {
 		e.subtrees.Add(st.subtrees)
 	}
+	if st.evals != 0 {
+		e.evals.Add(st.evals)
+	}
 	if st.seeded {
 		e.sweepSeeded.Add(1)
 	}
@@ -749,6 +756,7 @@ func (e *Engine) finalize(iterations int, converged bool) *Result {
 	res.Converged = converged
 	res.ScenariosPruned = e.pruned.Load()
 	res.SubtreesPruned = e.subtrees.Load()
+	res.InterferenceEvals = e.evals.Load()
 	res.computeVerdict(e.opt.eps())
 	return res
 }

@@ -308,48 +308,83 @@ func (an *analyzer) phaseK(i, k, j int) float64 {
 // jitters, which no busy-period or completion step moves, so the
 // fixed points of scenarioResponse evaluate only ⌈(t − ϕ)/Ti⌉ per step.
 //
+// Beside the phases sits the L0 row: W^k_i(L0) for every candidate
+// (i, k) and W*_i(L0) for every Γi, where L0 = Δ + B + C/α is the
+// first step of every scenario's busy period and of its first job's
+// completion. The entries are the very wk values those steps would
+// compute, taken through the same max for W*, so interference0 sums
+// them bit for bit as interference would at t = L0.
+//
 // The table is rebuilt by every responseTime call and never cached
 // beyond it: jitters move between holistic rounds, and the delta path,
 // sweep seeds and pooled scratch all cross round, analysis and engine
-// boundaries. Every row is read at least once per call (by the W*
-// sums of the approximate scenarios or of pruneBounds, or by the exact
-// sweep itself), so the build never evaluates more phases than the
-// per-step sums it replaces.
+// boundaries. Every run and every W^k_i(L0) is read at least once per
+// call (by the W* sums of the approximate scenarios or of pruneBounds,
+// or by the exact sweep itself), so the build never evaluates more
+// phases or W^k_i terms than the per-step sums it replaces.
 //
 // The flat slices live in taskScratch and are reused across calls.
 // Transaction i's block starts at row[i] and holds one run of len(hp_i)
 // entries per task index k of Γi; only the candidate runs are filled.
+// Its L0 block starts at row0[i] and holds W*_i(L0) followed by one
+// W^k_i(L0) per task index k, again filled for the candidates only.
 type phaseTable struct {
 	row []int
 	phi []float64
 	fl  []float64
+	// l0 is the shared first step t = L0; row0 and w0 hold the L0 row.
+	l0   float64
+	row0 []int
+	w0   []float64
 	// eps is Options.eps, hoisted out of the fixed-point steps.
 	eps float64
+	// evals counts the wk evaluations since responseTime last zeroed
+	// it: the task computation's share of Result.InterferenceEvals.
+	evals int64
 }
 
 // buildPhaseTable fills pt for task (a, b) from the current reduced
-// offsets and jitters.
+// offsets and jitters, and evaluates its L0 row.
 func (an *analyzer) buildPhaseTable(pt *phaseTable, a, b int, hp [][]int) {
+	ta := &an.sys.Transactions[a].Tasks[b]
+	pl := &an.sys.Platforms[ta.Platform]
 	pt.eps = an.opt.eps()
+	// The same expression as scenarioResponse's first busy-period step.
+	pt.l0 = pl.Delta + ta.Blocking + ta.WCET/pl.Alpha
 	pt.row = reuseRow(pt.row, len(hp))
-	size := 0
+	pt.row0 = reuseRow(pt.row0, len(hp))
+	size, size0 := 0, 0
 	for i, hpI := range hp {
-		pt.row[i] = size
+		pt.row[i], pt.row0[i] = size, size0
 		if len(hpI) > 0 {
-			size += len(an.sys.Transactions[i].Tasks) * len(hpI)
+			n := len(an.sys.Transactions[i].Tasks)
+			size += n * len(hpI)
+			size0 += 1 + n
 		}
 	}
 	pt.phi = reuseRow(pt.phi, size)
 	pt.fl = reuseRow(pt.fl, size)
+	pt.w0 = reuseRow(pt.w0, size0)
 	for i, hpI := range hp {
 		if len(hpI) == 0 {
 			continue
 		}
+		tr := &an.sys.Transactions[i]
+		w0 := pt.w0[pt.row0[i]:]
+		// W*_i(L0) exactly as wstar computes it; on Γa it is never read.
+		star := 0.0
 		for _, k := range hpI {
 			an.fillPhaseRun(pt, i, k, hpI)
+			w := pt.wk(tr, i, k, hpI, pl.Alpha, pt.l0)
+			w0[1+k] = w
+			if w > star {
+				star = w
+			}
 		}
+		w0[0] = star
 		if i == a {
 			an.fillPhaseRun(pt, i, b, hpI)
+			w0[1+b] = pt.wk(tr, i, b, hpI, pl.Alpha, pt.l0)
 		}
 	}
 }
@@ -374,6 +409,7 @@ func (pt *phaseTable) wk(tr *model.Transaction, i, k int, hpI []int, alpha, t fl
 	off := pt.row[i] + k*len(hpI)
 	phis := pt.phi[off : off+len(hpI)]
 	fls := pt.fl[off : off+len(hpI)]
+	pt.evals++
 	sum := 0.0
 	for m, j := range hpI {
 		jobs := fls[m] + ceilE((t-phis[m])/tr.Period, pt.eps)
@@ -394,4 +430,30 @@ func (pt *phaseTable) wstar(tr *model.Transaction, i int, hpI []int, alpha, t fl
 		}
 	}
 	return best
+}
+
+// interference0 is analyzer.interference at t = L0, summed from the
+// L0 row in the same order — the same bits with no wk evaluation.
+func (pt *phaseTable) interference0(a int, sc scenario, hp [][]int) float64 {
+	sum := 0.0
+	if sc.nu == nil {
+		for i, hpI := range hp {
+			if len(hpI) == 0 {
+				continue
+			}
+			if i == a {
+				sum += pt.w0[pt.row0[a]+1+sc.c]
+			} else {
+				sum += pt.w0[pt.row0[i]]
+			}
+		}
+		return sum
+	}
+	for _, ch := range sc.nu {
+		if len(hp[ch.tr]) == 0 {
+			continue
+		}
+		sum += pt.w0[pt.row0[ch.tr]+1+ch.k]
+	}
+	return sum
 }

@@ -224,7 +224,8 @@ func phaseTableSystems(t *testing.T) []*model.System {
 // of every task's phase table equals ϕ^k_{i,j} (Eq. 10) and
 // ⌊(Ji,j + ϕ)/Ti⌋ computed directly from that round's reduced offsets
 // and jitters, bit for bit — including the Γa row of the task under
-// analysis itself as initiator (k = b).
+// analysis itself as initiator (k = b). Every entry of the L0 row
+// equals wk, or wstar, evaluated at L0 = Δ + B + C/α, bit for bit.
 func TestPhaseTableMatchesPhase(t *testing.T) {
 	selfRows := 0
 	for n, sys := range phaseTableSystems(t) {
@@ -237,6 +238,11 @@ func TestPhaseTableMatchesPhase(t *testing.T) {
 				for b := range an.sys.Transactions[a].Tasks {
 					hp := an.hpRow(a, b)
 					an.buildPhaseTable(&pt, a, b, hp)
+					ta := &an.sys.Transactions[a].Tasks[b]
+					pl := an.sys.Platforms[ta.Platform]
+					if l0 := pl.Delta + ta.Blocking + ta.WCET/pl.Alpha; math.Float64bits(pt.l0) != math.Float64bits(l0) {
+						t.Fatalf("system %d round %d τ%d,%d: L0 = %v, want %v", n, iter, a+1, b+1, pt.l0, l0)
+					}
 					for i, hpI := range hp {
 						if len(hpI) == 0 {
 							continue
@@ -248,7 +254,14 @@ func TestPhaseTableMatchesPhase(t *testing.T) {
 							ks = append(append([]int(nil), hpI...), b)
 							selfRows++
 						}
+						w0 := pt.w0[pt.row0[i]:]
+						if want := pt.wstar(tr, i, hpI, pl.Alpha, pt.l0); math.Float64bits(w0[0]) != math.Float64bits(want) {
+							t.Fatalf("system %d round %d τ%d,%d: W*_%d(L0) = %v, want %v", n, iter, a+1, b+1, i, w0[0], want)
+						}
 						for _, k := range ks {
+							if want := pt.wk(tr, i, k, hpI, pl.Alpha, pt.l0); math.Float64bits(w0[1+k]) != math.Float64bits(want) {
+								t.Fatalf("system %d round %d τ%d,%d: W^%d_%d(L0) = %v, want %v", n, iter, a+1, b+1, k, i, w0[1+k], want)
+							}
 							off := pt.row[i] + k*len(hpI)
 							for m, j := range hpI {
 								phi := phase(reduced[k], tr.Tasks[k].Jitter, reduced[j], tr.Period)

@@ -261,6 +261,16 @@ type Result struct {
 	// same caveats.
 	SubtreesPruned int64
 
+	// InterferenceEvals counts the per-transaction interference terms
+	// W^k_i (Eq. 11) the fixed points evaluated across every task and
+	// round of this analysis, each W*_i (Eq. 15) counting one per
+	// candidate initiator and the phase table's first-step row counting
+	// like any other. It is the analysis kernel's deterministic work
+	// count: the same for every worker count, with the caveats of
+	// ScenariosPruned (replayed and round-copied tasks evaluate
+	// nothing).
+	InterferenceEvals int64
+
 	// history is the replay state: every holistic round's detached
 	// per-task results, recorded up to maxHistoryCells. It is what a
 	// later AnalyzeFrom replays for clean tasks. Static analyses and

@@ -46,6 +46,9 @@ type taskScratch struct {
 	// O(count·axes) backing the materialised sweep used to pin here.
 	nu     []initiator
 	bounds []float64
+	// critNu backs the running best's scenario vector in sweepRange;
+	// storeSeed copies it into the slab, so it is reused per sweep.
+	critNu []initiator
 
 	// phases is the task's phase table; see phaseTable.
 	phases phaseTable
@@ -56,11 +59,10 @@ type taskScratch struct {
 // of a reused engine. Called between analyses, never inside one. The
 // scenario list only grows on the approximate path and the
 // materialised (Options.sweep.NoStreaming) exact sweep — the
-// streamed sweep never touches it, and its ν backing is allocated
-// fresh and left to the GC, so the old ν high-water check is gone. The
-// remaining buffers are bounded by axis and candidate counts, small by
-// construction, but an outlier system with thousands of transactions
-// or tasks per transaction would still pin them across reuse.
+// streamed sweep never touches it. The remaining buffers are bounded
+// by axis, candidate and task counts, small by construction, but an
+// outlier system with thousands of transactions or tasks per
+// transaction would still pin them across reuse.
 func (ts *taskScratch) shrink() {
 	const maxRetain = 1 << 16
 	if cap(ts.scenarios) > maxRetain {
@@ -79,11 +81,18 @@ func (ts *taskScratch) shrink() {
 	if cap(ts.nu) > maxSmallRetain {
 		ts.nu = nil
 	}
+	if cap(ts.critNu) > maxSmallRetain {
+		ts.critNu = nil
+	}
 	if cap(ts.bounds) > maxSmallRetain {
 		ts.bounds = nil
 	}
 	if cap(ts.phases.row) > maxSmallRetain {
 		ts.phases.row = nil
+		ts.phases.row0 = nil
+	}
+	if cap(ts.phases.w0) > maxSmallRetain {
+		ts.phases.w0 = nil
 	}
 	if cap(ts.phases.phi) > maxRetain {
 		ts.phases.phi = nil
@@ -119,10 +128,11 @@ const cancelCheckInterval = 256
 // reports upward: the exact scenarios the admissible prune skipped,
 // the whole-subtree cursor jumps among them, and whether a previous
 // sweep's critical scenario seeded (or was discarded as stale by) this
-// sweep's incumbent.
+// sweep's incumbent, plus the W^k_i evaluations the computation spent.
 type sweepStats struct {
 	pruned    int64
 	subtrees  int64
+	evals     int64
 	seeded    bool
 	discarded bool
 }
@@ -144,18 +154,22 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 		return math.Inf(1), unboundedCritical, sweepStats{}, nil
 	}
 
+	ts.phases.evals = 0
 	if !an.opt.Exact {
 		an.buildPhaseTable(&ts.phases, a, b, hp)
 		r, crit, _, ok, err := an.sweepList(ctx, a, b, an.approxScenarios(a, b, hp, ts), hp, alpha, nil, &ts.phases)
+		st := sweepStats{evals: ts.phases.evals}
 		if err != nil {
-			return 0, unboundedCritical, sweepStats{}, err
+			return 0, unboundedCritical, st, err
 		}
 		if !ok {
-			return math.Inf(1), unboundedCritical, sweepStats{}, nil
+			return math.Inf(1), unboundedCritical, st, nil
 		}
-		return r, crit, sweepStats{}, nil
+		return r, crit, st, nil
 	}
-	return an.exactSweep(ctx, a, b, hp, alpha, ts)
+	r, crit, st, err := an.exactSweep(ctx, a, b, hp, alpha, ts)
+	st.evals = ts.phases.evals
+	return r, crit, st, err
 }
 
 // exactSweep runs the exact scenario enumeration of Section 3.1.1 as a
@@ -300,7 +314,8 @@ func seedValidFor(axes []axis, seed []initiator) bool {
 
 // sweepResult is one exact sweep's reduction: its best response with
 // the scenario attaining it (critNu is the full vector, recorded for
-// the next sweep's incumbent seed), the scenarios the prune skipped
+// the next sweep's incumbent seed; it lives in the task scratch until
+// storeSeed copies it into the slab), the scenarios the prune skipped
 // with the whole-subtree jumps among them, and whether every evaluated
 // fixed point converged.
 type sweepResult struct {
@@ -339,7 +354,7 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 	for _, ax := range axes[:aAxis] {
 		stride *= len(ax.cands)
 	}
-	res := sweepResult{crit: critical{initiator: b}, finite: true}
+	res := sweepResult{crit: critical{initiator: b}, critNu: ts.critNu[:0], finite: true}
 	steps := 0
 	for idx := 0; idx < n; {
 		if steps%cancelCheckInterval == 0 && ctx != nil {
@@ -380,6 +395,7 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 			res.crit = critical{initiator: sc.c, job: p}
 			if trackNu {
 				res.critNu = append(res.critNu[:0], nu...)
+				ts.critNu = res.critNu
 			}
 		}
 		cursorNext(axes, pick, nu)
@@ -611,6 +627,15 @@ func (an *analyzer) materialiseScenarios(axes []axis, aAxis, count int, ts *task
 // pt is the task's phase table, built by the enclosing responseTime
 // call. ok is false when a fixed point was not reached within
 // Options.MaxInner steps.
+//
+// Two shortcuts skip work whose bits are already known. The first
+// step of the busy period and of job p0's completion is t = L0 for
+// every scenario, so both read its interference from the table's L0
+// row. And when every busy-period step counted exactly one job of
+// τa,b, job p0's completion iteration would start from the same L0,
+// add the same (p−p0+1)·C/α with the factor 1, and so retrace the busy
+// period step for step under the same MaxInner cap: w_p0 == L bit for
+// bit and pL == p0, so L's response is returned directly.
 func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha float64, pt *phaseTable) (float64, int, bool) {
 	tr := &an.sys.Transactions[a]
 	ta := &tr.Tasks[b]
@@ -621,16 +646,23 @@ func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha fl
 
 	phi := an.phaseK(a, sc.c, b)
 	p0 := 1 - floorE((ta.Jitter+phi)/tr.Period, eps)
+	i0 := pt.interference0(a, sc, hp)
 
 	// Busy-period length L.
 	L := base + cOverAlpha
 	converged := false
+	single := true
 	for it := 0; it < an.opt.maxInner(); it++ {
 		jobs := ceilE((L-phi)/tr.Period, eps) - p0 + 1
 		if jobs < 0 {
 			jobs = 0
 		}
-		next := base + jobs*cOverAlpha + an.interference(a, sc, hp, alpha, L, pt)
+		single = single && jobs == 1
+		in := i0
+		if it > 0 {
+			in = an.interference(a, sc, hp, alpha, L, pt)
+		}
+		next := base + jobs*cOverAlpha + in
 		if next <= L+eps {
 			converged = true
 			break
@@ -644,6 +676,14 @@ func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha fl
 
 	best := 0.0
 	bestJob := int(p0)
+	// pL == p0 follows from the last step's jobs == 1; it is checked,
+	// not assumed.
+	if single && pL == p0 {
+		if r := L - (phi + (p0-1)*tr.Period - ta.Offset); r > best {
+			best = r
+		}
+		return best, bestJob, true
+	}
 	w := 0.0
 	for p := p0; p <= pL; p++ {
 		floor := base + (p-p0+1)*cOverAlpha
@@ -652,7 +692,12 @@ func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha fl
 		}
 		converged = false
 		for it := 0; it < an.opt.maxInner(); it++ {
-			next := base + (p-p0+1)*cOverAlpha + an.interference(a, sc, hp, alpha, w, pt)
+			// Job p0's first step is t = floor = L0.
+			in := i0
+			if p > p0 || it > 0 {
+				in = an.interference(a, sc, hp, alpha, w, pt)
+			}
+			next := base + (p-p0+1)*cOverAlpha + in
 			if next <= w+eps {
 				converged = true
 				break

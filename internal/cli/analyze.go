@@ -137,6 +137,6 @@ func Analyze(args []string, stdout, stderr io.Writer) int {
 // printCacheStats renders one service-stats line, shared by the
 // analyze, exper and bench commands.
 func printCacheStats(out io.Writer, st service.Stats) {
-	fmt.Fprintf(out, "cache: queries=%d hits=%d misses=%d evictions=%d inflight-dedups=%d delta-hits=%d rounds-saved=%d scenarios-pruned=%d subtrees-pruned=%d intern-hits=%d intern-misses=%d intern-resident=%d hit-rate=%.1f%%\n",
-		st.Queries, st.Hits, st.Misses, st.Evictions, st.InflightDedups, st.DeltaHits, st.RoundsSaved, st.ScenariosPruned, st.SubtreesPruned, st.InternHits, st.InternMisses, st.Resident, 100*st.HitRate())
+	fmt.Fprintf(out, "cache: queries=%d hits=%d misses=%d evictions=%d inflight-dedups=%d delta-hits=%d rounds-saved=%d scenarios-pruned=%d subtrees-pruned=%d interference-evals=%d intern-hits=%d intern-misses=%d intern-resident=%d hit-rate=%.1f%%\n",
+		st.Queries, st.Hits, st.Misses, st.Evictions, st.InflightDedups, st.DeltaHits, st.RoundsSaved, st.ScenariosPruned, st.SubtreesPruned, st.InterferenceEvals, st.InternHits, st.InternMisses, st.Resident, 100*st.HitRate())
 }

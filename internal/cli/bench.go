@@ -573,17 +573,18 @@ func remoteQuerier(base, workload, codec string, exact bool, clients, window int
 			return service.Stats{}, err
 		}
 		return service.Stats{
-			Queries:         after.Queries - before.Queries,
-			Hits:            after.Hits - before.Hits,
-			Misses:          after.Misses - before.Misses,
-			Evictions:       after.Evictions - before.Evictions,
-			InflightDedups:  after.InflightDedups - before.InflightDedups,
-			DeltaHits:       after.DeltaHits - before.DeltaHits,
-			RoundsSaved:     after.RoundsSaved - before.RoundsSaved,
-			ScenariosPruned: after.ScenariosPruned - before.ScenariosPruned,
-			SubtreesPruned:  after.SubtreesPruned - before.SubtreesPruned,
-			InternHits:      after.InternHits - before.InternHits,
-			InternMisses:    after.InternMisses - before.InternMisses,
+			Queries:           after.Queries - before.Queries,
+			Hits:              after.Hits - before.Hits,
+			Misses:            after.Misses - before.Misses,
+			Evictions:         after.Evictions - before.Evictions,
+			InflightDedups:    after.InflightDedups - before.InflightDedups,
+			DeltaHits:         after.DeltaHits - before.DeltaHits,
+			RoundsSaved:       after.RoundsSaved - before.RoundsSaved,
+			ScenariosPruned:   after.ScenariosPruned - before.ScenariosPruned,
+			SubtreesPruned:    after.SubtreesPruned - before.SubtreesPruned,
+			InterferenceEvals: after.InterferenceEvals - before.InterferenceEvals,
+			InternHits:        after.InternHits - before.InternHits,
+			InternMisses:      after.InternMisses - before.InternMisses,
 			// Resident is a gauge, not a counter: report the pool size
 			// at the end of the run, not a meaningless difference.
 			Resident: after.Resident,

@@ -113,10 +113,11 @@
 // Every entry point takes a context.Context and cancels the underlying
 // analysis promptly (see analysis.Engine.AnalyzeContext for the
 // polling points). Stats exposes queries, hits, misses, evictions,
-// in-flight dedups, delta hits, rounds saved, and scenarios and
-// subtrees pruned (the exact sweeps' branch-and-bound savings — per-
-// scenario skips and whole-subtree cursor jumps — summed over executed
-// analyses). The counters are individually-padded atomics, bumped
+// in-flight dedups, delta hits, rounds saved, scenarios and subtrees
+// pruned (the exact sweeps' branch-and-bound savings — per-scenario
+// skips and whole-subtree cursor jumps — summed over executed
+// analyses) and interference evaluations (the analysis kernel's W^k_i
+// terms, summed the same way). The counters are individually-padded atomics, bumped
 // without any lock; Stats reads them without stopping traffic, so a
 // mid-traffic snapshot is a consistent-enough view rather than an
 // instantaneous one (attribution lands before the query count, and

@@ -138,6 +138,12 @@ type Stats struct {
 	// all misses). ScenariosPruned/SubtreesPruned is the average
 	// refuted-subtree size. Always 0 for purely approximate traffic.
 	SubtreesPruned int64 `json:"subtrees_pruned"`
+	// InterferenceEvals accumulates the W^k_i interference terms the
+	// analyses this service executed evaluated
+	// (analysis.Result.InterferenceEvals summed over all misses) — the
+	// analysis kernel's work count, per miss the cost of one cold or
+	// delta analysis.
+	InterferenceEvals int64 `json:"interference_evals"`
 	// InternHits counts Intern/Interned calls answered by an existing
 	// resident system — each one a decoded copy that collapsed onto
 	// the canonical pointer (and, on the binary HTTP path, a request
@@ -183,18 +189,19 @@ type counter struct {
 // concurrent snapshot satisfies Hits + Misses ≥ Queries at every
 // instant, with equality at quiescence.
 type counters struct {
-	queries         counter
-	hits            counter
-	misses          counter
-	evictions       counter
-	inflightDedups  counter
-	deltaHits       counter
-	roundsSaved     counter
-	scenariosPruned counter
-	subtreesPruned  counter
-	internHits      counter
-	internMisses    counter
-	resident        counter // gauge: intern residents, all stripes
+	queries           counter
+	hits              counter
+	misses            counter
+	evictions         counter
+	inflightDedups    counter
+	deltaHits         counter
+	roundsSaved       counter
+	scenariosPruned   counter
+	subtreesPruned    counter
+	interferenceEvals counter
+	internHits        counter
+	internMisses      counter
+	resident          counter // gauge: intern residents, all stripes
 }
 
 // optKey is the comparable form of normalised analysis options used in
@@ -356,6 +363,7 @@ func (s *Service) Stats() Stats {
 	st.RoundsSaved = s.ctr.roundsSaved.Load()
 	st.ScenariosPruned = s.ctr.scenariosPruned.Load()
 	st.SubtreesPruned = s.ctr.subtreesPruned.Load()
+	st.InterferenceEvals = s.ctr.interferenceEvals.Load()
 	st.InternHits = s.ctr.internHits.Load()
 	st.InternMisses = s.ctr.internMisses.Load()
 	st.Resident = s.ctr.resident.Load()
@@ -415,6 +423,9 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			}
 			if res.SubtreesPruned > 0 {
 				s.ctr.subtreesPruned.Add(res.SubtreesPruned)
+			}
+			if res.InterferenceEvals > 0 {
+				s.ctr.interferenceEvals.Add(res.InterferenceEvals)
 			}
 		}
 		return res, err
@@ -523,6 +534,9 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			}
 			if res.SubtreesPruned > 0 {
 				s.ctr.subtreesPruned.Add(res.SubtreesPruned)
+			}
+			if res.InterferenceEvals > 0 {
+				s.ctr.interferenceEvals.Add(res.InterferenceEvals)
 			}
 		}
 		close(fl.done)

@@ -418,9 +418,10 @@ func TestServiceReset(t *testing.T) {
 }
 
 // TestServiceScenariosPruned locks the end-to-end flow of the exact
-// sweep's prune counters: an exact query's analysis reports its pruned
-// scenarios and subtrees on the Result, the service accumulates both
-// in Stats, and a memo hit — which runs no analysis — adds nothing.
+// sweep's work counters: an exact query's analysis reports its pruned
+// scenarios and subtrees and its interference evaluations on the
+// Result, the service accumulates all three in Stats, and a memo hit —
+// which runs no analysis — adds nothing.
 func TestServiceScenariosPruned(t *testing.T) {
 	svc := service.New(service.Options{Shards: 1, Analysis: analysis.Options{Exact: true, Workers: 1}})
 	sys := experiments.PaperSystem()
@@ -434,7 +435,13 @@ func TestServiceScenariosPruned(t *testing.T) {
 	if res.SubtreesPruned <= 0 {
 		t.Fatalf("exact analysis pruned %d subtrees, want > 0", res.SubtreesPruned)
 	}
+	if res.InterferenceEvals <= 0 {
+		t.Fatalf("exact analysis evaluated %d interference terms, want > 0", res.InterferenceEvals)
+	}
 	st := svc.Stats()
+	if st.InterferenceEvals != res.InterferenceEvals {
+		t.Fatalf("service stats evals %d, result reports %d", st.InterferenceEvals, res.InterferenceEvals)
+	}
 	if st.ScenariosPruned != res.ScenariosPruned {
 		t.Fatalf("service stats pruned %d, result reports %d", st.ScenariosPruned, res.ScenariosPruned)
 	}
@@ -445,7 +452,8 @@ func TestServiceScenariosPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := svc.Stats()
-	if after.Hits != st.Hits+1 || after.ScenariosPruned != st.ScenariosPruned || after.SubtreesPruned != st.SubtreesPruned {
-		t.Fatalf("memo hit changed the pruned counters: %+v -> %+v", st, after)
+	if after.Hits != st.Hits+1 || after.ScenariosPruned != st.ScenariosPruned || after.SubtreesPruned != st.SubtreesPruned ||
+		after.InterferenceEvals != st.InterferenceEvals {
+		t.Fatalf("memo hit changed the work counters: %+v -> %+v", st, after)
 	}
 }

@@ -14,7 +14,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	in := Stats{
 		Queries: 1, Hits: 2, Misses: 3, Evictions: 4,
 		InflightDedups: 5, DeltaHits: 6, RoundsSaved: 7, ScenariosPruned: 8,
-		SubtreesPruned: 9, InternHits: 10, InternMisses: 11, Resident: 12,
+		SubtreesPruned: 9, InterferenceEvals: 13, InternHits: 10, InternMisses: 11, Resident: 12,
 	}
 	data, err := json.Marshal(in)
 	if err != nil {
@@ -30,7 +30,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	assertLowercaseKeys(t, data, reflect.TypeOf(in), []string{
 		"queries", "hits", "misses", "evictions",
 		"inflight_dedups", "delta_hits", "rounds_saved", "scenarios_pruned",
-		"subtrees_pruned", "intern_hits", "intern_misses", "intern_resident",
+		"subtrees_pruned", "interference_evals", "intern_hits", "intern_misses", "intern_resident",
 	})
 }
 
