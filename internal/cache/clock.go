@@ -1,27 +1,51 @@
 // Package cache is the one bounded map of the analysis service and
-// its HTTP transport: a CLOCK cache behind the verdict memo, the
-// intern pool, the parse memo and the session registry.
+// its HTTP transport: a segmented CLOCK cache behind the verdict memo,
+// the intern pool, the parse memo and the session registry.
 //
-// Entries form a list in insertion order. A hit never reorders it; the
-// caller sets the entry's touched bit instead. Scanning from the cold
-// end, the evictor clears a touched entry's bit and rotates it to the
-// hot end (its second chance), and evicts the first untouched entry it
-// meets. With no touches this is FIFO.
+// Every new key enters probation, a FIFO that never holds more than
+// max(1, capacity/10) entries, whether or not the cache is full. When
+// probation overflows, its cold entry leaves it: an entry touched
+// since it entered moves to the main region, and an untouched one is
+// dropped, leaving its key's 64-bit hash in a direct-mapped array of
+// capacity ghost slots. A new key whose ghost is present enters main
+// directly, so a key reused at a distance longer than probation still
+// gets in, while keys seen once never reach main. This is S3-FIFO
+// (Yang et al., SOSP 2023) with a CLOCK main region.
+//
+// Main is a list in insertion order. A hit never reorders it; the
+// caller sets the entry's touched bit instead. When the cache holds
+// one entry past capacity, the evictor scans main from the cold end,
+// clears a touched entry's bit and rotates it to the hot end (its
+// second chance), and evicts the first untouched entry it meets. An
+// entry promoted from probation keeps its bit, so the touch that
+// promoted it also buys it one pass.
 //
 // A Clock holds no lock of its own: every method, and Entry.Value,
 // runs under the caller's mutex; only Entry.Touch may run outside it.
 package cache
 
-import "sync/atomic"
+import (
+	"hash/maphash"
+	"sync/atomic"
+)
 
-// Clock is a bounded map from K to V with CLOCK eviction; see the
-// package doc. The zero value is not usable; construct with New.
+// probationShare is the inverse of probation's share of capacity.
+const probationShare = 10
+
+// Clock is a bounded map from K to V with segmented CLOCK eviction;
+// see the package doc. The zero value is not usable; construct with
+// New.
 type Clock[K comparable, V any] struct {
-	capacity int
-	index    map[K]*Entry[K, V]
-	// root is the sentinel of the circular list: root.hotter is the
-	// cold end, root.colder the hot end.
-	root Entry[K, V]
+	capacity     int
+	probationCap int // max(1, capacity/probationShare)
+	index        map[K]*Entry[K, V]
+	probation    list[K, V]
+	main         list[K, V]
+	// ghosts holds, at slot hash%capacity, the hash|1 of a key dropped
+	// from probation; 0 is an empty slot. A collision only lets one
+	// key skip probation. Allocated at the first drop.
+	ghosts []uint64
+	seed   maphash.Seed
 }
 
 // Entry is one resident key/value pair. Callers hold it only between
@@ -30,15 +54,29 @@ type Entry[K comparable, V any] struct {
 	key            K
 	value          V
 	touched        atomic.Bool // the CLOCK bit; written outside the caller's lock
+	inMain         bool        // in the main region, not probation
 	colder, hotter *Entry[K, V]
+}
+
+// list is one region: a circular list around a sentinel whose hotter
+// is the cold end and whose colder is the hot end.
+type list[K comparable, V any] struct {
+	root Entry[K, V]
+	len  int
 }
 
 // New returns an empty cache holding at most capacity entries. A
 // capacity below 1 holds nothing: every Get misses and Put stores
 // nothing.
 func New[K comparable, V any](capacity int) *Clock[K, V] {
-	c := &Clock[K, V]{capacity: capacity, index: make(map[K]*Entry[K, V])}
-	c.root.colder, c.root.hotter = &c.root, &c.root
+	c := &Clock[K, V]{
+		capacity:     capacity,
+		probationCap: max(1, capacity/probationShare),
+		index:        make(map[K]*Entry[K, V]),
+		seed:         maphash.MakeSeed(),
+	}
+	c.probation.init()
+	c.main.init()
 	return c
 }
 
@@ -53,56 +91,121 @@ func (c *Clock[K, V]) Get(k K) *Entry[K, V] {
 // Put on the same key replaces it.
 func (e *Entry[K, V]) Value() V { return e.value }
 
-// Touch marks the entry used since the last sweep, so the evictor
-// passes over it once. It needs no lock; touching an entry that has
-// since been evicted is harmless.
+// Touch marks the entry used since the last sweep, so probation
+// promotes it and main's evictor passes over it once. It needs no
+// lock; touching an entry that has since been evicted is harmless.
 func (e *Entry[K, V]) Touch() { e.touched.Store(true) }
 
-// Put stores v under k and returns the value it evicted to stay
-// within capacity, if any. A new key enters at the hot end and is
-// never its own victim; an existing key has its value replaced and
-// moves to the hot end.
+// Put stores v under k and returns the value it evicted, if any: an
+// untouched entry leaving probation, or main's victim when the cache
+// is past capacity. A new key is never its own victim; an existing
+// key has its value replaced and moves to the hot end of its region.
 func (c *Clock[K, V]) Put(k K, v V) (evicted V, ok bool) {
 	if c.capacity < 1 {
 		return evicted, false
 	}
 	if e := c.index[k]; e != nil {
 		e.value = v
-		c.unlink(e)
-		c.pushHot(e)
+		l := c.listOf(e)
+		l.unlink(e)
+		l.pushHot(e)
 		return evicted, false
 	}
 	e := &Entry[K, V]{key: k, value: v}
 	c.index[k] = e
-	c.pushHot(e)
-	if len(c.index) <= c.capacity {
+	if c.ghostHit(k) {
+		e.inMain = true
+		c.main.pushHot(e)
+	} else {
+		c.probation.pushHot(e)
+	}
+	var victim *Entry[K, V]
+	if c.probation.len > c.probationCap {
+		victim = c.leaveProbation()
+	}
+	if victim == nil && len(c.index) > c.capacity {
+		// Past capacity, probation is within its share, so main holds
+		// an entry other than e unless capacity is 1 and e entered
+		// main; then the probation entry leaves instead.
+		if victim = c.sweep(e); victim == nil {
+			if victim = c.leaveProbation(); victim == nil {
+				victim = c.sweep(e)
+			}
+		}
+	}
+	if victim == nil {
 		return evicted, false
 	}
-	victim := c.victim(e)
-	c.unlink(victim)
+	c.listOf(victim).unlink(victim)
 	delete(c.index, victim.key)
 	return victim.value, true
 }
 
-// victim runs one eviction sweep and returns the entry to evict, never
-// fresh (the entry the triggering Put just pushed to the hot end). The
-// sweep visits each older entry at most once, cold end first, so a
+// leaveProbation takes probation's cold entry, which is never the one
+// a Put just inserted while probation overflows. A touched entry moves
+// to main's hot end with its bit, and leaveProbation returns nil. An
+// untouched one has its ghost written and is returned, still linked,
+// for Put to evict.
+func (c *Clock[K, V]) leaveProbation() *Entry[K, V] {
+	e := c.probation.root.hotter
+	if e.touched.Load() {
+		c.probation.unlink(e)
+		e.inMain = true
+		c.main.pushHot(e)
+		return nil
+	}
+	if c.ghosts == nil {
+		c.ghosts = make([]uint64, c.capacity)
+	}
+	slot, tag := c.ghostSlot(e.key)
+	*slot = tag
+	return e
+}
+
+// ghostHit reports whether k's ghost is present, and clears it.
+func (c *Clock[K, V]) ghostHit(k K) bool {
+	if c.ghosts == nil {
+		return false
+	}
+	slot, tag := c.ghostSlot(k)
+	if *slot != tag {
+		return false
+	}
+	*slot = 0
+	return true
+}
+
+func (c *Clock[K, V]) ghostSlot(k K) (slot *uint64, tag uint64) {
+	h := maphash.Comparable(c.seed, k)
+	return &c.ghosts[h%uint64(len(c.ghosts))], h | 1
+}
+
+// sweep runs one eviction sweep over main and returns the entry to
+// evict, never fresh (the entry the triggering Put just inserted). The
+// sweep visits each main entry at most once, cold end first, so a
 // Touch racing it cannot make it spin: a touched entry has its bit
-// cleared and rotates past fresh, and the first untouched one is the
-// victim. If every older entry was touched, they now follow fresh in
-// their old order and the coldest of them goes.
-func (c *Clock[K, V]) victim(fresh *Entry[K, V]) *Entry[K, V] {
-	e := c.root.hotter
-	for e != fresh {
+// cleared and rotates to the hot end, and the first untouched one is
+// the victim. If every entry but fresh was touched, they are back in
+// their old order and the coldest of them goes. It returns nil when
+// main holds no entry but fresh.
+func (c *Clock[K, V]) sweep(fresh *Entry[K, V]) *Entry[K, V] {
+	var coldest *Entry[K, V]
+	e := c.main.root.hotter
+	for range c.main.len {
 		next := e.hotter
-		if !e.touched.CompareAndSwap(true, false) {
-			return e
+		if e != fresh {
+			if !e.touched.CompareAndSwap(true, false) {
+				return e
+			}
+			if coldest == nil {
+				coldest = e
+			}
 		}
-		c.unlink(e)
-		c.pushHot(e)
+		c.main.unlink(e)
+		c.main.pushHot(e)
 		e = next
 	}
-	return fresh.hotter
+	return coldest
 }
 
 // Delete removes k and returns the value it held, if any.
@@ -111,7 +214,7 @@ func (c *Clock[K, V]) Delete(k K) (v V, ok bool) {
 	if e == nil {
 		return v, false
 	}
-	c.unlink(e)
+	c.listOf(e).unlink(e)
 	delete(c.index, k)
 	return e.value, true
 }
@@ -119,20 +222,37 @@ func (c *Clock[K, V]) Delete(k K) (v V, ok bool) {
 // Len returns the number of resident entries.
 func (c *Clock[K, V]) Len() int { return len(c.index) }
 
-// Clear removes every entry.
+// Clear removes every entry and forgets every ghost, so the cache
+// admits like a new one.
 func (c *Clock[K, V]) Clear() {
 	clear(c.index)
-	c.root.colder, c.root.hotter = &c.root, &c.root
+	c.probation.init()
+	c.main.init()
+	clear(c.ghosts)
 }
 
-func (c *Clock[K, V]) pushHot(e *Entry[K, V]) {
-	e.colder, e.hotter = c.root.colder, &c.root
-	c.root.colder.hotter = e
-	c.root.colder = e
+func (c *Clock[K, V]) listOf(e *Entry[K, V]) *list[K, V] {
+	if e.inMain {
+		return &c.main
+	}
+	return &c.probation
 }
 
-func (c *Clock[K, V]) unlink(e *Entry[K, V]) {
+func (l *list[K, V]) init() {
+	l.root.colder, l.root.hotter = &l.root, &l.root
+	l.len = 0
+}
+
+func (l *list[K, V]) pushHot(e *Entry[K, V]) {
+	e.colder, e.hotter = l.root.colder, &l.root
+	l.root.colder.hotter = e
+	l.root.colder = e
+	l.len++
+}
+
+func (l *list[K, V]) unlink(e *Entry[K, V]) {
 	e.colder.hotter = e.hotter
 	e.hotter.colder = e.colder
 	e.colder, e.hotter = nil, nil
+	l.len--
 }

@@ -57,9 +57,11 @@
 // cold on a memo miss. Session-scoped probes accept either a full spec or
 // a model.Diff-shaped edit (platform parameter changes, transaction
 // set/remove/add) applied against the session's last accepted system.
-// The registry is bounded by the same CLOCK cache (internal/cache) as
-// the parse memo and the service's memo and intern pool; abandoned tokens
-// eventually drop their pinned seeds.
+// The registry is bounded by the same segmented CLOCK cache
+// (internal/cache) as the parse memo and the service's memo and intern
+// pool; abandoned tokens eventually drop their pinned seeds. A token
+// created and never used leaves through probation, so a flood of them
+// evicts no session that has served a request.
 //
 // Error contract: malformed or inconsistent requests are 400s whose
 // body names the offending field (spec.ErrInvalid wrapping), missed

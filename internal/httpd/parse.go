@@ -25,9 +25,9 @@ type parsedAnalyze struct {
 
 // parseMemo is a body-hash cache in front of the analyze decode path,
 // the same cache.Clock as the service's memo and intern pool (a hit
-// touches its entry; eviction takes the first untouched entry from the
-// cold end). Admission-control traffic keeps re-asking about the same
-// small population of systems, so the expensive part of a memo-hit
+// touches its entry; a body sent once leaves through probation).
+// Admission-control traffic keeps re-asking about the same small
+// population of systems, so the expensive part of a memo-hit
 // query is not the analysis (the service answers in ~µs) but decoding
 // the JSON spec and rebuilding the model — this cache skips both: a
 // repeated byte-identical body costs one SHA-256 of the raw bytes.

@@ -34,8 +34,9 @@ type session struct {
 
 // sessions is the server's token registry: a cache.Clock capped at
 // MaxSessions so abandoned tokens cannot pin seeds (each holds a full
-// replay history) forever. A lookup touches its session; eviction
-// takes the first untouched session from the cold end.
+// replay history) forever. A lookup touches its session, so a session
+// that has served a request leaves probation for the main region,
+// while a token created and never used is dropped from probation.
 type sessions struct {
 	mu      sync.Mutex
 	byToken *cache.Clock[string, *session]
@@ -48,9 +49,9 @@ func newSessions(cap int) *sessions {
 	return &sessions{byToken: cache.New[string, *session](cap)}
 }
 
-// create binds a new session and returns it. When the registry is
-// full a session not looked up since the last sweep is evicted and
-// its seed dropped.
+// create binds a new session and returns it. It may evict one session,
+// dropping its seed: the oldest never-used one leaving probation, or,
+// when the registry is full, one not looked up since the last sweep.
 func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, error) {
 	var buf [16]byte
 	if _, err := rand.Read(buf[:]); err != nil {

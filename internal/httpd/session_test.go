@@ -147,11 +147,12 @@ func TestSessionDelete(t *testing.T) {
 func TestSessionLRUEviction(t *testing.T) {
 	s := New(Options{MaxSessions: 2})
 	t1 := createSession(t, s, OptionsSpec{})
-	t2 := createSession(t, s, OptionsSpec{})
-	// Touch t1 so t2 is the LRU victim.
+	// Touch t1 before t2 arrives, so it leaves probation for the main
+	// region and t2, never used, is the victim.
 	if w := do(t, s, "GET", "/v1/session/"+t1+"/stats", nil, nil); w.Code != http.StatusOK {
 		t.Fatal("t1 stats")
 	}
+	t2 := createSession(t, s, OptionsSpec{})
 	t3 := createSession(t, s, OptionsSpec{})
 	if w := do(t, s, "GET", "/v1/session/"+t2+"/stats", nil, nil); w.Code != http.StatusNotFound {
 		t.Errorf("t2 should be evicted: status %d", w.Code)
@@ -165,6 +166,38 @@ func TestSessionLRUEviction(t *testing.T) {
 	do(t, s, "GET", "/v1/stats", nil, &st)
 	if st.Sessions.Open != 2 || st.Sessions.Created != 3 || st.Sessions.Evicted != 1 {
 		t.Errorf("session counters: %+v", st.Sessions)
+	}
+}
+
+// TestSessionFlood: a flood of sessions that are created and never
+// used, more than the registry holds, evicts none of the sessions that
+// have served a request. Each flood token enters probation untouched
+// and is the next one's victim; the used sessions sit in main.
+func TestSessionFlood(t *testing.T) {
+	const maxSessions, used, flood = 8, 4, 40
+	s := New(Options{MaxSessions: maxSessions})
+	var kept []string
+	for range used {
+		token := createSession(t, s, OptionsSpec{})
+		var resp AnalyzeResponse
+		if w := do(t, s, "POST", "/v1/session/"+token+"/analyze", &AnalyzeRequest{System: paperFile()}, &resp); w.Code != http.StatusOK {
+			t.Fatalf("probe: status %d: %s", w.Code, w.Body.String())
+		}
+		kept = append(kept, token)
+	}
+	for range flood {
+		createSession(t, s, OptionsSpec{})
+	}
+	for i, token := range kept {
+		if w := do(t, s, "GET", "/v1/session/"+token+"/stats", nil, nil); w.Code != http.StatusOK {
+			t.Errorf("used session %d evicted by the flood: status %d", i, w.Code)
+		}
+	}
+	var st StatsResponse
+	do(t, s, "GET", "/v1/stats", nil, &st)
+	if st.Sessions.Created != used+flood || st.Sessions.Evicted != flood-1 || st.Sessions.Open != used+1 {
+		t.Errorf("session counters: %+v, want %d created, %d evicted, %d open",
+			st.Sessions, used+flood, flood-1, used+1)
 	}
 }
 

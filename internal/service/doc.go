@@ -48,10 +48,14 @@
 //     its mutex and records recency by setting the entry's CLOCK bit
 //     (an atomic, touched outside the lock) instead of reordering a
 //     list. Each stripe's memo is an internal/cache Clock, the one
-//     bounded map every layer here and in internal/httpd uses.
-//     Eviction is second-chance: the evictor scans from the cold end,
-//     rotates touched entries back with their bit cleared, and evicts
-//     the first untouched entry — never the entry being inserted;
+//     bounded map every layer here and in internal/httpd uses. A new
+//     verdict waits in a probation FIFO of a tenth of the capacity and
+//     reaches the main region only if it is hit there or its key was
+//     dropped from probation recently, so verdicts nobody asks for
+//     again never fill the memo. Main's eviction is second-chance:
+//     the evictor scans from the cold end, rotates touched entries
+//     back with their bit cleared, and evicts the first untouched
+//     entry — never the entry being inserted;
 //
 //   - singleflight-style deduplication: concurrent identical queries
 //     block on the first one's in-flight analysis instead of running
@@ -89,8 +93,9 @@
 //     fingerprint (the SHA-256 of the canonical wire bytes IS the
 //     fingerprint; see model.System.MarshalBinary) answers a repeat
 //     without decoding at all. The pool is one more Clock per stripe,
-//     beside the memo under the same stripe mutex, so eviction takes
-//     the first resident not looked up since the last sweep.
+//     beside the memo under the same stripe mutex, so a system decoded
+//     once leaves through probation and main's eviction takes the
+//     first resident not looked up since the last sweep.
 //     Interned systems must never be
 //     mutated. Stats reports InternHits, InternMisses and Resident
 //     (a gauge: distinct systems currently pooled).

@@ -11,7 +11,8 @@ import (
 // TestServiceFreshEntryNotSelfEvicted: when every resident memo entry
 // was hit since the last sweep, the evictor rotates them all and must
 // still not pick the verdict it is inserting — the repeat of the new
-// query is a hit.
+// query is a hit. Each verdict is hit before the next system arrives,
+// so it leaves probation for main instead of being dropped.
 func TestServiceFreshEntryNotSelfEvicted(t *testing.T) {
 	ctx := context.Background()
 	svc := service.New(service.Options{Shards: 1, Capacity: 2})
@@ -19,7 +20,7 @@ func TestServiceFreshEntryNotSelfEvicted(t *testing.T) {
 	for i, q := range []struct {
 		sys     *model.System
 		wantHit bool
-	}{{a, false}, {b, false}, {a, true}, {b, true}, {c, false}, {c, true}} {
+	}{{a, false}, {a, true}, {b, false}, {b, true}, {c, false}, {c, true}} {
 		before := svc.Stats().Hits
 		if _, err := svc.Analyze(ctx, q.sys); err != nil {
 			t.Fatal(err)
@@ -35,24 +36,49 @@ func TestServiceFreshEntryNotSelfEvicted(t *testing.T) {
 
 // TestInternFreshEntryNotSelfEvicted is the intern-pool form: with both
 // residents looked up since the last sweep, interning a third system
-// evicts the colder old resident and keeps the new one.
+// evicts the colder old resident and keeps the new one. Each resident
+// is looked up before the next arrives, so it leaves probation for
+// main instead of being dropped.
 func TestInternFreshEntryNotSelfEvicted(t *testing.T) {
 	svc := service.New(service.Options{Shards: 1, InternCapacity: 2})
-	_, fpA := svc.Intern(testSystem(t, 4))
-	_, fpB := svc.Intern(testSystem(t, 5))
-	for _, fp := range []model.Fingerprint{fpA, fpB} {
+	var fps []model.Fingerprint
+	for _, seed := range []int64{4, 5} {
+		_, fp := svc.Intern(testSystem(t, seed))
 		if _, ok := svc.Interned(fp); !ok {
 			t.Fatal("resident missing before the third intern")
 		}
+		fps = append(fps, fp)
 	}
 	c, fpC := svc.Intern(testSystem(t, 6))
 	if got, ok := svc.Interned(fpC); !ok || got != c {
 		t.Fatal("the freshly interned system evicted itself")
 	}
-	if _, ok := svc.Interned(fpA); ok {
+	if _, ok := svc.Interned(fps[0]); ok {
 		t.Fatal("a, the coldest rotated resident, should have been evicted")
 	}
 	if st := svc.Stats(); st.Resident != 2 {
 		t.Fatalf("Resident = %d, want 2", st.Resident)
+	}
+}
+
+// TestServiceResetForgetsGhosts: Reset leaves a memo that admits like a
+// new one. A verdict dropped from probation before the Reset re-enters
+// probation afterwards, so the next new system drops it again; had its
+// ghost survived, it would have gone straight to main and hit.
+func TestServiceResetForgetsGhosts(t *testing.T) {
+	ctx := context.Background()
+	svc := service.New(service.Options{Shards: 1, Capacity: 2})
+	a, b, c := testSystem(t, 4), testSystem(t, 5), testSystem(t, 6)
+	for i, sys := range []*model.System{a, b, nil, a, c, a} { // nil: Reset
+		if sys == nil {
+			svc.Reset()
+			continue
+		}
+		if _, err := svc.Analyze(ctx, sys); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if st := svc.Stats(); st.Hits != 0 || st.Misses != 5 || st.Evictions != 2 {
+		t.Fatalf("stats = %+v, want 5 misses / 0 hits / 2 evictions", st)
 	}
 }

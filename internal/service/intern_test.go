@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -82,10 +83,11 @@ func TestInternedZeroDecode(t *testing.T) {
 	}
 }
 
-// TestInternEviction asserts the pool is recency-bounded: past
-// capacity the coldest resident (untouched since the last sweep, per
-// the CLOCK bit) is dropped and the gauge tracks it. One stripe, so
-// the whole capacity is one slice and the eviction order is exact.
+// TestInternEviction asserts the pool is bounded: past capacity a
+// resident never looked up is dropped and the gauge tracks it. One
+// stripe, so the whole capacity is one slice and the eviction order is
+// exact: a, looked up before b arrives, leaves probation for main, and
+// c drops b from probation.
 func TestInternEviction(t *testing.T) {
 	svc := New(Options{Shards: 1, InternCapacity: 2})
 	mk := func(period float64) *model.System {
@@ -93,19 +95,58 @@ func TestInternEviction(t *testing.T) {
 		sys.Transactions[0].Period = period
 		return sys
 	}
-	a, fpA := svc.Intern(mk(100))
-	svc.Intern(mk(200))
-	svc.Intern(mk(300)) // evicts a
+	_, fpA := svc.Intern(mk(100))
+	if _, ok := svc.Interned(fpA); !ok {
+		t.Fatal("a not resident")
+	}
+	b, fpB := svc.Intern(mk(200))
+	svc.Intern(mk(300)) // evicts b
 	if st := svc.Stats(); st.Resident != 2 {
 		t.Fatalf("Resident = %d with capacity 2, want 2", st.Resident)
 	}
-	if _, ok := svc.Interned(fpA); ok {
+	if _, ok := svc.Interned(fpB); ok {
 		t.Fatal("evicted resident still resident")
 	}
 	// Re-interning after eviction installs anew.
-	a2, _ := svc.Intern(mk(100))
-	if a2 == a {
+	b2, _ := svc.Intern(mk(200))
+	if b2 == b {
 		t.Fatal("evicted pointer returned by a fresh intern (pool kept a stale reference)")
+	}
+}
+
+// TestInternResidentGauge: after a randomised intern workload over four
+// stripes that evicts, the Resident gauge equals the pools' summed
+// Len. InternFingerprinted counts a resident only when its Put evicted
+// nothing, which holds because a Put evicts at most one entry.
+func TestInternResidentGauge(t *testing.T) {
+	const population, ops = 64, 4000
+	svc := New(Options{Shards: 4, InternCapacity: 16})
+	systems := make([]*model.System, population)
+	fps := make([]model.Fingerprint, population)
+	for k := range systems {
+		systems[k] = internTestSystem(t)
+		systems[k].Transactions[0].Period = float64(100 + k)
+		fps[k] = systems[k].Fingerprint()
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range ops {
+		k := rng.IntN(population)
+		if rng.IntN(3) == 0 {
+			svc.Interned(fps[k]) // a hit touches
+		} else {
+			svc.InternFingerprinted(fps[k], systems[k])
+		}
+	}
+	sum := 0
+	for i := range svc.stripes {
+		sum += svc.stripes[i].intern.Len()
+	}
+	st := svc.Stats()
+	if st.Resident != int64(sum) {
+		t.Fatalf("Resident = %d, stripes hold %d", st.Resident, sum)
+	}
+	if st.InternMisses <= st.Resident {
+		t.Fatalf("%d misses for %d residents: the workload never evicted", st.InternMisses, st.Resident)
 	}
 }
 

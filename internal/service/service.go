@@ -110,8 +110,9 @@ type Stats struct {
 	Hits int64 `json:"hits"`
 	// Misses counts queries that ran (or errored in) an analysis.
 	Misses int64 `json:"misses"`
-	// Evictions counts memo entries displaced by the memo's CLOCK
-	// eviction (see internal/cache).
+	// Evictions counts memo entries displaced by the memo's segmented
+	// CLOCK eviction, verdicts never hit that leave probation included
+	// (see internal/cache).
 	Evictions int64 `json:"evictions"`
 	// InflightDedups counts the subset of Hits that were answered by
 	// waiting on a concurrent identical query instead of the memo.
@@ -371,7 +372,8 @@ func (s *Service) Stats() Stats {
 }
 
 // Reset drops every memo entry and every resident engine, releasing
-// the memory they pin; counters are preserved. In-flight analyses are
+// the memory they pin, and forgets the memo's and intern pool's ghosts,
+// so the service admits like a new one; counters are preserved. In-flight analyses are
 // unaffected (their results simply land in the fresh memo). Long-lived
 // processes that query the service in bursts over disjoint system
 // populations can call it between bursts.
