@@ -3,14 +3,17 @@
 // the intern pool, the parse memo and the session registry.
 //
 // Every new key enters probation, a FIFO that never holds more than
-// max(1, capacity/10) entries, whether or not the cache is full. When
+// its share of capacity, whether or not the cache is full: a tenth of
+// capacity, but never less than half of it up to 256 entries. When
 // probation overflows, its cold entry leaves it: an entry touched
 // since it entered moves to the main region, and an untouched one is
-// dropped, leaving its key's 64-bit hash in a direct-mapped array of
-// capacity ghost slots. A new key whose ghost is present enters main
-// directly, so a key reused at a distance longer than probation still
-// gets in, while keys seen once never reach main. This is S3-FIFO
-// (Yang et al., SOSP 2023) with a CLOCK main region.
+// dropped, leaving its key behind as a ghost. The ghosts are a FIFO of
+// the last capacity keys dropped from probation; a new key whose ghost
+// is present enters main directly, so a key reused at a distance
+// longer than probation still gets in, while keys seen once never
+// reach main. This is S3-FIFO (Yang et al., SOSP 2023) with a CLOCK
+// main region. Ghosts hold keys, not hashes, so which keys get in
+// depends only on the sequence of calls.
 //
 // Main is a list in insertion order. A hit never reorders it; the
 // caller sets the entry's touched bit instead. When the cache holds
@@ -24,28 +27,29 @@
 // runs under the caller's mutex; only Entry.Touch may run outside it.
 package cache
 
-import (
-	"hash/maphash"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// probationShare is the inverse of probation's share of capacity.
-const probationShare = 10
+// Probation holds capacity/probationShare entries, raised to
+// min(capacity/2, probationFloor) where that is more, and at least 1.
+// The floor keeps a small cache's probation long enough for a working
+// set of a few hundred keys: a 512-entry cache holds 256 new keys on
+// probation, not 51, so each of them hits on its second sighting.
+const (
+	probationShare = 10
+	probationFloor = 256
+)
 
 // Clock is a bounded map from K to V with segmented CLOCK eviction;
 // see the package doc. The zero value is not usable; construct with
 // New.
 type Clock[K comparable, V any] struct {
 	capacity     int
-	probationCap int // max(1, capacity/probationShare)
-	index        map[K]*Entry[K, V]
-	probation    list[K, V]
-	main         list[K, V]
-	// ghosts holds, at slot hash%capacity, the hash|1 of a key dropped
-	// from probation; 0 is an empty slot. A collision only lets one
-	// key skip probation. Allocated at the first drop.
-	ghosts []uint64
-	seed   maphash.Seed
+	probationCap int
+	// index maps every resident key and every ghost to its entry.
+	index     map[K]*Entry[K, V]
+	probation list[K, V]
+	main      list[K, V]
+	ghosts    list[K, V] // at most capacity entries, each with a zero value
 }
 
 // Entry is one resident key/value pair. Callers hold it only between
@@ -54,9 +58,18 @@ type Entry[K comparable, V any] struct {
 	key            K
 	value          V
 	touched        atomic.Bool // the CLOCK bit; written outside the caller's lock
-	inMain         bool        // in the main region, not probation
+	region         region
 	colder, hotter *Entry[K, V]
 }
+
+// region names the list an entry sits in.
+type region uint8
+
+const (
+	inProbation region = iota
+	inMain
+	inGhosts
+)
 
 // list is one region: a circular list around a sentinel whose hotter
 // is the cold end and whose colder is the hot end.
@@ -71,12 +84,12 @@ type list[K comparable, V any] struct {
 func New[K comparable, V any](capacity int) *Clock[K, V] {
 	c := &Clock[K, V]{
 		capacity:     capacity,
-		probationCap: max(1, capacity/probationShare),
+		probationCap: max(1, capacity/probationShare, min(capacity/2, probationFloor)),
 		index:        make(map[K]*Entry[K, V]),
-		seed:         maphash.MakeSeed(),
 	}
 	c.probation.init()
 	c.main.init()
+	c.ghosts.init()
 	return c
 }
 
@@ -84,7 +97,10 @@ func New[K comparable, V any](capacity int) *Clock[K, V] {
 // entry used: the caller reads Value under its lock and calls Touch,
 // which may come after the lock is released.
 func (c *Clock[K, V]) Get(k K) *Entry[K, V] {
-	return c.index[k]
+	if e := c.index[k]; e != nil && e.region != inGhosts {
+		return e
+	}
+	return nil
 }
 
 // Value returns the entry's value. Read it under the caller's lock: a
@@ -98,23 +114,26 @@ func (e *Entry[K, V]) Touch() { e.touched.Store(true) }
 
 // Put stores v under k and returns the value it evicted, if any: an
 // untouched entry leaving probation, or main's victim when the cache
-// is past capacity. A new key is never its own victim; an existing
-// key has its value replaced and moves to the hot end of its region.
+// is past capacity. A new key is never its own victim; it enters main
+// if its ghost is present, else probation. An existing key has its
+// value replaced and moves to the hot end of its region.
 func (c *Clock[K, V]) Put(k K, v V) (evicted V, ok bool) {
 	if c.capacity < 1 {
 		return evicted, false
 	}
-	if e := c.index[k]; e != nil {
-		e.value = v
-		l := c.listOf(e)
-		l.unlink(e)
-		l.pushHot(e)
+	old := c.index[k]
+	if old != nil && old.region != inGhosts {
+		old.value = v
+		l := c.listOf(old)
+		l.unlink(old)
+		l.pushHot(old)
 		return evicted, false
 	}
 	e := &Entry[K, V]{key: k, value: v}
 	c.index[k] = e
-	if c.ghostHit(k) {
-		e.inMain = true
+	if old != nil { // k's ghost
+		c.ghosts.unlink(old)
+		e.region = inMain
 		c.main.pushHot(e)
 	} else {
 		c.probation.pushHot(e)
@@ -123,61 +142,56 @@ func (c *Clock[K, V]) Put(k K, v V) (evicted V, ok bool) {
 	if c.probation.len > c.probationCap {
 		victim = c.leaveProbation()
 	}
-	if victim == nil && len(c.index) > c.capacity {
-		// Past capacity, probation is within its share, so main holds
-		// an entry other than e unless capacity is 1 and e entered
-		// main; then the probation entry leaves instead.
-		if victim = c.sweep(e); victim == nil {
-			if victim = c.leaveProbation(); victim == nil {
-				victim = c.sweep(e)
-			}
+	if victim == nil && c.Len() > c.capacity {
+		if c.main.len == 1 && e.region == inMain {
+			// Only at capacity 1: main holds no entry but e, so the
+			// probation entry goes.
+			victim = c.probation.root.hotter
+		} else {
+			victim = c.sweep(e)
 		}
 	}
 	if victim == nil {
 		return evicted, false
 	}
-	c.listOf(victim).unlink(victim)
-	delete(c.index, victim.key)
-	return victim.value, true
+	evicted = victim.value
+	c.evict(victim)
+	return evicted, true
 }
 
 // leaveProbation takes probation's cold entry, which is never the one
 // a Put just inserted while probation overflows. A touched entry moves
-// to main's hot end with its bit, and leaveProbation returns nil. An
-// untouched one has its ghost written and is returned, still linked,
-// for Put to evict.
+// to main's hot end with its bit, and leaveProbation returns nil; an
+// untouched one is returned for Put to evict.
 func (c *Clock[K, V]) leaveProbation() *Entry[K, V] {
 	e := c.probation.root.hotter
-	if e.touched.Load() {
-		c.probation.unlink(e)
-		e.inMain = true
-		c.main.pushHot(e)
-		return nil
+	if !e.touched.Load() {
+		return e
 	}
-	if c.ghosts == nil {
-		c.ghosts = make([]uint64, c.capacity)
-	}
-	slot, tag := c.ghostSlot(e.key)
-	*slot = tag
-	return e
+	c.probation.unlink(e)
+	e.region = inMain
+	c.main.pushHot(e)
+	return nil
 }
 
-// ghostHit reports whether k's ghost is present, and clears it.
-func (c *Clock[K, V]) ghostHit(k K) bool {
-	if c.ghosts == nil {
-		return false
+// evict removes e. An entry evicted from probation stays in the index
+// as a ghost, with its value cleared, until capacity newer ghosts
+// follow it; one evicted from main is forgotten.
+func (c *Clock[K, V]) evict(e *Entry[K, V]) {
+	c.listOf(e).unlink(e)
+	if e.region == inMain {
+		delete(c.index, e.key)
+		return
 	}
-	slot, tag := c.ghostSlot(k)
-	if *slot != tag {
-		return false
+	var zero V
+	e.value = zero
+	e.region = inGhosts
+	c.ghosts.pushHot(e)
+	if c.ghosts.len > c.capacity {
+		old := c.ghosts.root.hotter
+		c.ghosts.unlink(old)
+		delete(c.index, old.key)
 	}
-	*slot = 0
-	return true
-}
-
-func (c *Clock[K, V]) ghostSlot(k K) (slot *uint64, tag uint64) {
-	h := maphash.Comparable(c.seed, k)
-	return &c.ghosts[h%uint64(len(c.ghosts))], h | 1
 }
 
 // sweep runs one eviction sweep over main and returns the entry to
@@ -186,8 +200,7 @@ func (c *Clock[K, V]) ghostSlot(k K) (slot *uint64, tag uint64) {
 // Touch racing it cannot make it spin: a touched entry has its bit
 // cleared and rotates to the hot end, and the first untouched one is
 // the victim. If every entry but fresh was touched, they are back in
-// their old order and the coldest of them goes. It returns nil when
-// main holds no entry but fresh.
+// their old order and the coldest of them goes.
 func (c *Clock[K, V]) sweep(fresh *Entry[K, V]) *Entry[K, V] {
 	var coldest *Entry[K, V]
 	e := c.main.root.hotter
@@ -208,7 +221,8 @@ func (c *Clock[K, V]) sweep(fresh *Entry[K, V]) *Entry[K, V] {
 	return coldest
 }
 
-// Delete removes k and returns the value it held, if any.
+// Delete removes k, or forgets its ghost, and returns the value it
+// held, if any.
 func (c *Clock[K, V]) Delete(k K) (v V, ok bool) {
 	e := c.index[k]
 	if e == nil {
@@ -216,11 +230,11 @@ func (c *Clock[K, V]) Delete(k K) (v V, ok bool) {
 	}
 	c.listOf(e).unlink(e)
 	delete(c.index, k)
-	return e.value, true
+	return e.value, e.region != inGhosts
 }
 
 // Len returns the number of resident entries.
-func (c *Clock[K, V]) Len() int { return len(c.index) }
+func (c *Clock[K, V]) Len() int { return c.probation.len + c.main.len }
 
 // Clear removes every entry and forgets every ghost, so the cache
 // admits like a new one.
@@ -228,12 +242,15 @@ func (c *Clock[K, V]) Clear() {
 	clear(c.index)
 	c.probation.init()
 	c.main.init()
-	clear(c.ghosts)
+	c.ghosts.init()
 }
 
 func (c *Clock[K, V]) listOf(e *Entry[K, V]) *list[K, V] {
-	if e.inMain {
+	switch e.region {
+	case inMain:
 		return &c.main
+	case inGhosts:
+		return &c.ghosts
 	}
 	return &c.probation
 }

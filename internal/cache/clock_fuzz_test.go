@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"hash/maphash"
 	"slices"
 	"testing"
 )
@@ -20,27 +19,28 @@ type refEntry struct {
 }
 
 // refClock is the reference model FuzzClock checks Clock against: the
-// policy of the package doc on plain slices, cold end first, with a
-// ghost array indexed by the Clock's own hash seed.
+// policy of the package doc on plain slices, cold end first.
 type refClock struct {
 	capacity, probationCap int
 	probation, main        []refEntry
-	ghosts                 []uint64
-	seed                   maphash.Seed
+	ghosts                 []uint8
 }
 
 func (m *refClock) region(k uint8) (*[]refEntry, int) {
 	for _, r := range []*[]refEntry{&m.probation, &m.main} {
-		if i := slices.IndexFunc(*r, func(e refEntry) bool { return e.key == k }); i >= 0 {
+		if i := slices.Index(keysOf(*r), k); i >= 0 {
 			return r, i
 		}
 	}
 	return nil, -1
 }
 
-func (m *refClock) ghost(k uint8) (slot int, tag uint64) {
-	h := maphash.Comparable(m.seed, k)
-	return int(h % uint64(m.capacity)), h | 1
+func keysOf(r []refEntry) []uint8 {
+	var out []uint8
+	for _, e := range r {
+		out = append(out, e.key)
+	}
+	return out
 }
 
 func (m *refClock) put(k uint8, v fuzzVal) (evicted fuzzVal, ok bool) {
@@ -51,21 +51,24 @@ func (m *refClock) put(k uint8, v fuzzVal) (evicted fuzzVal, ok bool) {
 		return evicted, false
 	}
 	e := refEntry{key: k, val: v}
-	if slot, tag := m.ghost(k); m.ghosts[slot] == tag {
-		m.ghosts[slot] = 0
+	if g := slices.Index(m.ghosts, k); g >= 0 {
+		m.ghosts = slices.Delete(m.ghosts, g, g+1)
 		m.main = append(m.main, e)
 	} else {
 		m.probation = append(m.probation, e)
 	}
 	var victim *refEntry
-	if len(m.probation) > m.probationCap {
-		victim = m.leaveProbation()
+	if len(m.probation) > m.probationCap && !m.probation[0].touched {
+		victim = m.dropProbation()
+	} else if len(m.probation) > m.probationCap {
+		m.main = append(m.main, m.probation[0])
+		m.probation = m.probation[1:]
 	}
 	if victim == nil && len(m.probation)+len(m.main) > m.capacity {
-		if victim = m.sweep(k); victim == nil {
-			if victim = m.leaveProbation(); victim == nil {
-				victim = m.sweep(k)
-			}
+		if len(m.main) == 1 && m.main[0].key == k {
+			victim = m.dropProbation()
+		} else {
+			victim = m.sweep(k)
 		}
 	}
 	if victim == nil {
@@ -74,22 +77,20 @@ func (m *refClock) put(k uint8, v fuzzVal) (evicted fuzzVal, ok bool) {
 	return victim.val, true
 }
 
-// leaveProbation moves probation's cold entry to main if it was
-// touched, or removes it, writes its ghost and returns it.
-func (m *refClock) leaveProbation() *refEntry {
+// dropProbation removes probation's cold entry, leaves its key as the
+// newest ghost and returns it.
+func (m *refClock) dropProbation() *refEntry {
 	e := m.probation[0]
 	m.probation = m.probation[1:]
-	if e.touched {
-		m.main = append(m.main, e)
-		return nil
+	m.ghosts = append(m.ghosts, e.key)
+	if len(m.ghosts) > m.capacity {
+		m.ghosts = m.ghosts[1:]
 	}
-	slot, tag := m.ghost(e.key)
-	m.ghosts[slot] = tag
 	return &e
 }
 
 // sweep is main's second-chance pass, never choosing fresh; it removes
-// and returns its victim, or returns nil when main has no candidate.
+// and returns its victim.
 func (m *refClock) sweep(fresh uint8) *refEntry {
 	coldest := -1
 	for range len(m.main) {
@@ -105,9 +106,6 @@ func (m *refClock) sweep(fresh uint8) *refEntry {
 			}
 		}
 		m.main = append(m.main, e)
-	}
-	if coldest < 0 {
-		return nil
 	}
 	i := slices.IndexFunc(m.main, func(e refEntry) bool { return int(e.key) == coldest })
 	e := m.main[i]
@@ -131,14 +129,12 @@ func sameState(t *testing.T, c *Clock[uint8, fuzzVal], m *refClock) {
 			t.Fatalf("%s cold→hot %v, model %v", r.name, got, r.want)
 		}
 	}
-	for i, want := range m.ghosts {
-		var got uint64
-		if c.ghosts != nil {
-			got = c.ghosts[i]
-		}
-		if got != want {
-			t.Fatalf("ghost slot %d holds %x, model %x", i, got, want)
-		}
+	var ghosts []uint8
+	for e := c.ghosts.root.hotter; e != &c.ghosts.root; e = e.hotter {
+		ghosts = append(ghosts, e.key)
+	}
+	if !slices.Equal(ghosts, m.ghosts) {
+		t.Fatalf("ghosts cold→hot %v, model %v", ghosts, m.ghosts)
 	}
 }
 
@@ -146,8 +142,8 @@ func sameState(t *testing.T, c *Clock[uint8, fuzzVal], m *refClock) {
 // bytes against refClock and, after every step, asserts the structural
 // invariants (checkClock), equal state, that Put never evicts the key
 // it inserted, and that a touched entry leaving probation is promoted,
-// not dropped: it is in main afterwards, or, at capacity 1, main's
-// victim with no ghost written.
+// not dropped: it is still resident afterwards, or, at capacity 1
+// only, the Put's victim.
 func FuzzClock(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 8, 1, 0, 3, 7, 0, 0, 4, 0, 1})
 	f.Add([]byte{1, 0, 1, 1, 2, 7, 1, 2, 3, 0, 1, 0, 2, 7, 2, 0, 4, 0, 1, 14, 2, 15, 0, 0, 1})
@@ -157,14 +153,9 @@ func FuzzClock(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		capacity := []int{1, 2, 3, 25}[data[0]%4]
+		capacity := []int{1, 2, 3, 6}[data[0]%4]
 		c := New[uint8, fuzzVal](capacity)
-		m := &refClock{
-			capacity:     capacity,
-			probationCap: c.probationCap,
-			ghosts:       make([]uint64, capacity),
-			seed:         c.seed,
-		}
+		m := &refClock{capacity: capacity, probationCap: c.probationCap}
 		for i := 1; i+1 < len(data); i += 2 {
 			op, k := data[i]%16, data[i+1]%8
 			switch {
@@ -184,16 +175,9 @@ func FuzzClock(f *testing.F) {
 				if ok && got.key == k {
 					t.Fatalf("Put(%d) evicted the key it inserted", k)
 				}
-				if cold != nil && coldTouched && !cold.inMain && c.Get(cold.key) != cold {
+				if cold != nil && coldTouched && c.Get(cold.key) != cold &&
+					(capacity != 1 || !ok || got.key != cold.key) {
 					t.Fatalf("touched probation entry %d dropped", cold.key)
-				}
-				if cold != nil && coldTouched && cold.inMain && c.Get(cold.key) != cold {
-					if !ok || got.key != cold.key || capacity != 1 {
-						t.Fatalf("promoted entry %d vanished", cold.key)
-					}
-					if slot, tag := m.ghost(cold.key); c.ghosts != nil && c.ghosts[slot] == tag {
-						t.Fatalf("promoted entry %d left a ghost", cold.key)
-					}
 				}
 			case op < 12: // Get and Touch
 				e := c.Get(k)
@@ -220,10 +204,12 @@ func FuzzClock(f *testing.F) {
 				if r != nil {
 					*r = slices.Delete(*r, j, j+1)
 				}
+				if g := slices.Index(m.ghosts, k); g >= 0 {
+					m.ghosts = slices.Delete(m.ghosts, g, g+1)
+				}
 			default:
 				c.Clear()
-				m.probation, m.main = nil, nil
-				clear(m.ghosts)
+				m.probation, m.main, m.ghosts = nil, nil, nil
 			}
 			checkClock(t, c)
 			sameState(t, c, m)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -44,34 +45,41 @@ func put[V comparable](t *testing.T, c *Clock[string, V], k string, v V, want ..
 	}
 }
 
-// checkClock asserts the structural invariants: the index and the two
-// lists agree entry for entry, each list's length is its count, every
-// entry's region flag names its list, probation holds at most its
-// share and the cache at most its capacity.
+// checkClock asserts the structural invariants: the index and the
+// three lists agree entry for entry, each list's length is its count,
+// every entry's region names its list, ghosts hold zero values and are
+// not visible to Get, probation holds at most its share, and the cache
+// at most capacity entries and capacity ghosts.
 func checkClock[K comparable, V any](t testing.TB, c *Clock[K, V]) {
 	t.Helper()
-	resident := 0
-	for _, l := range []*list[K, V]{&c.probation, &c.main} {
+	listed := 0
+	for _, l := range []*list[K, V]{&c.probation, &c.main, &c.ghosts} {
 		n := 0
 		for e := l.root.colder; e != &l.root; e = e.colder {
 			n++
-			if c.Get(e.key) != e {
+			if c.index[e.key] != e {
 				t.Fatalf("key %v is listed but the index disagrees", e.key)
 			}
-			if e.inMain != (l == &c.main) {
-				t.Fatalf("key %v sits in the wrong list for its region flag", e.key)
+			if c.listOf(e) != l {
+				t.Fatalf("key %v sits in the wrong list for its region", e.key)
+			}
+			if l == &c.ghosts && (c.Get(e.key) != nil || !reflect.ValueOf(&e.value).Elem().IsZero()) {
+				t.Fatalf("ghost %v is visible or keeps its value", e.key)
 			}
 		}
 		if n != l.len {
 			t.Fatalf("a list walks %d entries but counts %d", n, l.len)
 		}
-		resident += n
+		listed += n
 	}
-	if resident != c.Len() {
-		t.Fatalf("lists hold %d entries, Len is %d", resident, c.Len())
+	if listed != len(c.index) {
+		t.Fatalf("lists hold %d entries, the index %d", listed, len(c.index))
 	}
-	if c.capacity >= 1 && c.Len() > c.capacity {
-		t.Fatalf("Len %d past capacity %d", c.Len(), c.capacity)
+	if c.Len() != c.probation.len+c.main.len {
+		t.Fatalf("Len is %d, the regions hold %d", c.Len(), c.probation.len+c.main.len)
+	}
+	if c.capacity >= 1 && (c.Len() > c.capacity || c.ghosts.len > c.capacity) {
+		t.Fatalf("Len %d or ghosts %d past capacity %d", c.Len(), c.ghosts.len, c.capacity)
 	}
 	if c.probation.len > c.probationCap {
 		t.Fatalf("probation holds %d, past its share %d", c.probation.len, c.probationCap)
@@ -83,7 +91,7 @@ func checkClock[K comparable, V any](t testing.TB, c *Clock[K, V]) {
 // left; a touched one is promoted; a ghost brings its key straight
 // into main.
 func TestClockProbationDropsOneHitWonders(t *testing.T) {
-	c := New[string, int](20) // probation holds 2
+	c := New[string, int](5) // probation holds 2
 	put(t, c, "a", 1)
 	put(t, c, "b", 2)
 	touch(t, c, "a")
@@ -105,40 +113,41 @@ func TestClockProbationDropsOneHitWonders(t *testing.T) {
 // the next untouched entry goes. The cleared bit buys exactly one
 // pass.
 func TestClockSecondChanceRotation(t *testing.T) {
-	c := New[string, int](4) // probation holds 1
+	c := New[string, int](5) // probation holds 2, main 3
 	// Enter main untouched through the ghosts: each key is put again
-	// after a newer key pushed it out of probation.
+	// after newer keys pushed it out of probation.
 	put(t, c, "a", 1)
-	put(t, c, "b", 2, 1)
-	put(t, c, "a", 1)
-	put(t, c, "c", 3, 2)
 	put(t, c, "b", 2)
-	put(t, c, "d", 4, 3)
+	put(t, c, "c", 3, 1)
+	put(t, c, "a", 1)
+	put(t, c, "d", 4, 2)
+	put(t, c, "b", 2)
+	put(t, c, "e", 5, 3)
 	put(t, c, "c", 3)
 	wantKeys(t, &c.main, "c", "b", "a")
-	wantKeys(t, &c.probation, "d")
+	wantKeys(t, &c.probation, "e", "d")
 
 	touch(t, c, "a")
-	put(t, c, "e", 5, 4) // d leaves probation untouched
+	put(t, c, "f", 6, 4) // d leaves probation untouched
 	put(t, c, "d", 4, 2) // d's ghost puts main past capacity: a rotates, b goes
 	wantKeys(t, &c.main, "a", "d", "c")
 
 	touch(t, c, "e")
-	put(t, c, "f", 6, 3) // e promoted with its bit; c is the coldest untouched
+	put(t, c, "g", 7, 3) // e promoted with its bit; c is the coldest untouched
 	wantKeys(t, &c.main, "e", "a", "d")
 	touch(t, c, "f")
-	put(t, c, "g", 7, 4)
+	put(t, c, "h", 8, 4)
 	touch(t, c, "g")
-	put(t, c, "h", 8, 1) // a, once its bit is spent
+	put(t, c, "i", 9, 1) // a, once its bit is spent
 	wantKeys(t, &c.main, "g", "f", "e")
-	wantKeys(t, &c.probation, "h")
+	wantKeys(t, &c.probation, "i", "h")
 	checkClock(t, c)
 }
 
 // TestClockPutRefresh: Put on a resident key replaces its value and
 // moves it to the hot end of its own region, evicting nothing.
 func TestClockPutRefresh(t *testing.T) {
-	c := New[string, string](40) // probation holds 4
+	c := New[string, string](8) // probation holds 4
 	c.Put("a", "a1")
 	c.Put("b", "b1")
 	c.Put("c", "c1")
@@ -210,7 +219,7 @@ func TestClockFreshNeverVictim(t *testing.T) {
 
 // TestClockDeleteClearLenAll covers the bookkeeping surface.
 func TestClockDeleteClearLenAll(t *testing.T) {
-	c := New[string, int](40) // probation holds 4
+	c := New[string, int](8) // probation holds 4
 	for i, k := range []string{"a", "b", "c"} {
 		c.Put(k, i)
 	}
@@ -240,14 +249,22 @@ func TestClockDeleteClearLenAll(t *testing.T) {
 	put(t, c, "g", 0, 2) // c dropped, ghost left
 	checkClock(t, c)
 
-	// Clear also forgets the ghosts: c re-enters probation, not main.
+	// Delete forgets a ghost: c re-enters probation, not main.
+	if _, ok := c.Delete("c"); ok {
+		t.Fatal("Delete of a ghost reported a value")
+	}
+	put(t, c, "c", 2, 0) // d dropped, ghost left
+	wantKeys(t, &c.probation, "c", "g", "f", "e")
+	checkClock(t, c)
+
+	// Clear also forgets the ghosts: d re-enters probation, not main.
 	c.Clear()
-	if c.Len() != 0 || c.Get("d") != nil {
+	if c.Len() != 0 || c.Get("e") != nil {
 		t.Fatal("Clear left entries resident")
 	}
 	wantKeys[int](t, &c.probation)
-	c.Put("c", 3)
-	wantKeys(t, &c.probation, "c")
+	c.Put("d", 3)
+	wantKeys(t, &c.probation, "d")
 	wantKeys[int](t, &c.main)
 	checkClock(t, c)
 
@@ -291,25 +308,30 @@ type missKey struct {
 }
 
 // TestClockPutMissAllocs locks the miss path of a full cache at the
-// one Entry a new key needs: hashing keys for the ghosts, dropping
-// from probation, promoting to main, main's sweep and ghost re-entry
-// allocate nothing.
+// one Entry a new key needs: dropping from probation to the ghosts,
+// promoting to main, main's sweep and ghost re-entry allocate nothing
+// more.
 func TestClockPutMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation makes alloc counts meaningless")
 	}
-	const capacity = 64
+	const capacity = 64 // probation holds 32
 	key := func(n int) missKey {
 		return missKey{fp: [32]byte{byte(n), byte(n >> 8), byte(n >> 16)}, eps: 1e-9, iters: n}
 	}
 	c := New[missKey, *int](capacity)
 	x := 7
-	n := 0
+	n, ghostHits := 0, 0
 	put := func() {
 		n++
 		k := key(n)
 		if n%4 == 1 {
-			k = key(n - 8) // odd, so dropped untouched: a ghost hit
+			// Put 50 Puts ago, odd so never touched, and pushed out of
+			// probation by the ~37 new keys since: a ghost hit.
+			k = key(n - 50)
+		}
+		if e := c.index[k]; e != nil && e.region == inGhosts {
+			ghostHits++
 		}
 		c.Put(k, &x)
 		if n%2 == 0 {
@@ -323,9 +345,9 @@ func TestClockPutMissAllocs(t *testing.T) {
 	if allocs != 1 {
 		t.Errorf("a miss Put allocates %.2f/op, want 1 (its Entry)", allocs)
 	}
-	if c.Len() != capacity || c.main.len == 0 || c.ghosts == nil {
-		t.Fatalf("Len %d, main %d, ghosts allocated %v: the miss mix did not fill main and drop keys",
-			c.Len(), c.main.len, c.ghosts != nil)
+	if c.Len() != capacity || c.main.len == 0 || c.ghosts.len == 0 || ghostHits == 0 {
+		t.Fatalf("Len %d, main %d, ghosts %d, ghost hits %d: the miss mix did not fill main, drop keys and re-admit them",
+			c.Len(), c.main.len, c.ghosts.len, ghostHits)
 	}
 	checkClock(t, c)
 }

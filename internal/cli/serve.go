@@ -31,7 +31,7 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 		cache       = fs.Int("cache", 0, "verdict-memo capacity in entries (0 = default, negative = memo off)")
 		delta       = fs.Bool("delta", true, "let session probes re-analyse incrementally off their previous result (delta path)")
 		maxInflight = fs.Int("max-inflight", 0, "concurrent analyses beyond which requests are shed with a 429 (0 = unbounded)")
-		maxSessions = fs.Int("max-sessions", 0, "probe sessions kept before eviction; sessions never used go first (0 = default 1024)")
+		maxSessions = fs.Int("max-sessions", 0, "probe sessions kept before eviction of sessions not used recently (0 = default 1024)")
 		parseMemo   = fs.Int("parse-memo", 0, "analyze bodies kept in the body-hash decode cache (0 = default 512, negative = off)")
 		workers     = fs.Int("workers", 1, "default per-analysis worker bound; requests may override (0 = all CPUs)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown bound for in-flight requests")

@@ -59,9 +59,10 @@
 // set/remove/add) applied against the session's last accepted system.
 // The registry is bounded by the same segmented CLOCK cache
 // (internal/cache) as the parse memo and the service's memo and intern
-// pool; abandoned tokens eventually drop their pinned seeds. A token
-// created and never used leaves through probation, so a flood of them
-// evicts no session that has served a request.
+// pool; abandoned tokens eventually drop their pinned seeds. A token is
+// kept until its first probe while the registry has room; once it is
+// full, tokens created and never used leave through probation, so a
+// flood of them evicts no session that has served a request.
 //
 // Error contract: malformed or inconsistent requests are 400s whose
 // body names the offending field (spec.ErrInvalid wrapping), missed

@@ -38,11 +38,10 @@ type Options struct {
 	// executing concurrently; excess requests are shed with a 429.
 	// 0 means unbounded.
 	MaxInflight int
-	// MaxSessions caps the session registry. A session never used
-	// after its creation is evicted (seed dropped) once
-	// max(1, MaxSessions/10) newer sessions follow it; when it is full,
-	// a used session not looked up since the last eviction sweep goes,
-	// the oldest first. 0 selects 1024.
+	// MaxSessions caps the session registry. Once it is full, each new
+	// session evicts one (seed dropped): a recently created session
+	// that was never used, else one not looked up since the last
+	// eviction sweep, the oldest first. 0 selects 1024.
 	MaxSessions int
 	// MaxBodyBytes caps request bodies. 0 selects 8 MiB.
 	MaxBodyBytes int64

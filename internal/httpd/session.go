@@ -35,23 +35,26 @@ type session struct {
 // sessions is the server's token registry: a cache.Clock capped at
 // MaxSessions so abandoned tokens cannot pin seeds (each holds a full
 // replay history) forever. A lookup touches its session, so a session
-// that has served a request leaves probation for the main region,
-// while a token created and never used is dropped from probation.
+// that has served a request leaves probation for the main region. A
+// session never used is dropped from probation only once the registry
+// is full; until then create puts it back, into main.
 type sessions struct {
 	mu      sync.Mutex
 	byToken *cache.Clock[string, *session]
+	max     int
 
 	created int64
 	evicted int64
 }
 
 func newSessions(cap int) *sessions {
-	return &sessions{byToken: cache.New[string, *session](cap)}
+	return &sessions{byToken: cache.New[string, *session](cap), max: cap}
 }
 
-// create binds a new session and returns it. It may evict one session,
-// dropping its seed: the oldest never-used one leaving probation, or,
-// when the registry is full, one not looked up since the last sweep.
+// create binds a new session and returns it. When the registry is
+// full it evicts one session, dropping its seed: the oldest never-used
+// one leaving probation, or else one not looked up since the last
+// sweep.
 func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, error) {
 	var buf [16]byte
 	if _, err := rand.Read(buf[:]); err != nil {
@@ -64,7 +67,16 @@ func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, erro
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if victim, ok := r.byToken.Put(s.token, s); ok {
+	victim, ok := r.byToken.Put(s.token, s)
+	if ok && r.byToken.Len() < r.max {
+		// A never-used session left probation while the registry has
+		// room. Put it back: its ghost was just left, so it enters main
+		// untouched, where a full registry's sweep still takes it
+		// before any session looked up since the last sweep.
+		r.byToken.Put(victim.token, victim)
+		ok = false
+	}
+	if ok {
 		victim.probe.Drop()
 		r.evicted++
 	}

@@ -147,12 +147,11 @@ func TestSessionDelete(t *testing.T) {
 func TestSessionLRUEviction(t *testing.T) {
 	s := New(Options{MaxSessions: 2})
 	t1 := createSession(t, s, OptionsSpec{})
-	// Touch t1 before t2 arrives, so it leaves probation for the main
-	// region and t2, never used, is the victim.
+	t2 := createSession(t, s, OptionsSpec{})
+	// Touch t1 so t2 is the LRU victim.
 	if w := do(t, s, "GET", "/v1/session/"+t1+"/stats", nil, nil); w.Code != http.StatusOK {
 		t.Fatal("t1 stats")
 	}
-	t2 := createSession(t, s, OptionsSpec{})
 	t3 := createSession(t, s, OptionsSpec{})
 	if w := do(t, s, "GET", "/v1/session/"+t2+"/stats", nil, nil); w.Code != http.StatusNotFound {
 		t.Errorf("t2 should be evicted: status %d", w.Code)
@@ -171,8 +170,9 @@ func TestSessionLRUEviction(t *testing.T) {
 
 // TestSessionFlood: a flood of sessions that are created and never
 // used, more than the registry holds, evicts none of the sessions that
-// have served a request. Each flood token enters probation untouched
-// and is the next one's victim; the used sessions sit in main.
+// have served a request. Once the registry is full, each flood token
+// enters probation untouched and is a later one's victim; the used
+// sessions sit in main.
 func TestSessionFlood(t *testing.T) {
 	const maxSessions, used, flood = 8, 4, 40
 	s := New(Options{MaxSessions: maxSessions})
@@ -195,9 +195,32 @@ func TestSessionFlood(t *testing.T) {
 	}
 	var st StatsResponse
 	do(t, s, "GET", "/v1/stats", nil, &st)
-	if st.Sessions.Created != used+flood || st.Sessions.Evicted != flood-1 || st.Sessions.Open != used+1 {
+	if st.Sessions.Created != used+flood || st.Sessions.Evicted != used+flood-maxSessions || st.Sessions.Open != maxSessions {
 		t.Errorf("session counters: %+v, want %d created, %d evicted, %d open",
-			st.Sessions, used+flood, flood-1, used+1)
+			st.Sessions, used+flood, used+flood-maxSessions, maxSessions)
+	}
+}
+
+// TestSessionUnusedKeptWhileRoom: sessions opened in a burst, more of
+// them than the registry's probation holds, all survive until their
+// first probe while the registry has room.
+func TestSessionUnusedKeptWhileRoom(t *testing.T) {
+	const maxSessions, opened = 16, 15 // probation holds 8
+	s := New(Options{MaxSessions: maxSessions})
+	var tokens []string
+	for range opened {
+		tokens = append(tokens, createSession(t, s, OptionsSpec{}))
+	}
+	for i, token := range tokens {
+		var resp AnalyzeResponse
+		if w := do(t, s, "POST", "/v1/session/"+token+"/analyze", &AnalyzeRequest{System: paperFile()}, &resp); w.Code != http.StatusOK {
+			t.Errorf("session %d of %d before its first probe: status %d", i, opened, w.Code)
+		}
+	}
+	var st StatsResponse
+	do(t, s, "GET", "/v1/stats", nil, &st)
+	if st.Sessions.Evicted != 0 || st.Sessions.Open != opened {
+		t.Errorf("session counters: %+v, want none evicted, %d open", st.Sessions, opened)
 	}
 }
 

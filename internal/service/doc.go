@@ -49,10 +49,11 @@
 //     (an atomic, touched outside the lock) instead of reordering a
 //     list. Each stripe's memo is an internal/cache Clock, the one
 //     bounded map every layer here and in internal/httpd uses. A new
-//     verdict waits in a probation FIFO of a tenth of the capacity and
-//     reaches the main region only if it is hit there or its key was
-//     dropped from probation recently, so verdicts nobody asks for
-//     again never fill the memo. Main's eviction is second-chance:
+//     verdict waits in a probation FIFO (a tenth of the capacity, or
+//     half of it up to 256 entries where that is more) and reaches the
+//     main region only if it is hit there or its key was dropped from
+//     probation recently, so verdicts nobody asks for again never fill
+//     the memo. Main's eviction is second-chance:
 //     the evictor scans from the cold end, rotates touched entries
 //     back with their bit cleared, and evicts the first untouched
 //     entry — never the entry being inserted;

@@ -373,8 +373,9 @@ func (s *Service) Stats() Stats {
 
 // Reset drops every memo entry and every resident engine, releasing
 // the memory they pin, and forgets the memo's and intern pool's ghosts,
-// so the service admits like a new one; counters are preserved. In-flight analyses are
-// unaffected (their results simply land in the fresh memo). Long-lived
+// so the service admits like a new one; counters are preserved.
+// In-flight analyses are unaffected (their results simply land in the
+// fresh memo). Long-lived
 // processes that query the service in bursts over disjoint system
 // populations can call it between bursts.
 func (s *Service) Reset() {

@@ -198,14 +198,15 @@ func TestServiceLRUEviction(t *testing.T) {
 	ctx := context.Background()
 	svc := service.New(service.Options{Shards: 1, Capacity: 2})
 	a, b, c := testSystem(t, 4), testSystem(t, 5), testSystem(t, 6)
-	// Probation holds one verdict: b drops a, never hit; a's re-miss
-	// finds its ghost and enters main; c drops b.
-	for _, sys := range []*model.System{a, b, a, c} {
+	for _, sys := range []*model.System{a, b, c} { // c evicts a
 		if _, err := svc.Analyze(ctx, sys); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := svc.Analyze(ctx, a); err != nil { // still resident
+	if _, err := svc.Analyze(ctx, a); err != nil { // re-miss, evicts b
+		t.Fatal(err)
+	}
+	if _, err := svc.Analyze(ctx, c); err != nil { // still resident
 		t.Fatal(err)
 	}
 	st := svc.Stats()
