@@ -7,13 +7,13 @@
 // capacity, but never less than half of it up to 256 entries. When
 // probation overflows, its cold entry leaves it: an entry touched
 // since it entered moves to the main region, and an untouched one is
-// dropped, leaving its key behind as a ghost. The ghosts are a FIFO of
-// the last capacity keys dropped from probation; a new key whose ghost
-// is present enters main directly, so a key reused at a distance
-// longer than probation still gets in, while keys seen once never
-// reach main. This is S3-FIFO (Yang et al., SOSP 2023) with a CLOCK
-// main region. Ghosts hold keys, not hashes, so which keys get in
-// depends only on the sequence of calls.
+// dropped, leaving its key's 64-bit hash behind as a ghost. The ghosts
+// are the last capacity hashes dropped; a new key whose ghost is
+// present enters main directly, so a key reused at a distance longer
+// than probation still gets in, while keys seen once never reach main.
+// This is S3-FIFO (Yang et al., SOSP 2023) with a CLOCK main region.
+// A ghost matches on all 64 bits, so which keys get in depends only on
+// the sequence of calls, short of two keys sharing a hash.
 //
 // Main is a list in insertion order. A hit never reorders it; the
 // caller sets the entry's touched bit instead. When the cache holds
@@ -27,7 +27,10 @@
 // runs under the caller's mutex; only Entry.Touch may run outside it.
 package cache
 
-import "sync/atomic"
+import (
+	"hash/maphash"
+	"sync/atomic"
+)
 
 // Probation holds capacity/probationShare entries, raised to
 // min(capacity/2, probationFloor) where that is more, and at least 1.
@@ -45,11 +48,11 @@ const (
 type Clock[K comparable, V any] struct {
 	capacity     int
 	probationCap int
-	// index maps every resident key and every ghost to its entry.
-	index     map[K]*Entry[K, V]
-	probation list[K, V]
-	main      list[K, V]
-	ghosts    list[K, V] // at most capacity entries, each with a zero value
+	index        map[K]*Entry[K, V]
+	probation    list[K, V]
+	main         list[K, V]
+	ghosts       ghosts
+	seed         maphash.Seed
 }
 
 // Entry is one resident key/value pair. Callers hold it only between
@@ -58,24 +61,23 @@ type Entry[K comparable, V any] struct {
 	key            K
 	value          V
 	touched        atomic.Bool // the CLOCK bit; written outside the caller's lock
-	region         region
+	inMain         bool        // in the main region, not probation
 	colder, hotter *Entry[K, V]
 }
-
-// region names the list an entry sits in.
-type region uint8
-
-const (
-	inProbation region = iota
-	inMain
-	inGhosts
-)
 
 // list is one region: a circular list around a sentinel whose hotter
 // is the cold end and whose colder is the hot end.
 type list[K comparable, V any] struct {
 	root Entry[K, V]
 	len  int
+}
+
+// ghosts is a FIFO of the hashes of the last len(ring) keys dropped
+// from probation.
+type ghosts struct {
+	ring  []uint64          // ring[n%len(ring)] is drop n's hash
+	at    map[uint64]uint64 // hash → its latest drop, unless taken or past the window
+	drops uint64
 }
 
 // New returns an empty cache holding at most capacity entries. A
@@ -86,10 +88,14 @@ func New[K comparable, V any](capacity int) *Clock[K, V] {
 		capacity:     capacity,
 		probationCap: max(1, capacity/probationShare, min(capacity/2, probationFloor)),
 		index:        make(map[K]*Entry[K, V]),
+		ghosts: ghosts{
+			ring: make([]uint64, max(0, capacity)),
+			at:   make(map[uint64]uint64),
+		},
+		seed: maphash.MakeSeed(),
 	}
 	c.probation.init()
 	c.main.init()
-	c.ghosts.init()
 	return c
 }
 
@@ -97,10 +103,7 @@ func New[K comparable, V any](capacity int) *Clock[K, V] {
 // entry used: the caller reads Value under its lock and calls Touch,
 // which may come after the lock is released.
 func (c *Clock[K, V]) Get(k K) *Entry[K, V] {
-	if e := c.index[k]; e != nil && e.region != inGhosts {
-		return e
-	}
-	return nil
+	return c.index[k]
 }
 
 // Value returns the entry's value. Read it under the caller's lock: a
@@ -121,19 +124,17 @@ func (c *Clock[K, V]) Put(k K, v V) (evicted V, ok bool) {
 	if c.capacity < 1 {
 		return evicted, false
 	}
-	old := c.index[k]
-	if old != nil && old.region != inGhosts {
-		old.value = v
-		l := c.listOf(old)
-		l.unlink(old)
-		l.pushHot(old)
+	if e := c.index[k]; e != nil {
+		e.value = v
+		l := c.listOf(e)
+		l.unlink(e)
+		l.pushHot(e)
 		return evicted, false
 	}
 	e := &Entry[K, V]{key: k, value: v}
 	c.index[k] = e
-	if old != nil { // k's ghost
-		c.ghosts.unlink(old)
-		e.region = inMain
+	if c.ghosts.take(maphash.Comparable(c.seed, k)) {
+		e.inMain = true
 		c.main.pushHot(e)
 	} else {
 		c.probation.pushHot(e)
@@ -142,8 +143,8 @@ func (c *Clock[K, V]) Put(k K, v V) (evicted V, ok bool) {
 	if c.probation.len > c.probationCap {
 		victim = c.leaveProbation()
 	}
-	if victim == nil && c.Len() > c.capacity {
-		if c.main.len == 1 && e.region == inMain {
+	if victim == nil && len(c.index) > c.capacity {
+		if c.main.len == 1 && e.inMain {
 			// Only at capacity 1: main holds no entry but e, so the
 			// probation entry goes.
 			victim = c.probation.root.hotter
@@ -154,9 +155,12 @@ func (c *Clock[K, V]) Put(k K, v V) (evicted V, ok bool) {
 	if victim == nil {
 		return evicted, false
 	}
-	evicted = victim.value
-	c.evict(victim)
-	return evicted, true
+	c.listOf(victim).unlink(victim)
+	delete(c.index, victim.key)
+	if !victim.inMain {
+		c.ghosts.add(maphash.Comparable(c.seed, victim.key))
+	}
+	return victim.value, true
 }
 
 // leaveProbation takes probation's cold entry, which is never the one
@@ -169,29 +173,9 @@ func (c *Clock[K, V]) leaveProbation() *Entry[K, V] {
 		return e
 	}
 	c.probation.unlink(e)
-	e.region = inMain
+	e.inMain = true
 	c.main.pushHot(e)
 	return nil
-}
-
-// evict removes e. An entry evicted from probation stays in the index
-// as a ghost, with its value cleared, until capacity newer ghosts
-// follow it; one evicted from main is forgotten.
-func (c *Clock[K, V]) evict(e *Entry[K, V]) {
-	c.listOf(e).unlink(e)
-	if e.region == inMain {
-		delete(c.index, e.key)
-		return
-	}
-	var zero V
-	e.value = zero
-	e.region = inGhosts
-	c.ghosts.pushHot(e)
-	if c.ghosts.len > c.capacity {
-		old := c.ghosts.root.hotter
-		c.ghosts.unlink(old)
-		delete(c.index, old.key)
-	}
 }
 
 // sweep runs one eviction sweep over main and returns the entry to
@@ -221,8 +205,7 @@ func (c *Clock[K, V]) sweep(fresh *Entry[K, V]) *Entry[K, V] {
 	return coldest
 }
 
-// Delete removes k, or forgets its ghost, and returns the value it
-// held, if any.
+// Delete removes k and returns the value it held, if any.
 func (c *Clock[K, V]) Delete(k K) (v V, ok bool) {
 	e := c.index[k]
 	if e == nil {
@@ -230,11 +213,11 @@ func (c *Clock[K, V]) Delete(k K) (v V, ok bool) {
 	}
 	c.listOf(e).unlink(e)
 	delete(c.index, k)
-	return e.value, e.region != inGhosts
+	return e.value, true
 }
 
 // Len returns the number of resident entries.
-func (c *Clock[K, V]) Len() int { return c.probation.len + c.main.len }
+func (c *Clock[K, V]) Len() int { return len(c.index) }
 
 // Clear removes every entry and forgets every ghost, so the cache
 // admits like a new one.
@@ -242,17 +225,37 @@ func (c *Clock[K, V]) Clear() {
 	clear(c.index)
 	c.probation.init()
 	c.main.init()
-	c.ghosts.init()
+	clear(c.ghosts.at)
+	c.ghosts.drops = 0
 }
 
 func (c *Clock[K, V]) listOf(e *Entry[K, V]) *list[K, V] {
-	switch e.region {
-	case inMain:
+	if e.inMain {
 		return &c.main
-	case inGhosts:
-		return &c.ghosts
 	}
 	return &c.probation
+}
+
+// add records the drop of a key with hash h, forgetting the drop that
+// leaves the window.
+func (g *ghosts) add(h uint64) {
+	n := uint64(len(g.ring))
+	slot := &g.ring[g.drops%n]
+	if at, ok := g.at[*slot]; ok && at+n == g.drops {
+		delete(g.at, *slot)
+	}
+	*slot = h
+	g.at[h] = g.drops
+	g.drops++
+}
+
+// take reports whether a ghost with hash h is present, and forgets it.
+func (g *ghosts) take(h uint64) bool {
+	if _, ok := g.at[h]; !ok {
+		return false
+	}
+	delete(g.at, h)
+	return true
 }
 
 func (l *list[K, V]) init() {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"hash/maphash"
 	"slices"
 	"testing"
 )
@@ -19,11 +20,30 @@ type refEntry struct {
 }
 
 // refClock is the reference model FuzzClock checks Clock against: the
-// policy of the package doc on plain slices, cold end first.
+// policy of the package doc on plain slices, cold end first. Ghosts are
+// modelled by key: every drop in order, with whether a later Put took
+// it back; a key's ghost is present when its drop is among the last
+// capacity and not taken. Distinct uint8 keys sharing a 64-bit hash is
+// left out.
 type refClock struct {
 	capacity, probationCap int
 	probation, main        []refEntry
-	ghosts                 []uint8
+	drops                  []refDrop
+}
+
+type refDrop struct {
+	key   uint8
+	taken bool
+}
+
+// ghost returns k's present ghost, or nil.
+func (m *refClock) ghost(k uint8) *refDrop {
+	for i := max(0, len(m.drops)-m.capacity); i < len(m.drops); i++ {
+		if d := &m.drops[i]; d.key == k && !d.taken {
+			return d
+		}
+	}
+	return nil
 }
 
 func (m *refClock) region(k uint8) (*[]refEntry, int) {
@@ -51,8 +71,8 @@ func (m *refClock) put(k uint8, v fuzzVal) (evicted fuzzVal, ok bool) {
 		return evicted, false
 	}
 	e := refEntry{key: k, val: v}
-	if g := slices.Index(m.ghosts, k); g >= 0 {
-		m.ghosts = slices.Delete(m.ghosts, g, g+1)
+	if g := m.ghost(k); g != nil {
+		g.taken = true
 		m.main = append(m.main, e)
 	} else {
 		m.probation = append(m.probation, e)
@@ -77,15 +97,12 @@ func (m *refClock) put(k uint8, v fuzzVal) (evicted fuzzVal, ok bool) {
 	return victim.val, true
 }
 
-// dropProbation removes probation's cold entry, leaves its key as the
-// newest ghost and returns it.
+// dropProbation removes probation's cold entry, records its drop and
+// returns it.
 func (m *refClock) dropProbation() *refEntry {
 	e := m.probation[0]
 	m.probation = m.probation[1:]
-	m.ghosts = append(m.ghosts, e.key)
-	if len(m.ghosts) > m.capacity {
-		m.ghosts = m.ghosts[1:]
-	}
+	m.drops = append(m.drops, refDrop{key: e.key})
 	return &e
 }
 
@@ -129,12 +146,11 @@ func sameState(t *testing.T, c *Clock[uint8, fuzzVal], m *refClock) {
 			t.Fatalf("%s cold→hot %v, model %v", r.name, got, r.want)
 		}
 	}
-	var ghosts []uint8
-	for e := c.ghosts.root.hotter; e != &c.ghosts.root; e = e.hotter {
-		ghosts = append(ghosts, e.key)
-	}
-	if !slices.Equal(ghosts, m.ghosts) {
-		t.Fatalf("ghosts cold→hot %v, model %v", ghosts, m.ghosts)
+	for k := range 8 {
+		_, got := c.ghosts.at[maphash.Comparable(c.seed, uint8(k))]
+		if want := m.ghost(uint8(k)) != nil; got != want {
+			t.Fatalf("key %d's ghost present %v, model %v", k, got, want)
+		}
 	}
 }
 
@@ -204,12 +220,9 @@ func FuzzClock(f *testing.F) {
 				if r != nil {
 					*r = slices.Delete(*r, j, j+1)
 				}
-				if g := slices.Index(m.ghosts, k); g >= 0 {
-					m.ghosts = slices.Delete(m.ghosts, g, g+1)
-				}
 			default:
 				c.Clear()
-				m.probation, m.main, m.ghosts = nil, nil, nil
+				m.probation, m.main, m.drops = nil, nil, nil
 			}
 			checkClock(t, c)
 			sameState(t, c, m)

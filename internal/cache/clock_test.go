@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"reflect"
+	"hash/maphash"
 	"slices"
 	"sync"
 	"testing"
@@ -45,44 +45,44 @@ func put[V comparable](t *testing.T, c *Clock[string, V], k string, v V, want ..
 	}
 }
 
-// checkClock asserts the structural invariants: the index and the
-// three lists agree entry for entry, each list's length is its count,
-// every entry's region names its list, ghosts hold zero values and are
-// not visible to Get, probation holds at most its share, and the cache
-// at most capacity entries and capacity ghosts.
+// checkClock asserts the structural invariants: the index and the two
+// lists agree entry for entry, each list's length is its count, every
+// entry's region flag names its list, probation holds at most its
+// share, the cache at most its capacity, and every remembered ghost is
+// one of the last capacity drops.
 func checkClock[K comparable, V any](t testing.TB, c *Clock[K, V]) {
 	t.Helper()
-	listed := 0
-	for _, l := range []*list[K, V]{&c.probation, &c.main, &c.ghosts} {
+	resident := 0
+	for _, l := range []*list[K, V]{&c.probation, &c.main} {
 		n := 0
 		for e := l.root.colder; e != &l.root; e = e.colder {
 			n++
-			if c.index[e.key] != e {
+			if c.Get(e.key) != e {
 				t.Fatalf("key %v is listed but the index disagrees", e.key)
 			}
-			if c.listOf(e) != l {
-				t.Fatalf("key %v sits in the wrong list for its region", e.key)
-			}
-			if l == &c.ghosts && (c.Get(e.key) != nil || !reflect.ValueOf(&e.value).Elem().IsZero()) {
-				t.Fatalf("ghost %v is visible or keeps its value", e.key)
+			if e.inMain != (l == &c.main) {
+				t.Fatalf("key %v sits in the wrong list for its region flag", e.key)
 			}
 		}
 		if n != l.len {
 			t.Fatalf("a list walks %d entries but counts %d", n, l.len)
 		}
-		listed += n
+		resident += n
 	}
-	if listed != len(c.index) {
-		t.Fatalf("lists hold %d entries, the index %d", listed, len(c.index))
+	if resident != c.Len() {
+		t.Fatalf("lists hold %d entries, Len is %d", resident, c.Len())
 	}
-	if c.Len() != c.probation.len+c.main.len {
-		t.Fatalf("Len is %d, the regions hold %d", c.Len(), c.probation.len+c.main.len)
-	}
-	if c.capacity >= 1 && (c.Len() > c.capacity || c.ghosts.len > c.capacity) {
-		t.Fatalf("Len %d or ghosts %d past capacity %d", c.Len(), c.ghosts.len, c.capacity)
+	if c.capacity >= 1 && c.Len() > c.capacity {
+		t.Fatalf("Len %d past capacity %d", c.Len(), c.capacity)
 	}
 	if c.probation.len > c.probationCap {
 		t.Fatalf("probation holds %d, past its share %d", c.probation.len, c.probationCap)
+	}
+	g := &c.ghosts
+	for h, at := range g.at {
+		if at >= g.drops || at+uint64(len(g.ring)) < g.drops || g.ring[at%uint64(len(g.ring))] != h {
+			t.Fatalf("ghost %x of drop %d is not in the window of %d drops", h, at, g.drops)
+		}
 	}
 }
 
@@ -249,22 +249,14 @@ func TestClockDeleteClearLenAll(t *testing.T) {
 	put(t, c, "g", 0, 2) // c dropped, ghost left
 	checkClock(t, c)
 
-	// Delete forgets a ghost: c re-enters probation, not main.
-	if _, ok := c.Delete("c"); ok {
-		t.Fatal("Delete of a ghost reported a value")
-	}
-	put(t, c, "c", 2, 0) // d dropped, ghost left
-	wantKeys(t, &c.probation, "c", "g", "f", "e")
-	checkClock(t, c)
-
-	// Clear also forgets the ghosts: d re-enters probation, not main.
+	// Clear also forgets the ghosts: c re-enters probation, not main.
 	c.Clear()
-	if c.Len() != 0 || c.Get("e") != nil {
+	if c.Len() != 0 || c.Get("d") != nil {
 		t.Fatal("Clear left entries resident")
 	}
 	wantKeys[int](t, &c.probation)
-	c.Put("d", 3)
-	wantKeys(t, &c.probation, "d")
+	c.Put("c", 3)
+	wantKeys(t, &c.probation, "c")
 	wantKeys[int](t, &c.main)
 	checkClock(t, c)
 
@@ -308,9 +300,9 @@ type missKey struct {
 }
 
 // TestClockPutMissAllocs locks the miss path of a full cache at the
-// one Entry a new key needs: dropping from probation to the ghosts,
-// promoting to main, main's sweep and ghost re-entry allocate nothing
-// more.
+// one Entry a new key needs: hashing keys for the ghosts, dropping
+// from probation, promoting to main, main's sweep and ghost re-entry
+// allocate nothing more.
 func TestClockPutMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation makes alloc counts meaningless")
@@ -330,7 +322,7 @@ func TestClockPutMissAllocs(t *testing.T) {
 			// probation by the ~37 new keys since: a ghost hit.
 			k = key(n - 50)
 		}
-		if e := c.index[k]; e != nil && e.region == inGhosts {
+		if _, ok := c.ghosts.at[maphash.Comparable(c.seed, k)]; ok {
 			ghostHits++
 		}
 		c.Put(k, &x)
@@ -345,9 +337,9 @@ func TestClockPutMissAllocs(t *testing.T) {
 	if allocs != 1 {
 		t.Errorf("a miss Put allocates %.2f/op, want 1 (its Entry)", allocs)
 	}
-	if c.Len() != capacity || c.main.len == 0 || c.ghosts.len == 0 || ghostHits == 0 {
+	if c.Len() != capacity || c.main.len == 0 || len(c.ghosts.at) == 0 || ghostHits == 0 {
 		t.Fatalf("Len %d, main %d, ghosts %d, ghost hits %d: the miss mix did not fill main, drop keys and re-admit them",
-			c.Len(), c.main.len, c.ghosts.len, ghostHits)
+			c.Len(), c.main.len, len(c.ghosts.at), ghostHits)
 	}
 	checkClock(t, c)
 }
