@@ -36,7 +36,8 @@ import (
 // min(capacity/2, probationFloor) where that is more, and at least 1.
 // The floor keeps a small cache's probation long enough for a working
 // set of a few hundred keys: a 512-entry cache holds 256 new keys on
-// probation, not 51, so each of them hits on its second sighting.
+// probation, not 51, so up to 256 keys sent once and then again all
+// hit the second time.
 const (
 	probationShare = 10
 	probationFloor = 256

@@ -70,7 +70,7 @@ func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, erro
 	victim, ok := r.byToken.Put(s.token, s)
 	if ok && r.byToken.Len() < r.max {
 		// A never-used session left probation while the registry has
-		// room. Put it back: its ghost was just left, so it enters main
+		// room. Put it back: its ghost was just written, so it enters main
 		// untouched, where a full registry's sweep still takes it
 		// before any session looked up since the last sweep.
 		r.byToken.Put(victim.token, victim)
