@@ -8,8 +8,8 @@
 //
 //	hsched [-spec system.json] [-exact] [-static] [-tight] [-dump] [-sensitivity] [-workers n] [-cache]
 //	hsched assign [-spec system.json] [-policy rm|dm|hopa|audsley] [-iterations n] [-exact] [-workers n] [-cache] [-delta]
-//	hsched bench [-workload default|exact-heavy|assign] [-systems n] [-mutations n] [-queries n] [-goroutines n] [-shards n] [-capacity n] [-exact] [-seed n] [-util u] [-delta] [-json] [-remote URL] [-pipeline n] [-codec json|binary]
-//	hsched serve [-addr host:port] [-shards n] [-cache n] [-delta] [-max-inflight n] [-max-sessions n] [-parse-memo n] [-workers n] [-drain d]
+//	hsched bench [-workload default|contended|exact-heavy|exact-search|assign] [-systems n] [-mutations n] [-queries n] [-goroutines n] [-shards n] [-capacity n] [-seed n] [-exact] [-util u] [-delta] [-json] [-compare base.json] [-remote URL] [-pipeline n] [-codec json|binary]
+//	hsched serve [-addr host:port] [-shards n] [-cache n] [-delta] [-max-inflight n] [-max-sessions n] [-parse-memo n] [-workers n] [-drain d] [-pprof]
 //
 // The assign subcommand searches a local fixed-priority assignment
 // (the paper leaves it to the component designer): the classical
@@ -18,9 +18,10 @@
 // memoised analysis service whose statistics -cache prints.
 //
 // The bench subcommand measures the memoised analysis service on a
-// generated workload: admission-control mutation chains (default),
-// exact scenario sweeps (exact-heavy), or full priority-assignment
-// searches (assign); it reports throughput, cache hit rate,
+// generated workload: admission-control mutation chains (default, or
+// contended with 16 client goroutines), exact scenario sweeps
+// (exact-heavy), or full priority-assignment searches with the
+// approximate (assign) or exact (exact-search) oracle; it reports throughput, cache hit rate,
 // incremental (delta) hit rate and p50/p99 query latency; -json emits
 // a machine-readable report. With -remote URL the same workload is
 // fired over HTTP at a running `hsched serve` instance instead of the

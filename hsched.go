@@ -163,9 +163,9 @@ type (
 	// scenario sweeps stream from a mixed-radix cursor and run true
 	// branch-and-bound: one table of admissible per-initiator bounds
 	// jumps whole refuted subtrees (AnalysisResult.ScenariosPruned /
-	// SubtreesPruned count the savings). One Analyzer serves one
-	// goroutine; results are identical for every worker count and
-	// every sweep toggle.
+	// SubtreesPruned count the savings), with results bit-identical to
+	// evaluating every scenario. One Analyzer serves one goroutine;
+	// results are identical for every worker count.
 	// Analyzer.AnalyzeFrom re-analyses an edited system incrementally,
 	// seeded by a previous result — including each sweep's critical
 	// scenario, re-evaluated as the next sweep's incumbent floor, the

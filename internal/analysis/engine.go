@@ -28,8 +28,8 @@ import (
 //  1. interference construction — the analyzer rebinds the working
 //     system, rebuilding only the hp rows an edit invalidated and
 //     refreshing the reduced offsets of Eq. (10);
-//  2. scenario enumeration — per task, the approximate scenario set
-//     (Sec. 3.1.2) is materialised into pooled buffers, while the
+//  2. scenario enumeration — per task, the approximate analysis
+//     (Sec. 3.1.2) loops over its Na+1 candidate initiators, while the
 //     exact scenario space (Sec. 3.1.1) is streamed one vector at a
 //     time from a mixed-radix cursor, pruned by the admissible
 //     per-initiator bound of Eq. 15 (Result.ScenariosPruned counts
@@ -316,7 +316,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 			}
 			e.jitChanged[i] = changed
 		}
-		e.roundCopyValid = !e.opt.sweep.NoReuse
+		e.roundCopyValid = true
 	}
 	if iters == 0 {
 		return nil, fmt.Errorf("analysis: no iterations executed")
@@ -362,7 +362,7 @@ func (e *Engine) resetCounters() {
 // that is stale — or from a one-edit-apart system — costs one shape
 // check, never a wrong bound. prev is only read; the slabs get copies.
 func (e *Engine) installSweepSeeds(prev *Result) {
-	if prev == nil || !e.opt.Exact || e.opt.sweep.NoReuse {
+	if prev == nil || !e.opt.Exact {
 		return
 	}
 	if len(prev.sweepNu) != len(e.an.slabs) {
@@ -384,9 +384,9 @@ func (e *Engine) installSweepSeeds(prev *Result) {
 // harvestSweepSeeds deep-copies the slabs' recorded critical scenario
 // vectors into a Result-owned summary — the prune state a later
 // AnalyzeFrom re-seeds from. nil when the result cannot serve as a
-// seed anyway (approximate analysis, reuse or replay state disabled).
+// seed anyway (approximate analysis, replay state disabled).
 func (e *Engine) harvestSweepSeeds() [][][]initiator {
-	if !e.opt.Exact || e.opt.sweep.NoReuse || e.opt.DisableReplayState {
+	if !e.opt.Exact || e.opt.DisableReplayState {
 		return nil
 	}
 	total := 0

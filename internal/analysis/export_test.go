@@ -1,14 +1,16 @@
 package analysis
 
-// SweepToggles exposes Options' exact-sweep toggles to the external
-// test package: each true field turns one acceleration off.
-type SweepToggles = sweepToggles
+import "testing"
 
-// WithSweep returns opt with its exact-sweep toggles set to t.
-func WithSweep(opt Options, t SweepToggles) Options {
-	opt.sweep = t
-	return opt
-}
+// NewCheckedEngine returns an engine that holds every holistic round
+// to the naive sweep (see newCheckedEngine); opt's Recorder is
+// replaced.
+func NewCheckedEngine(tb testing.TB, opt Options) *Engine { return newCheckedEngine(tb, opt) }
+
+// CheckSweep fails tb unless every task result of e's current round —
+// after a static pass, its only round — equals the naive sweep's first
+// maximum.
+func CheckSweep(tb testing.TB, e *Engine) { checkSweep(tb, e, "static pass") }
 
 // BenchShape and BenchShapes expose the benchmark's analysis shapes to
 // the external test package.

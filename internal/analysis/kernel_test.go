@@ -180,15 +180,125 @@ func refScenarioResponse(an *analyzer, a, b int, sc scenario, hp [][]int, alpha 
 	return best, bestJob, true
 }
 
-// kernelTally counts what a differential check covered.
+// kernelTally counts what a differential check covered: scenarios,
+// and (sweeps) the task results checked against the naive sweep.
 type kernelTally struct {
-	approx, exact, singles, multi, diverged int
+	approx, exact, singles, multi, diverged, sweeps int
 }
 
 // maxDiffScenarios caps the exact scenarios enumerated per task: the
-// shapes' largest spaces are a few thousand vectors, so the cap only
-// guards against a generator change blowing the test's runtime up.
+// largest spaces the tests sweep are exactHeavySystem(5, 6)'s 7776
+// vectors, so the cap only guards against a generator change blowing
+// the test's runtime up.
 const maxDiffScenarios = 1 << 14
+
+// candScenarios lists the approximate scenarios of τa,b (Sec. 3.1.2):
+// one per candidate initiator c ∈ hp_a(τa,b) ∪ {τa,b}, in the order
+// the analysis evaluates them.
+func candScenarios(a, b int, hp [][]int) []scenario {
+	var out []scenario
+	for _, c := range append(append([]int(nil), hp[a]...), b) {
+		out = append(out, scenario{c: c})
+	}
+	return out
+}
+
+// exactScenarios lists every exact scenario vector of τa,b (Eq. 12) in
+// cursor order, each with its own ν backing.
+func exactScenarios(an *analyzer, a, b int, hp [][]int, ts *taskScratch) ([]scenario, error) {
+	axes, aAxis, count, err := an.buildAxes(a, b, hp, ts)
+	if err != nil {
+		return nil, err
+	}
+	if count > maxDiffScenarios {
+		return nil, fmt.Errorf("%d exact scenarios, above the test's cap", count)
+	}
+	pick, nu := ts.pick[:len(axes)], ts.nu[:len(axes)]
+	cursorSeek(axes, pick, nu, 0)
+	out := make([]scenario, 0, count)
+	for idx := 0; idx < count; idx++ {
+		out = append(out, scenario{c: nu[aAxis].k, nu: append([]initiator(nil), nu...)})
+		cursorNext(axes, pick, nu)
+	}
+	return out, nil
+}
+
+// sweepMismatch is the naive reference of the per-task sweep: for
+// every task of e's current round it evaluates refScenarioResponse on
+// every scenario of the task's full list — the exact product, or the
+// approximate candidates — keeps the first strict maximum (+Inf at the
+// first divergence, or when the task is overloaded) and compares it
+// with the round's TaskResult: Worst bit for bit, CriticalInitiator and
+// CriticalJob exactly. It returns how many tasks it checked. The
+// engine's inputs must still be those of the round, as they are inside
+// a Recorder callback or after a static pass.
+func sweepMismatch(e *Engine) (int, error) {
+	an := &e.an
+	var ts taskScratch
+	singles := 0
+	checked := 0
+	for a := range an.sys.Transactions {
+		for b := range an.sys.Transactions[a].Tasks {
+			want, crit := math.Inf(1), unboundedCritical
+			if !an.slabs[a].overload[b] {
+				hp := an.hpRow(a, b)
+				alpha := an.sys.Platforms[an.sys.Transactions[a].Tasks[b].Platform].Alpha
+				scenarios := candScenarios(a, b, hp)
+				if an.opt.Exact {
+					exact, err := exactScenarios(an, a, b, hp, &ts)
+					if err != nil {
+						return checked, fmt.Errorf("τ%d,%d: %v", a+1, b+1, err)
+					}
+					scenarios = exact
+				}
+				an.buildPhaseTable(&ts.phases, a, b, hp)
+				want, crit = 0, critical{initiator: b}
+				for _, sc := range scenarios {
+					r, p, ok := refScenarioResponse(an, a, b, sc, hp, alpha, &ts.phases, &singles)
+					if !ok {
+						want, crit = math.Inf(1), unboundedCritical
+						break
+					}
+					if r > want {
+						want, crit = r, critical{initiator: sc.c, job: p}
+					}
+				}
+			}
+			got := an.slabs[a].round[b]
+			if math.Float64bits(got.Worst) != math.Float64bits(want) ||
+				got.CriticalInitiator != crit.initiator || got.CriticalJob != crit.job {
+				return checked, fmt.Errorf("τ%d,%d: got (R=%v, c=%d, p=%d), naive sweep gives (R=%v, c=%d, p=%d)",
+					a+1, b+1, got.Worst, got.CriticalInitiator, got.CriticalJob, want, crit.initiator, crit.job)
+			}
+			checked++
+		}
+	}
+	return checked, nil
+}
+
+// checkSweep fails tb unless sweepMismatch finds e's current round
+// equal to the naive sweep.
+func checkSweep(tb testing.TB, e *Engine, label string) int {
+	tb.Helper()
+	n, err := sweepMismatch(e)
+	if err != nil {
+		tb.Fatalf("%s: %v", label, err)
+	}
+	return n
+}
+
+// newCheckedEngine returns an engine whose Recorder (opt's own is
+// replaced) runs checkSweep after every holistic round, so every
+// round's results — swept, round-copied or replayed — are held to the
+// naive sweep.
+func newCheckedEngine(tb testing.TB, opt Options) *Engine {
+	var e *Engine
+	opt.Recorder = func(iter int, _ *Result) {
+		checkSweep(tb, e, fmt.Sprintf("round %d", iter))
+	}
+	e = NewEngine(opt)
+	return e
+}
 
 // checkKernel compares scenarioResponse with refScenarioResponse, bit
 // for bit in (r, job, ok), on every approximate scenario and every
@@ -219,15 +329,15 @@ func checkKernel(t *testing.T, an *analyzer, label string, tally *kernelTally) {
 			hp := an.hpRow(a, b)
 			alpha := an.sys.Platforms[an.sys.Transactions[a].Tasks[b].Platform].Alpha
 			an.buildPhaseTable(&ts.phases, a, b, hp)
-			for _, sc := range an.approxScenarios(a, b, hp, &ts) {
+			for _, sc := range candScenarios(a, b, hp) {
 				compare(a, b, sc, hp, alpha)
 				tally.approx++
 			}
-			axes, aAxis, count, err := an.buildAxes(a, b, hp, &ts)
-			if err != nil || count > maxDiffScenarios {
-				t.Fatalf("%s τ%d,%d: %d exact scenarios (%v), above the test's cap", label, a+1, b+1, count, err)
+			exact, err := exactScenarios(an, a, b, hp, &ts)
+			if err != nil {
+				t.Fatalf("%s τ%d,%d: %v", label, a+1, b+1, err)
 			}
-			for _, sc := range an.materialiseScenarios(axes, aAxis, count, &ts) {
+			for _, sc := range exact {
 				compare(a, b, sc, hp, alpha)
 				tally.exact++
 			}
@@ -237,9 +347,11 @@ func checkKernel(t *testing.T, an *analyzer, label string, tally *kernelTally) {
 
 // TestScenarioResponseMatchesReference: after every holistic round,
 // the kernel's (r, job, ok) equals the reference's bit for bit on every
-// approximate and every exact scenario of every task — over the paper
-// system and 16 seeds of each benchmark shape, once under the shape's
-// options and once with a MaxInner so small that fixed points fail.
+// approximate and every exact scenario of every task, and every task's
+// result equals the naive sweep's first maximum — over the paper system
+// (approximate and exact) and 16 seeds of each benchmark shape, once
+// under the shape's options and once with a MaxInner so small that
+// fixed points fail.
 func TestScenarioResponseMatchesReference(t *testing.T) {
 	type run struct {
 		sys *model.System
@@ -262,7 +374,9 @@ func TestScenarioResponseMatchesReference(t *testing.T) {
 			}
 			var e *Engine
 			opt.Recorder = func(iter int, _ *Result) {
-				checkKernel(t, &e.an, fmt.Sprintf("run %d round %d", n, iter), tl)
+				label := fmt.Sprintf("run %d MaxInner %d round %d", n, maxInner, iter)
+				checkKernel(t, &e.an, label, tl)
+				tl.sweeps += checkSweep(t, e, label)
 			}
 			e = NewEngine(opt)
 			if _, err := e.Analyze(r.sys); err != nil {
@@ -271,10 +385,10 @@ func TestScenarioResponseMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("default MaxInner: %+v; MaxInner 3: %+v", tally, starved)
-	if tally.singles == 0 || tally.multi == 0 || tally.exact == 0 {
+	if tally.singles == 0 || tally.multi == 0 || tally.exact == 0 || tally.sweeps == 0 {
 		t.Fatalf("coverage: %+v, want single-job, multi-job and exact scenarios", tally)
 	}
-	if starved.diverged == 0 || starved.singles+starved.multi == 0 {
+	if starved.diverged == 0 || starved.singles+starved.multi == 0 || starved.sweeps == 0 {
 		t.Fatalf("MaxInner 3 coverage: %+v, want converging and diverging scenarios", starved)
 	}
 }

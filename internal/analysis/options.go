@@ -87,18 +87,6 @@ type Options struct {
 	// parallel (batch sweeps, design searches) should set 1 to avoid
 	// oversubscription.
 	Workers int
-
-	// sweep turns exact-sweep accelerations off. Every acceleration
-	// is bit-identical to the reference sweep, so only tests set it
-	// (through export_test.go); it is excluded from replay and cache
-	// keys. The zero value, everything on, is the production setting.
-	sweep sweepToggles
-}
-
-type sweepToggles struct {
-	NoStreaming bool // materialise the scenario list, then sweep it sequentially (the reference)
-	NoPruning   bool // no admissible W* prune (Eq. 15 in place of Eq. 13), no subtree jumps
-	NoReuse     bool // no incumbent seeding, no unchanged-inputs round copy
 }
 
 // Normalised returns the options with every defaulted numeric field

@@ -24,26 +24,23 @@ type initiator struct{ tr, k int }
 //
 // Scenarios are plain data (no captured closures): the interference
 // they induce is evaluated by analyzer.interference, which keeps the
-// per-scenario footprint to a few words and lets the engine pool the
-// backing slices across calls.
+// per-scenario footprint to a few words.
 type scenario struct {
 	c  int
 	nu []initiator
 }
 
-// taskScratch holds the per-task-analysis buffers (scenario sets,
-// candidate lists, mixed-radix cursor state, prune bounds, the phase
-// table). The engine keeps a pool of them so that concurrent per-task
-// response computations reuse allocations instead of growing fresh
-// slices on every call.
+// taskScratch holds the per-task-analysis buffers (candidate lists,
+// mixed-radix cursor state, prune bounds, the phase table). The engine
+// keeps a pool of them so that concurrent per-task response
+// computations reuse allocations instead of growing fresh slices on
+// every call.
 type taskScratch struct {
-	scenarios []scenario
-	cands     []int
-	axes      []axis
-	pick      []int
+	cands []int
+	axes  []axis
+	pick  []int
 	// nu is the cursor's scenario vector: one initiator per axis,
-	// rewritten in place as the cursor advances — O(axes), not the
-	// O(count·axes) backing the materialised sweep used to pin here.
+	// rewritten in place as the cursor advances.
 	nu     []initiator
 	bounds []float64
 	// critNu backs the running best's scenario vector in sweepRange;
@@ -57,17 +54,11 @@ type taskScratch struct {
 // shrink drops scratch buffers that grew past a high-water cap, so a
 // single huge analysis does not pin its peak memory for the lifetime
 // of a reused engine. Called between analyses, never inside one. The
-// scenario list only grows on the approximate path and the
-// materialised (Options.sweep.NoStreaming) exact sweep — the
-// streamed sweep never touches it. The remaining buffers are bounded
-// by axis, candidate and task counts, small by construction, but an
-// outlier system with thousands of transactions or tasks per
-// transaction would still pin them across reuse.
+// buffers are bounded by axis, candidate and task counts, small by
+// construction, but an outlier system with thousands of transactions
+// or tasks per transaction would still pin them across reuse.
 func (ts *taskScratch) shrink() {
 	const maxRetain = 1 << 16
-	if cap(ts.scenarios) > maxRetain {
-		ts.scenarios = nil
-	}
 	const maxSmallRetain = 1 << 10
 	if cap(ts.cands) > maxSmallRetain {
 		ts.cands = nil
@@ -155,28 +146,45 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 	}
 
 	ts.phases.evals = 0
-	if !an.opt.Exact {
-		an.buildPhaseTable(&ts.phases, a, b, hp)
-		r, crit, _, ok, err := an.sweepList(ctx, a, b, an.approxScenarios(a, b, hp, ts), hp, alpha, nil, &ts.phases)
-		st := sweepStats{evals: ts.phases.evals}
-		if err != nil {
-			return 0, unboundedCritical, st, err
-		}
-		if !ok {
-			return math.Inf(1), unboundedCritical, st, nil
-		}
-		return r, crit, st, nil
+	if an.opt.Exact {
+		r, crit, st, err := an.exactSweep(ctx, a, b, hp, alpha, ts)
+		st.evals = ts.phases.evals
+		return r, crit, st, err
 	}
-	r, crit, st, err := an.exactSweep(ctx, a, b, hp, alpha, ts)
-	st.evals = ts.phases.evals
-	return r, crit, st, err
+
+	// The approximate analysis of Section 3.1.2: one scenario per
+	// candidate initiator c ∈ hp_a(τa,b) ∪ {τa,b}, charging Γa its
+	// exact contribution W^c_a (Eq. 16) and every other transaction its
+	// upper bound W* (Eq. 15). The first strict maximum is kept.
+	an.buildPhaseTable(&ts.phases, a, b, hp)
+	best, crit := 0.0, critical{initiator: b}
+	hpA := hp[a]
+	for i := 0; i <= len(hpA); i++ {
+		if i%cancelCheckInterval == 0 && ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return 0, unboundedCritical, sweepStats{evals: ts.phases.evals}, wrapCancelled(err)
+			}
+		}
+		c := b
+		if i < len(hpA) {
+			c = hpA[i]
+		}
+		r, p, ok := an.scenarioResponse(a, b, scenario{c: c}, hp, alpha, &ts.phases)
+		if !ok {
+			return math.Inf(1), unboundedCritical, sweepStats{evals: ts.phases.evals}, nil
+		}
+		if r > best {
+			best, crit = r, critical{initiator: c, job: p}
+		}
+	}
+	return best, crit, sweepStats{evals: ts.phases.evals}, nil
 }
 
 // exactSweep runs the exact scenario enumeration of Section 3.1.1 as a
-// streamed, branch-and-bound sweep over the mixed-radix scenario space
-// — the same scenarios, in the same deterministic order, as the
-// historical materialised sweep, with bit-identical results for every
-// toggle and worker combination. Two layers of state make it a true
+// streamed, branch-and-bound sweep over the mixed-radix scenario space:
+// its result is the first maximum over every scenario in cursor order,
+// bit for bit, which the tests check against a naive sweep that
+// evaluates each scenario. Two layers of state make it a true
 // tree search instead of a per-scenario filter: the admissible
 // per-initiator bounds of pruneBounds let the cursor skip the whole
 // subtree under a Γa initiator with one seek (see sweepRange), and the
@@ -198,24 +206,8 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	// as much work as the sweep itself with nothing to amortise it, so
 	// pruning only arms when other axes multiply the space.
 	var bounds []float64
-	if !an.opt.sweep.NoPruning && count > len(axes[aAxis].cands) {
+	if count > len(axes[aAxis].cands) {
 		bounds = an.pruneBounds(a, b, hp, alpha, axes[aAxis].cands, ts)
-	}
-
-	if an.opt.sweep.NoStreaming {
-		// Reference path: materialise every scenario vector first, then
-		// evaluate the list sequentially — the seed sweep the streamed
-		// cursor is tested against. No subtree bounds, no incumbent
-		// seeding: this is the historical per-scenario prune, verbatim.
-		r, crit, pruned, ok, err := an.sweepList(ctx, a, b, an.materialiseScenarios(axes, aAxis, count, ts), hp, alpha, bounds, &ts.phases)
-		st.pruned = pruned
-		if err != nil {
-			return 0, unboundedCritical, st, err
-		}
-		if !ok {
-			return math.Inf(1), unboundedCritical, st, nil
-		}
-		return r, crit, st, nil
 	}
 
 	// Incumbent seeding: re-evaluate the critical scenario recorded by
@@ -235,9 +227,8 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	// and the floor prunes most of the space; a gate on sweep size was
 	// tried and measurably hurt the probe-chain workloads, whose sweeps
 	// are small but whose seeds are near-perfect.
-	reuse := !an.opt.sweep.NoReuse
 	floor := 0.0
-	if bounds != nil && reuse {
+	if bounds != nil {
 		if seed := an.slabs[a].seedNu[b]; len(seed) > 0 {
 			if !seedValidFor(axes, seed) {
 				st.discarded = true
@@ -257,7 +248,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		}
 	}
 
-	res, err := an.sweepRange(ctx, a, b, axes, aAxis, count, hp, alpha, bounds, floor, reuse, ts)
+	res, err := an.sweepRange(ctx, a, b, axes, aAxis, count, hp, alpha, bounds, floor, ts)
 	if err != nil {
 		return 0, unboundedCritical, st, err
 	}
@@ -273,11 +264,11 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 // into the transaction's slab, where the next sweep of the same task —
 // next holistic round, or next analysis through Engine.AnalyzeFrom —
 // picks it up as its incumbent seed. Concurrent per-task computations
-// write disjoint slots. An empty vector (nothing beat zero, or seeding
-// disabled) leaves the previous seed in place: it stays shape-valid
-// and re-evaluation keeps it sound.
+// write disjoint slots. An empty vector (nothing beat zero) leaves the
+// previous seed in place: it stays shape-valid and re-evaluation keeps
+// it sound.
 func (an *analyzer) storeSeed(a, b int, critNu []initiator) {
-	if an.opt.sweep.NoReuse || len(critNu) == 0 {
+	if len(critNu) == 0 {
 		return
 	}
 	sl := &an.slabs[a]
@@ -340,11 +331,10 @@ type sweepResult struct {
 // previous sweep's critical scenario re-evaluated under the current
 // inputs; it is a response some in-space scenario attains, so pruning
 // against it is strict (bound < floor) — a tying scenario may be the
-// first maximum — and it never enters res.best. trackNu records the
-// running best's full scenario vector into res.critNu for the next
-// sweep's seed; the caller gates it on the reuse toggle. The cursor
-// state lives in ts.
-func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, n int, hp [][]int, alpha float64, bounds []float64, floor float64, trackNu bool, ts *taskScratch) (sweepResult, error) {
+// first maximum — and it never enters res.best. The running best's
+// full scenario vector is recorded into res.critNu for the next sweep's
+// seed. The cursor state lives in ts.
+func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, n int, hp [][]int, alpha float64, bounds []float64, floor float64, ts *taskScratch) (sweepResult, error) {
 	pick, nu := ts.pick[:len(axes)], ts.nu[:len(axes)]
 	cursorSeek(axes, pick, nu, 0)
 	// stride is the size of the subtree that fixes the digits of axes
@@ -393,46 +383,13 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 		if r > res.best {
 			res.best = r
 			res.crit = critical{initiator: sc.c, job: p}
-			if trackNu {
-				res.critNu = append(res.critNu[:0], nu...)
-				ts.critNu = res.critNu
-			}
+			res.critNu = append(res.critNu[:0], nu...)
+			ts.critNu = res.critNu
 		}
 		cursorNext(axes, pick, nu)
 		idx++
 	}
 	return res, nil
-}
-
-// sweepList evaluates an explicit scenario list in order — the
-// approximate path's reduced set, or the materialised exact sweep.
-// bounds enables the same admissible prune as sweepRange (nil for the
-// approximate path, whose scenarios ARE the bounds). ok is false when
-// a scenario's busy period diverged (the caller reports +Inf).
-func (an *analyzer) sweepList(ctx context.Context, a, b int, scenarios []scenario, hp [][]int, alpha float64, bounds []float64, pt *phaseTable) (float64, critical, int64, bool, error) {
-	best := 0.0
-	crit := critical{initiator: b}
-	pruned := int64(0)
-	for si, sc := range scenarios {
-		if si%cancelCheckInterval == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, unboundedCritical, 0, false, wrapCancelled(err)
-			}
-		}
-		if bounds != nil && bounds[sc.c] <= best {
-			pruned++
-			continue
-		}
-		r, p, ok := an.scenarioResponse(a, b, sc, hp, alpha, pt)
-		if !ok {
-			return 0, unboundedCritical, pruned, false, nil
-		}
-		if r > best {
-			best = r
-			crit = critical{initiator: sc.c, job: p}
-		}
-	}
-	return best, crit, pruned, true, nil
 }
 
 // overloaded reports whether the long-run demand of τa,b plus its
@@ -480,21 +437,6 @@ func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float6
 		sum += pt.wk(&txs[ch.tr], ch.tr, ch.k, hp[ch.tr], alpha, t)
 	}
 	return sum
-}
-
-// approxScenarios builds the reduced scenario set of Section 3.1.2:
-// one scenario per c ∈ hp_a(τa,b) ∪ {τa,b}, charging every other
-// transaction its upper bound W* (Eq. 15) and Γa its exact
-// contribution W^c_a (Eq. 16).
-func (an *analyzer) approxScenarios(a, b int, hp [][]int, ts *taskScratch) []scenario {
-	cands := append(append(ts.cands[:0], hp[a]...), b)
-	ts.cands = cands
-	scenarios := ts.scenarios[:0]
-	for _, c := range cands {
-		scenarios = append(scenarios, scenario{c: c})
-	}
-	ts.scenarios = scenarios
-	return scenarios
 }
 
 // buildAxes derives the axes of the exact scenario product of Section
@@ -572,8 +514,7 @@ func (an *analyzer) pruneBounds(a, b int, hp [][]int, alpha float64, cands []int
 
 // cursorSeek positions the mixed-radix scenario cursor at flat index
 // idx: pick[i] is the candidate index of axis i — axis 0 is the
-// fastest-varying digit, exactly the enumeration order of the
-// materialised sweep — and nu mirrors it as the (transaction,
+// fastest-varying digit — and nu mirrors it as the (transaction,
 // initiator) pairs the interference sum consumes, in axis order.
 func cursorSeek(axes []axis, pick []int, nu []initiator, idx int) {
 	for i := range axes {
@@ -597,27 +538,6 @@ func cursorNext(axes []axis, pick []int, nu []initiator) {
 		pick[i] = 0
 		nu[i] = initiator{tr: axes[i].tr, k: axes[i].cands[0]}
 	}
-}
-
-// materialiseScenarios expands the axes into the full scenario list by
-// walking the cursor once — the reference (seed) form of the exact
-// sweep, kept behind Options.sweep.NoStreaming for the bit-identity
-// tests. The ν backing is allocated fresh and handed to the GC with
-// the list; only the list header is pooled.
-func (an *analyzer) materialiseScenarios(axes []axis, aAxis, count int, ts *taskScratch) []scenario {
-	pick := ts.pick[:len(axes)]
-	nu := ts.nu[:len(axes)]
-	cursorSeek(axes, pick, nu, 0)
-	nuBuf := make([]initiator, 0, count*len(axes))
-	scenarios := ts.scenarios[:0]
-	for idx := 0; idx < count; idx++ {
-		start := len(nuBuf)
-		nuBuf = append(nuBuf, nu...)
-		scenarios = append(scenarios, scenario{c: nu[aAxis].k, nu: nuBuf[start:len(nuBuf):len(nuBuf)]})
-		cursorNext(axes, pick, nu)
-	}
-	ts.scenarios = scenarios
-	return scenarios
 }
 
 // scenarioResponse evaluates one scenario: busy-period length (the

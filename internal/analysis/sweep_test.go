@@ -11,18 +11,6 @@ import (
 	"hsched/internal/platform"
 )
 
-// seedSweepOptions returns the reference configuration of the exact
-// analysis: the historical materialise-then-evaluate sweep with every
-// acceleration (streaming, pruning) disabled and a strictly
-// sequential engine. Every accelerated configuration
-// must reproduce its results bit for bit.
-func seedSweepOptions() analysis.Options {
-	return analysis.WithSweep(
-		analysis.Options{Exact: true, Workers: 1, MaxIterations: 40},
-		analysis.SweepToggles{NoStreaming: true, NoPruning: true},
-	)
-}
-
 // sweepSystems draws the bit-identity population: single-platform
 // systems (every task interferes with every lower-priority one, the
 // regime where the scenario product of Eq. 12 actually grows) plus a
@@ -87,52 +75,25 @@ func exactHeavySystem(transactions, chainLen int) *model.System {
 	return sys
 }
 
-// TestExactSweepBitIdentity is the sweep's metamorphic contract: the
-// streamed cursor and the admissible prune — in every on/off
-// combination and for every worker count — must reproduce the seed sweep's results bit for bit: all task
-// bounds, critical scenarios, iteration counts and verdicts.
+// TestExactSweepBitIdentity is the sweep's metamorphic contract:
+// after every holistic round, every task's bound and critical scenario
+// equal the first maximum of a naive sweep that evaluates each
+// scenario (NewCheckedEngine), and the whole result — task bounds,
+// critical scenarios, iteration counts and verdicts — is bit-identical
+// for every worker count.
 func TestExactSweepBitIdentity(t *testing.T) {
-	type toggles struct {
-		name             string
-		streamed, pruned bool
-	}
-	onOff := func(on bool, tag string) string {
-		if on {
-			return tag
-		}
-		return "no" + tag
-	}
-	var combos []toggles
-	for s := 0; s < 2; s++ {
-		for p := 0; p < 2; p++ {
-			c := toggles{streamed: s == 1, pruned: p == 1}
-			c.name = onOff(c.streamed, "stream") + "/" + onOff(c.pruned, "prune")
-			combos = append(combos, c)
-		}
-	}
-
 	for si, sys := range sweepSystems(t) {
-		seed, err := analysis.NewEngine(seedSweepOptions()).Analyze(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range combos {
-			for _, workers := range []int{1, 4, 8} {
-				opt := seedSweepOptions()
-				opt.Workers = workers
-				opt = analysis.WithSweep(opt, analysis.SweepToggles{
-					NoStreaming: !c.streamed, NoPruning: !c.pruned,
-				})
-				got, err := analysis.NewEngine(opt).Analyze(sys)
-				if err != nil {
-					t.Fatalf("system %d %s workers=%d: %v", si, c.name, workers, err)
-				}
-				if !resultsIdentical(seed, got) {
-					t.Fatalf("system %d %s workers=%d: diverged from the seed sweep", si, c.name, workers)
-				}
-				if !c.pruned && got.ScenariosPruned != 0 {
-					t.Fatalf("system %d %s: pruning disabled but ScenariosPruned=%d", si, c.name, got.ScenariosPruned)
-				}
+		var seq *analysis.Result
+		for _, workers := range []int{1, 4, 8} {
+			opt := analysis.Options{Exact: true, Workers: workers, MaxIterations: 40}
+			got, err := analysis.NewCheckedEngine(t, opt).Analyze(sys)
+			if err != nil {
+				t.Fatalf("system %d workers=%d: %v", si, workers, err)
+			}
+			if seq == nil {
+				seq = got
+			} else if !resultsIdentical(seq, got) {
+				t.Fatalf("system %d workers=%d: diverged from the sequential engine", si, workers)
 			}
 		}
 	}
@@ -146,34 +107,29 @@ func TestExactSweepBitIdentity(t *testing.T) {
 // the -race run short.
 func TestExactSweepBitIdentityHeavy(t *testing.T) {
 	sys := exactHeavySystem(5, 6)
-	seedEng := analysis.NewEngine(seedSweepOptions())
-	seed, err := seedEng.AnalyzeStatic(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pruned := range []bool{false, true} {
-		for _, workers := range []int{1, 4, 8} {
-			opt := analysis.WithSweep(
-				analysis.Options{Exact: true, Workers: workers},
-				analysis.SweepToggles{NoPruning: !pruned},
-			)
-			got, err := analysis.NewEngine(opt).AnalyzeStatic(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resultsIdentical(seed, got) {
-				t.Fatalf("pruned=%v workers=%d: heavy sweep diverged from the seed sweep", pruned, workers)
-			}
+	var seq *analysis.Result
+	for _, workers := range []int{1, 4, 8} {
+		eng := analysis.NewEngine(analysis.Options{Exact: true, Workers: workers})
+		got, err := eng.AnalyzeStatic(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analysis.CheckSweep(t, eng)
+		if seq == nil {
+			seq = got
+		} else if !resultsIdentical(seq, got) {
+			t.Fatalf("workers=%d: heavy sweep diverged from the sequential engine", workers)
 		}
 	}
 }
 
 // TestExactSweepPrunesPaperExample locks the admissible prune engaging
 // on the paper's own Table 3 example: even its small scenario sets
-// contain dominated vectors the bound discards.
+// contain dominated vectors the bound discards, and every round still
+// equals the naive sweep.
 func TestExactSweepPrunesPaperExample(t *testing.T) {
 	sys := experiments.PaperSystem()
-	res, err := analysis.NewEngine(analysis.Options{Exact: true, Workers: 1}).Analyze(sys)
+	res, err := analysis.NewCheckedEngine(t, analysis.Options{Exact: true, Workers: 1}).Analyze(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +140,6 @@ func TestExactSweepPrunesPaperExample(t *testing.T) {
 	// And the accelerated sweep still reproduces Table 3's fixed point.
 	if r := res.TransactionResponse(0); math.Abs(r-31) > 1e-6 {
 		t.Fatalf("R(Γ1) = %v under the pruned sweep, want 31", r)
-	}
-	base, err := analysis.NewEngine(seedSweepOptions()).Analyze(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsIdentical(base, res) {
-		t.Fatal("pruned sweep diverged from the seed sweep on the paper example")
 	}
 }
 
@@ -265,11 +214,10 @@ func TestScenarioCountSaturates(t *testing.T) {
 }
 
 // BenchmarkExactSweep measures the exact sweep on the heavy workload
-// (≥ 10^5 scenario vectors on the costliest tasks) in three
-// configurations: the seed sweep, the streamed and pruned sweep on a
-// sequential engine, and the same sweep with the round's tasks fanned
-// out over 8 workers. One static pass isolates the sweep itself from holistic
-// iteration effects.
+// (≥ 10^5 scenario vectors on the costliest tasks) on a sequential
+// engine and with the round's tasks fanned out over 8 workers. One
+// static pass isolates the sweep itself from holistic iteration
+// effects.
 func BenchmarkExactSweep(b *testing.B) {
 	sys := exactHeavySystem(6, 7) // lowest-priority tasks: 7^6 = 117 649 scenarios
 	if ex, _ := analysis.ScenarioCount(sys, 5, 6); ex < 100_000 {
@@ -285,10 +233,6 @@ func BenchmarkExactSweep(b *testing.B) {
 			}
 		}
 	}
-	b.Run("seed", func(b *testing.B) {
-		opt := seedSweepOptions()
-		run(b, opt)
-	})
 	b.Run("streamed-pruned-1w", func(b *testing.B) {
 		run(b, analysis.Options{Exact: true, Workers: 1})
 	})

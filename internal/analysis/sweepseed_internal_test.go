@@ -56,12 +56,12 @@ func sameBits(t *testing.T, want, got *Result) {
 // TestSweepSeedReusedOnRetuning locks the fast path of the cross-probe
 // ladder: after a pure WCET retuning — interference shapes intact —
 // AnalyzeFrom must re-evaluate the previous probe's critical scenarios
-// as incumbent floors (sweepSeeded), not discard them, and still
-// reproduce the cold analysis bit for bit.
+// as incumbent floors (sweepSeeded), not discard them, hold every
+// round to the naive sweep and reproduce the cold analysis bit for bit.
 func TestSweepSeedReusedOnRetuning(t *testing.T) {
 	base := seedHeavySystem(4, 4)
 	opt := Options{Exact: true, Workers: 1}
-	eng := NewEngine(opt)
+	eng := newCheckedEngine(t, opt)
 	prev, err := eng.Analyze(base)
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +80,7 @@ func TestSweepSeedReusedOnRetuning(t *testing.T) {
 		t.Fatalf("WCET retuning discarded %d seeds; the shapes did not change", n)
 	}
 
-	cold := opt
-	cold.sweep.NoReuse = true
-	want, err := NewEngine(cold).Analyze(mut)
+	want, err := NewEngine(opt).Analyze(mut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +92,12 @@ func TestSweepSeedReusedOnRetuning(t *testing.T) {
 // axes of the sweeps it interferes with change shape, and the previous
 // probe's prune-state summary must be discarded (sweepDiscarded) — a
 // stale seed believed across a shape change could under-floor or pin a
-// candidate that no longer exists. Results must still match a cold run
-// bit for bit.
+// candidate that no longer exists. Every round must still equal the
+// naive sweep, and the result a cold run bit for bit.
 func TestSweepSeedDiscardedOnShapeChange(t *testing.T) {
 	base := seedHeavySystem(4, 4)
 	opt := Options{Exact: true, Workers: 1}
-	eng := NewEngine(opt)
+	eng := newCheckedEngine(t, opt)
 	prev, err := eng.Analyze(base)
 	if err != nil {
 		t.Fatal(err)
@@ -120,9 +118,7 @@ func TestSweepSeedDiscardedOnShapeChange(t *testing.T) {
 		t.Fatalf("priority reshape discarded %d stale seeds, want > 0", n)
 	}
 
-	cold := opt
-	cold.sweep.NoReuse = true
-	want, err := NewEngine(cold).Analyze(mut)
+	want, err := NewEngine(opt).Analyze(mut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,27 +128,40 @@ func TestSweepSeedDiscardedOnShapeChange(t *testing.T) {
 // TestRoundCopyFastPath: within one fixed-point iteration, a task
 // whose own and interfering jitters kept their bitwise values must be
 // answered by copying the previous round's TaskResult (roundCopied),
-// and the copy must not change any bound.
+// and every round, copied tasks included, must equal the naive sweep.
 func TestRoundCopyFastPath(t *testing.T) {
 	sys := seedHeavySystem(4, 4)
-	opt := Options{Exact: true, Workers: 1}
-	eng := NewEngine(opt)
-	got, err := eng.Analyze(sys)
-	if err != nil {
+	eng := newCheckedEngine(t, Options{Exact: true, Workers: 1})
+	if _, err := eng.Analyze(sys); err != nil {
 		t.Fatal(err)
 	}
 	if n := eng.roundCopied.Load(); n <= 0 {
 		t.Fatalf("converging iteration copied %d rounds, want > 0", n)
 	}
-	cold := opt
-	cold.sweep.NoReuse = true
-	coldEng := NewEngine(cold)
-	want, err := coldEng.Analyze(sys)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSweepReferenceDetectsMismatch: the naive-sweep check is not
+// vacuous — it passes on an analysed round and fails once a task's
+// bound or critical scenario is perturbed.
+func TestSweepReferenceDetectsMismatch(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		eng := NewEngine(Options{Exact: exact, Workers: 1})
+		if _, err := eng.AnalyzeStatic(paperSystem()); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := sweepMismatch(eng); err != nil || n == 0 {
+			t.Fatalf("exact=%v: checked %d tasks, err %v; want a clean check", exact, n, err)
+		}
+		cell := &eng.an.slabs[0].round[3]
+		saved := *cell
+		cell.Worst = math.Nextafter(cell.Worst, math.Inf(1))
+		if _, err := sweepMismatch(eng); err == nil {
+			t.Fatalf("exact=%v: a perturbed bound passed the check", exact)
+		}
+		*cell = saved
+		cell.CriticalJob++
+		if _, err := sweepMismatch(eng); err == nil {
+			t.Fatalf("exact=%v: a perturbed critical job passed the check", exact)
+		}
 	}
-	if n := coldEng.roundCopied.Load(); n != 0 {
-		t.Fatalf("NoReuse engine copied %d rounds, want 0", n)
-	}
-	sameBits(t, want, got)
 }

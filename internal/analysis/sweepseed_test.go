@@ -39,9 +39,9 @@ func seedMutationChain(sys *model.System) []*model.System {
 // TestSweepSeedBitIdentity is the cross-probe metamorphic contract:
 // walking a mutation chain through one engine via AnalyzeFrom — each
 // exact sweep seeded by the previous probe's critical scenarios and
-// each round eligible for the unchanged-inputs copy — must reproduce,
-// bit for bit, the chain walked cold with the reuse disabled, for
-// every sweep-toggle combination and worker count.
+// each round eligible for the unchanged-inputs copy — must hold every
+// round to the naive sweep and reproduce, bit for bit, each step
+// analysed cold on a fresh engine, for every worker count.
 func TestSweepSeedBitIdentity(t *testing.T) {
 	gensys, err := gen.System(gen.Config{
 		Seed: 9300, Platforms: 1, Transactions: 3, ChainLen: 4,
@@ -55,37 +55,29 @@ func TestSweepSeedBitIdentity(t *testing.T) {
 
 	for si, sys := range systems {
 		chain := seedMutationChain(sys)
-		for s := 0; s < 2; s++ {
-			for p := 0; p < 2; p++ {
-				for _, workers := range []int{1, 4, 8} {
-					toggles := analysis.SweepToggles{NoStreaming: s == 0, NoPruning: p == 0}
-					opt := analysis.WithSweep(analysis.Options{Exact: true, Workers: workers, MaxIterations: 40}, toggles)
-					toggles.NoReuse = true
-					cold := analysis.WithSweep(opt, toggles)
-
-					eng := analysis.NewEngine(opt)
-					var prev *analysis.Result
-					for ci, cs := range chain {
-						want, err := analysis.NewEngine(cold).Analyze(cs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var got *analysis.Result
-						if prev == nil {
-							got, err = eng.Analyze(cs)
-						} else {
-							got, err = eng.AnalyzeFrom(prev, cs)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !resultsIdentical(want, got) {
-							t.Fatalf("system %d chain %d s=%d p=%d workers=%d: seeded sweep diverged from cold",
-								si, ci, s, p, workers)
-						}
-						prev = got
-					}
+		for _, workers := range []int{1, 4, 8} {
+			opt := analysis.Options{Exact: true, Workers: workers, MaxIterations: 40}
+			eng := analysis.NewCheckedEngine(t, opt)
+			var prev *analysis.Result
+			for ci, cs := range chain {
+				want, err := analysis.NewEngine(opt).Analyze(cs)
+				if err != nil {
+					t.Fatal(err)
 				}
+				var got *analysis.Result
+				if prev == nil {
+					got, err = eng.Analyze(cs)
+				} else {
+					got, err = eng.AnalyzeFrom(prev, cs)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !resultsIdentical(want, got) {
+					t.Fatalf("system %d chain %d workers=%d: seeded sweep diverged from cold",
+						si, ci, workers)
+				}
+				prev = got
 			}
 		}
 	}

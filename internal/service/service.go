@@ -421,15 +421,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			sess.noteExecuted(res)
 		}
 		if err == nil {
-			if res.ScenariosPruned > 0 {
-				s.ctr.scenariosPruned.Add(res.ScenariosPruned)
-			}
-			if res.SubtreesPruned > 0 {
-				s.ctr.subtreesPruned.Add(res.SubtreesPruned)
-			}
-			if res.InterferenceEvals > 0 {
-				s.ctr.interferenceEvals.Add(res.InterferenceEvals)
-			}
+			s.countWork(res)
 		}
 		return res, err
 	}
@@ -532,18 +524,23 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 				s.ctr.deltaHits.Add(1)
 				s.ctr.roundsSaved.Add(int64(res.Delta.TaskRoundsSaved))
 			}
-			if res.ScenariosPruned > 0 {
-				s.ctr.scenariosPruned.Add(res.ScenariosPruned)
-			}
-			if res.SubtreesPruned > 0 {
-				s.ctr.subtreesPruned.Add(res.SubtreesPruned)
-			}
-			if res.InterferenceEvals > 0 {
-				s.ctr.interferenceEvals.Add(res.InterferenceEvals)
-			}
+			s.countWork(res)
 		}
 		close(fl.done)
 		return shared, err
+	}
+}
+
+// countWork adds an executed analysis's work profile to the counters.
+func (s *Service) countWork(res *analysis.Result) {
+	if res.ScenariosPruned > 0 {
+		s.ctr.scenariosPruned.Add(res.ScenariosPruned)
+	}
+	if res.SubtreesPruned > 0 {
+		s.ctr.subtreesPruned.Add(res.SubtreesPruned)
+	}
+	if res.InterferenceEvals > 0 {
+		s.ctr.interferenceEvals.Add(res.InterferenceEvals)
 	}
 }
 
