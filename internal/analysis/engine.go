@@ -65,7 +65,10 @@ type Engine struct {
 	// index order; it is the work list of the parallel response stage.
 	flat [][2]int
 
-	// havePrev guards the convergence test on the first round.
+	// havePrev guards the convergence test on the first round, and
+	// arms the round fast path: once set, the slabs hold a previous
+	// round and jitChanged describes the step that led to the current
+	// one.
 	havePrev bool
 
 	// errs collects per-task errors of a parallel round; the first in
@@ -115,11 +118,8 @@ type Engine struct {
 	roundCopied    atomic.Int64
 
 	// jitChanged[i] reports whether any task of transaction i changed
-	// jitter (bitwise) in the last propagation step; roundCopyValid
-	// arms the round fast path once the slabs hold a previous round
-	// and the flags describe the step that led to the current one.
-	jitChanged     []bool
-	roundCopyValid bool
+	// jitter (bitwise) in the last propagation step.
+	jitChanged []bool
 
 	// ctx is the context of the in-flight call, set by the Context
 	// entry points before any round runs and read (never written) by
@@ -316,7 +316,6 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 			}
 			e.jitChanged[i] = changed
 		}
-		e.roundCopyValid = true
 	}
 	if iters == 0 {
 		return nil, fmt.Errorf("analysis: no iterations executed")
@@ -513,7 +512,6 @@ func (e *Engine) bind(sys *model.System) {
 	for i := range e.jitChanged {
 		e.jitChanged[i] = false
 	}
-	e.roundCopyValid = false
 	e.havePrev = false
 }
 
@@ -661,7 +659,7 @@ func wrapCancelled(err error) error {
 // fast path is what makes the convergence-confirming final rounds of
 // an exact analysis near-free.
 func (e *Engine) analyzeTask(i, j int, ts *taskScratch) error {
-	if e.roundCopyValid && e.roundInputsUnchanged(i, j) {
+	if e.havePrev && e.roundInputsUnchanged(i, j) {
 		e.an.slabs[i].round[j] = e.an.slabs[i].lastRound[j]
 		e.roundCopied.Add(1)
 		return nil
