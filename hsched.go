@@ -187,8 +187,9 @@ type (
 	// fingerprint-keyed intern pool). See package internal/service
 	// for the full semantics.
 	Service = service.Service
-	// ServiceOptions configures NewService: shard count, verdict-memo
-	// capacity, intern-pool capacity, default analysis options.
+	// ServiceOptions configures NewService: shard count, the capacity
+	// of the verdict memo and of the intern pool, default analysis
+	// options.
 	ServiceOptions = service.Options
 	// ServiceStats is a snapshot of a service's counters (queries,
 	// hits, misses, evictions, in-flight dedups, delta hits, the

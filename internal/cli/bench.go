@@ -117,7 +117,7 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		queries    = fs.Int("queries", 4096, "total queries to issue")
 		goroutines = fs.Int("goroutines", 0, "concurrent client goroutines (0 = all CPUs)")
 		shards     = fs.Int("shards", 0, "engine shards of the service (0 = all CPUs)")
-		capacity   = fs.Int("capacity", 0, "verdict-memo capacity in entries (0 = default, negative = memo off)")
+		capacity   = fs.Int("capacity", 0, "verdict-memo and intern-pool capacity in entries (0 = default, negative = both off)")
 		seed       = fs.Int64("seed", 1, "workload generator seed")
 		exact      = fs.Bool("exact", false, "use the exact analysis for the workload")
 		util       = fs.Float64("util", 0.45, "per-platform utilisation of the generated systems")

@@ -28,11 +28,10 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		shards      = fs.Int("shards", 0, "engine shards of the service (0 = all CPUs)")
-		cache       = fs.Int("cache", 0, "verdict-memo capacity in entries (0 = default, negative = memo off)")
+		cache       = fs.Int("cache", 0, "verdict-memo and intern-pool capacity in entries (0 = default, negative = both off)")
 		delta       = fs.Bool("delta", true, "let session probes re-analyse incrementally off their previous result (delta path)")
 		maxInflight = fs.Int("max-inflight", 0, "concurrent analyses beyond which requests are shed with a 429 (0 = unbounded)")
 		maxSessions = fs.Int("max-sessions", 0, "probe sessions kept before eviction of sessions not used recently (0 = default 1024)")
-		parseMemo   = fs.Int("parse-memo", 0, "analyze bodies kept in the body-hash decode cache (0 = default 512, negative = off)")
 		workers     = fs.Int("workers", 1, "default per-analysis worker bound; requests may override (0 = all CPUs)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown bound for in-flight requests")
 		pprofFlag   = fs.Bool("pprof", false, "expose /debug/pprof and enable mutex/block profiling at a low sample rate")
@@ -63,7 +62,6 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 		Analysis:     defOpt,
 		MaxInflight:  *maxInflight,
 		MaxSessions:  *maxSessions,
-		ParseMemo:    *parseMemo,
 		DrainTimeout: *drain,
 		Pprof:        *pprofFlag,
 	})

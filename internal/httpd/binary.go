@@ -140,22 +140,21 @@ func decodeBinaryAnalyzeRequest(body []byte) (OptionsSpec, []byte, error) {
 // system's Fingerprint) — an intern-pool hit therefore answers with
 // zero decoding and zero validation, both already paid by the first
 // request that installed the resident. A miss costs one binary
-// unmarshal plus validation, then installs the result. hit reports
-// whether the zero-decode path answered.
-func (s *Server) resolveBinarySystem(sysBytes []byte) (sys *model.System, fp model.Fingerprint, hit bool, err error) {
-	fp = model.Fingerprint(sha256.Sum256(sysBytes))
+// unmarshal plus validation, then installs the result.
+func (s *Server) resolveBinarySystem(sysBytes []byte) (*model.System, model.Fingerprint, error) {
+	fp := model.Fingerprint(sha256.Sum256(sysBytes))
 	if resident, ok := s.svc.Interned(fp); ok {
 		s.binHits.Add(1)
-		return resident, fp, true, nil
+		return resident, fp, nil
 	}
 	var dec model.System
 	if err := dec.UnmarshalBinary(sysBytes); err != nil {
-		return nil, fp, false, fmt.Errorf("%w: binary system: %w", spec.ErrInvalid, err)
+		return nil, fp, fmt.Errorf("%w: binary system: %w", spec.ErrInvalid, err)
 	}
 	if err := dec.Validate(); err != nil {
-		return nil, fp, false, fmt.Errorf("%w: binary system: %w", spec.ErrInvalid, err)
+		return nil, fp, fmt.Errorf("%w: binary system: %w", spec.ErrInvalid, err)
 	}
-	return s.svc.InternFingerprinted(fp, &dec), fp, false, nil
+	return s.svc.InternFingerprinted(fp, &dec), fp, nil
 }
 
 // contentTypeBinaryValue is the preallocated header value slice:

@@ -23,14 +23,16 @@
 //
 // Request bodies reuse the internal/spec JSON system format, wrapped
 // with an options block mirroring the CLI flags (exact, workers,
-// deadline_ms, …). A body-hash parse memo in front of /v1/analyze
-// mirrors the service's verdict memo one layer up: admission-control
-// traffic re-asks about a small population of systems, and for a
-// memo-hit query the JSON decode and spec conversion cost far more
-// than the analysis, so a byte-identical repeated body skips both
-// (ParseHits in /v1/stats). Analysis endpoints honour per-request
-// deadlines —
-// the options block's deadline_ms or the X-Deadline-Ms header — by
+// deadline_ms, …). A 512-entry body-hash parse memo in front of
+// /v1/analyze mirrors the service's verdict memo one layer up:
+// admission-control traffic re-asks about a small population of
+// systems, and for a memo-hit query the JSON decode and spec
+// conversion cost far more than the analysis, so a byte-identical
+// repeated body skips both (ParseHits in /v1/stats). Both analyze
+// routes run through one handler; a session probe differs only in
+// where its system comes from and which handle analyses it. Analysis
+// endpoints honour per-request deadlines — the options block's
+// deadline_ms or the X-Deadline-Ms header — by
 // wrapping the analysis in a context.WithTimeout: an expired deadline
 // aborts the fixed-point iteration mid-flight and the client receives
 // a 504 carrying the elapsed time and a service-stats snapshot. The
@@ -65,11 +67,14 @@
 // flood of them evicts no session that has served a request.
 //
 // Error contract: malformed or inconsistent requests are 400s whose
-// body names the offending field (spec.ErrInvalid wrapping), missed
-// deadlines are 504s, analysable-but-failed requests (scenario
-// blow-up, infeasible designs) are 422s, and load shedding beyond the
+// body names the offending field (spec.ErrInvalid wrapping), and so
+// are bodies over 8 MiB and bodies still incomplete 10 s after their
+// request began; unknown session tokens are 404s, missed deadlines
+// are 504s, analysable-but-failed requests (scenario blow-up,
+// infeasible designs) are 422s, and load shedding beyond the
 // configured in-flight bound is a 429. All error bodies share the
-// ErrorResponse shape.
+// ErrorResponse shape: handlers return their errors and one place
+// writes every error body, deriving the status from the error.
 //
 // Server.Serve drains gracefully on context cancellation (the CLI
 // wires SIGTERM/SIGINT to it): the listener closes first, in-flight

@@ -1,10 +1,12 @@
 package httpd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -219,5 +221,85 @@ func TestServeListenerError(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after listener close")
+	}
+}
+
+// TestStalledBodyFreesSlot: a client that sends its headers and one
+// body byte, then stalls, gets a 400 once the whole-request read
+// timeout expires, and its in-flight slot frees, so a polite request
+// is served instead of shed. An idle keep-alive connection outlives
+// that timeout and is still reusable.
+func TestStalledBodyFreesSlot(t *testing.T) {
+	old := readTimeout
+	readTimeout = 300 * time.Millisecond
+	t.Cleanup(func() { readTimeout = old })
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{MaxInflight: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln, nil) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	addr := ln.Addr().String()
+
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "POST /v1/analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	stalled.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(stalled), nil)
+	if err != nil {
+		t.Fatalf("stalled request: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stalled request: status %d, want 400", resp.StatusCode)
+	}
+	for i := 0; s.inflight.Load() != 0; i++ {
+		if i > 5000 {
+			t.Fatal("stalled request still holds its in-flight slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// A polite request on a keep-alive connection is served, and the
+	// connection, idle for longer than the read timeout, serves another.
+	body, err := json.Marshal(&AnalyzeRequest{System: paperFile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i := range 2 {
+		if i > 0 {
+			time.Sleep(2 * readTimeout)
+		}
+		fmt.Fprintf(conn, "POST /v1/analyze HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("polite request %d: %v", i, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("polite request %d: status %d: %s", i, resp.StatusCode, data)
+		}
 	}
 }

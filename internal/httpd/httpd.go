@@ -43,12 +43,6 @@ type Options struct {
 	// that was never used, else one not looked up since the last
 	// eviction sweep, the oldest first. 0 selects 1024.
 	MaxSessions int
-	// MaxBodyBytes caps request bodies. 0 selects 8 MiB.
-	MaxBodyBytes int64
-	// ParseMemo sizes the body-hash decode cache on /v1/analyze: a
-	// byte-identical repeated body skips JSON decoding and spec
-	// conversion (see parseMemo). 0 selects 512; negative disables.
-	ParseMemo int
 	// DrainTimeout bounds the graceful shutdown: after it expires
 	// in-flight requests are cut off hard. 0 selects 30 s.
 	DrainTimeout time.Duration
@@ -68,26 +62,28 @@ func (o Options) maxSessions() int {
 	return o.MaxSessions
 }
 
-func (o Options) maxBodyBytes() int64 {
-	if o.MaxBodyBytes <= 0 {
-		return 8 << 20
-	}
-	return o.MaxBodyBytes
-}
-
-func (o Options) parseMemo() int {
-	if o.ParseMemo == 0 {
-		return 512
-	}
-	return o.ParseMemo
-}
-
 func (o Options) drainTimeout() time.Duration {
 	if o.DrainTimeout <= 0 {
 		return 30 * time.Second
 	}
 	return o.DrainTimeout
 }
+
+const (
+	// maxBody caps request bodies.
+	maxBody = 8 << 20
+	// parseMemoCap sizes the body-hash decode cache on /v1/analyze
+	// (see parseMemo).
+	parseMemoCap = 512
+)
+
+// readTimeout bounds the read of one whole request, headers and body,
+// so a client that stalls mid-body gets a 400 and frees its in-flight
+// slot instead of holding it until it disconnects (a stalled header
+// read just closes the connection). Once the body is
+// read net/http clears the deadline, so it never cuts off a long
+// analysis. A variable only so tests can shorten it.
+var readTimeout = 10 * time.Second
 
 // padded is a cache-line-padded atomic counter: 8 (Int64) + 56 = 64
 // bytes, so adjacent counters never share a cache line and concurrent
@@ -149,7 +145,6 @@ type Server struct {
 
 	maxInflight int
 	inflight    atomic.Int64
-	maxBody     int64
 	drain       time.Duration
 	start       time.Time
 
@@ -170,10 +165,9 @@ func New(opt Options) *Server {
 		svc:         svc,
 		def:         opt.Analysis,
 		sessions:    newSessions(opt.maxSessions()),
-		parse:       newParseMemo(opt.parseMemo()),
+		parse:       newParseMemo(parseMemoCap),
 		mux:         http.NewServeMux(),
 		maxInflight: opt.MaxInflight,
-		maxBody:     opt.maxBodyBytes(),
 		drain:       opt.drainTimeout(),
 		start:       time.Now(),
 		metrics:     make(map[string]*endpointMetrics),
@@ -182,7 +176,7 @@ func New(opt Options) *Server {
 	s.route("POST /v1/assign", "assign", true, s.handleAssign)
 	s.route("POST /v1/minimize", "minimize", true, s.handleMinimize)
 	s.route("POST /v1/session", "session.create", false, s.handleSessionCreate)
-	s.route("POST /v1/session/{token}/analyze", "session.analyze", true, s.handleSessionAnalyze)
+	s.route("POST /v1/session/{token}/analyze", "session.analyze", true, s.handleAnalyze)
 	s.route("GET /v1/session/{token}/stats", "session.stats", false, s.handleSessionStats)
 	s.route("DELETE /v1/session/{token}", "session.delete", false, s.handleSessionDelete)
 	s.route("GET /v1/stats", "stats", false, s.handleStats)
@@ -206,8 +200,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // route installs a handler with per-endpoint metrics; analysis-running
 // endpoints (sheds true) additionally count into the in-flight
-// semaphore and are shed with a 429 beyond MaxInflight.
-func (s *Server) route(pattern, name string, sheds bool, h http.HandlerFunc) {
+// semaphore and are shed with a 429 beyond MaxInflight. A handler
+// writes its own success response and returns any error, whose body
+// route writes with the status errStatus derives from it.
+func (s *Server) route(pattern, name string, sheds bool, h func(http.ResponseWriter, *http.Request) error) {
 	m := &endpointMetrics{}
 	s.metrics[name] = m
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
@@ -218,14 +214,16 @@ func (s *Server) route(pattern, name string, sheds bool, h http.HandlerFunc) {
 			if s.maxInflight > 0 && n > int64(s.maxInflight) {
 				m.shed.Add(1)
 				s.writeError(w, http.StatusTooManyRequests,
-					fmt.Errorf("httpd: %d analyses in flight (limit %d)", n-1, s.maxInflight), start, 0)
+					fmt.Errorf("httpd: %d analyses in flight (limit %d)", n-1, s.maxInflight), start)
 				m.observe(http.StatusTooManyRequests, time.Since(start))
 				return
 			}
 		}
 		sw := swPool.Get().(*statusWriter)
 		sw.ResponseWriter, sw.status = w, http.StatusOK
-		h(sw, r)
+		if err := h(sw, r); err != nil {
+			s.writeError(sw, errStatus(err), err, start)
+		}
 		m.observe(sw.status, time.Since(start))
 		sw.ResponseWriter = nil // don't pin the connection's writer
 		swPool.Put(sw)
@@ -258,25 +256,44 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError renders the uniform error body. 504s additionally carry
 // the partial-work profile: elapsed wall time, the missed deadline and
 // a snapshot of the service counters at abort.
-func (s *Server) writeError(w http.ResponseWriter, status int, err error, start time.Time, deadlineMS float64) {
+func (s *Server) writeError(w http.ResponseWriter, status int, err error, start time.Time) {
 	resp := &ErrorResponse{Error: err.Error(), Status: status}
 	if status == http.StatusGatewayTimeout {
-		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-		resp.DeadlineMS = deadlineMS
+		resp.ElapsedMS = elapsedMS(start)
+		var de deadlineError
+		if errors.As(err, &de) {
+			resp.DeadlineMS = de.ms
+		}
 		st := s.svc.Stats()
 		resp.Stats = &st
 	}
 	writeJSON(w, status, resp)
 }
 
-// errStatus maps an analysis error to its HTTP status: the caller's
-// fault (400) for malformed or inconsistent specs, a missed deadline
-// (504) for context expiry, otherwise an analysable-but-failed request
-// (422: scenario blow-up, non-convergence, infeasible design).
+// errNoSession is returned for a session token the registry does not
+// hold (never issued, deleted or evicted).
+var errNoSession = errors.New("httpd: unknown session token")
+
+// deadlineError carries the request's deadline in milliseconds (0 if
+// none applied) from a failed analysis into its 504 body.
+type deadlineError struct {
+	error
+	ms float64
+}
+
+func (e deadlineError) Unwrap() error { return e.error }
+
+// errStatus maps a handler error to its HTTP status: the caller's
+// fault (400) for malformed or inconsistent requests, an unknown
+// session token (404), a missed deadline (504) for context expiry,
+// otherwise an analysable-but-failed request (422: scenario blow-up,
+// non-convergence, infeasible design).
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, spec.ErrInvalid):
 		return http.StatusBadRequest
+	case errors.Is(err, errNoSession):
+		return http.StatusNotFound
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
 	default:
@@ -304,12 +321,13 @@ func (pb *poolBuf) release() {
 // grow-and-copy ladder; the returned poolBuf owns the body bytes and
 // must be released (nil on the degraded paths) once they are done
 // with. Read errors wrap spec.ErrInvalid (the request is at fault).
-func (s *Server) rawBody(r *http.Request) ([]byte, *poolBuf, error) {
-	if n := r.ContentLength; n > 0 && n <= s.maxBody {
+func rawBody(r *http.Request) ([]byte, *poolBuf, error) {
+	if n := r.ContentLength; n > 0 && n < maxBody {
 		// Exact-size read: no growth, no limiter wrapper (the length
-		// is already under the cap). net/http caps the body at
-		// Content-Length, but a short or over-long body from a
-		// non-conforming transport still degrades gracefully.
+		// is under the cap, with room for the probe byte below).
+		// net/http caps the body at Content-Length, but a short or
+		// over-long body from a non-conforming transport still
+		// degrades gracefully.
 		pb := bufPool.Get().(*poolBuf)
 		// One spare byte past n probes for body-longer-than-declared
 		// without a separate buffer (a [1]byte would escape through the
@@ -321,7 +339,8 @@ func (s *Server) rawBody(r *http.Request) ([]byte, *poolBuf, error) {
 		switch m, err := io.ReadFull(r.Body, body); err {
 		case nil:
 			if k, _ := r.Body.Read(pb.b[n : n+1]); k > 0 {
-				rest, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.maxBody-n))
+				// n+1 bytes are in; the rest may bring the body to the cap.
+				rest, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBody-n-1))
 				if err != nil {
 					pb.release()
 					return nil, nil, fmt.Errorf("%w: reading body: %w", spec.ErrInvalid, err)
@@ -338,7 +357,7 @@ func (s *Server) rawBody(r *http.Request) ([]byte, *poolBuf, error) {
 			return nil, nil, fmt.Errorf("%w: reading body: %w", spec.ErrInvalid, err)
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBody))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: reading body: %w", spec.ErrInvalid, err)
 	}
@@ -349,8 +368,8 @@ func (s *Server) rawBody(r *http.Request) ([]byte, *poolBuf, error) {
 // The pooled read buffer is released here — json.Unmarshal copies
 // everything it keeps. Decode errors wrap spec.ErrInvalid (the request
 // is at fault).
-func (s *Server) readBody(r *http.Request, v any) error {
-	body, pb, err := s.rawBody(r)
+func readBody(r *http.Request, v any) error {
+	body, pb, err := rawBody(r)
 	defer pb.release()
 	if err != nil || len(body) == 0 {
 		return err
@@ -392,16 +411,35 @@ func requestCtx(r *http.Request, o OptionsSpec) (context.Context, context.Cancel
 	return ctx, cancel, ms, nil
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+// handleAnalyze serves /v1/analyze and, for the token's session,
+// /v1/session/{token}/analyze. The body resolves to a system, its
+// fingerprint and an options block — binary bodies through the intern
+// pool, JSON ones through resolveJSON — which the service (or the
+// session's probe handle) analyses. A session probe with an empty
+// options block takes the session's default, may not be static, and
+// advances the session's edit base only when its analysis succeeds.
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
-	body, pb, err := s.rawBody(r)
+	var sess *session
+	if token := r.PathValue("token"); token != "" {
+		if sess = s.sessions.lookup(token); sess == nil {
+			return errNoSession
+		}
+	}
+	body, pb, err := rawBody(r)
 	// Everything decoded below is copied out of body (intern/parse
 	// memo entries hold decoded systems, never raw bytes), so the
 	// buffer can be released when the handler returns.
 	defer pb.release()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+		return err
+	}
+	if sess != nil {
+		// Serialise probes on the session (after the body is read, so a
+		// slow client never holds the lock): chained-edit determinism
+		// (and the edit base) only exists for sequential probes.
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
 	}
 	var (
 		sys  *model.System
@@ -413,103 +451,128 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// canonical wire bytes. The SHA-256 of those bytes is the
 		// system's fingerprint, so one hash both keys the service memo
 		// and looks the system up in the intern pool — a repeated
-		// system is served with zero decoding.
+		// system is served with zero decoding. Edits are a JSON shape,
+		// so binary probes always carry a full system.
 		var sysBytes []byte
-		opts, sysBytes, err = decodeBinaryAnalyzeRequest(body)
-		if err == nil {
-			sys, fp, _, err = s.resolveBinarySystem(sysBytes)
-		}
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err, start, 0)
-			return
+		if opts, sysBytes, err = decodeBinaryAnalyzeRequest(body); err == nil {
+			sys, fp, err = s.resolveBinarySystem(sysBytes)
 		}
 	} else {
-		// JSON path: the decode path (JSON into the request struct,
-		// spec conversion, validation) costs far more than a memo-hit
-		// analysis does, so a byte-identical repeated body
-		// short-circuits through the parse memo on a hash of the raw
-		// bytes — which, with the fingerprint cached at parse time, is
-		// the request's only hash.
-		key := bodyKey(body)
-		if cached, ok := s.parse.get(key); len(body) > 0 && ok {
-			sys, fp, opts = cached.sys, cached.fp, cached.opt
-		} else {
-			var req AnalyzeRequest
-			if len(body) > 0 {
-				if err := json.Unmarshal(body, &req); err != nil {
-					s.writeError(w, http.StatusBadRequest,
-						fmt.Errorf("%w: decoding request: %w", spec.ErrInvalid, err), start, 0)
-					return
-				}
-			}
-			if req.System == nil && len(body) > 0 {
-				// curl friendliness: accept a bare spec document too.
-				var f spec.File
-				if json.Unmarshal(body, &f) == nil && len(f.Transactions) > 0 {
-					req.System = &f
-				}
-			}
-			if req.System == nil {
-				s.writeError(w, http.StatusBadRequest,
-					fmt.Errorf("%w: request has no system", spec.ErrInvalid), start, 0)
-				return
-			}
-			if req.Edit != nil {
-				s.writeError(w, http.StatusBadRequest,
-					fmt.Errorf("%w: edit requires a session-scoped analyze", spec.ErrInvalid), start, 0)
-				return
-			}
-			sys, err = req.System.ToSystem()
-			if err != nil {
-				s.writeError(w, http.StatusBadRequest, err, start, 0)
-				return
-			}
-			opts = req.Options
-			// Decoded systems are server-owned and never mutated, so
-			// they intern: duplicate posts across connections (and
-			// across the JSON and binary codecs) collapse onto one
-			// resident copy.
-			sys, fp = s.svc.Intern(sys)
-			s.parse.put(key, sys, fp, opts)
+		sys, fp, opts, err = s.resolveJSON(body, sess)
+	}
+	if err != nil {
+		return err
+	}
+	if sess != nil {
+		if opts == (OptionsSpec{}) {
+			opts = sess.opt
+		}
+		if opts.Static {
+			return fmt.Errorf("%w: static analysis is not session-scoped (use /v1/analyze)", spec.ErrInvalid)
 		}
 	}
 	ctx, cancel, dms, err := requestCtx(r, opts)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+		return err
 	}
 	defer cancel()
-	res, err := s.svc.AnalyzeFingerprinted(ctx, fp, sys, opts.analysis(s.def), opts.Static)
+	var res *analysis.Result
+	if sess == nil {
+		res, err = s.svc.AnalyzeFingerprinted(ctx, fp, sys, opts.analysis(s.def), opts.Static)
+	} else {
+		res, err = sess.probe.AnalyzeFingerprinted(ctx, fp, sys, opts.analysis(s.def))
+	}
 	if err != nil {
-		s.writeError(w, errStatus(err), err, start, dms)
-		return
+		return deadlineError{err, dms}
+	}
+	if sess != nil {
+		sess.base = sys
 	}
 	if isBinaryMedia(r.Header.Get("Accept")) {
 		writeBinaryAnalyzeResponse(w, res, elapsedMS(start))
-		return
+		return nil
 	}
-	writeJSON(w, http.StatusOK, buildAnalyzeResponse(res, opts.Bounds, elapsedMS(start)))
+	resp := buildAnalyzeResponse(res, opts.Bounds, elapsedMS(start))
+	if sess != nil {
+		ss := sess.probe.Stats()
+		resp.SessionStats = &ss
+	}
+	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-// bodyKey is the parse-memo key of a raw request body.
-func bodyKey(body []byte) [sha256.Size]byte {
-	if len(body) == 0 {
-		return [sha256.Size]byte{}
+// resolveJSON decodes a JSON analyze body into the resident system,
+// its fingerprint and the request's options block. A sessionless body
+// carries a full spec (or is a bare spec document) and goes through
+// the parse memo: the decode path (JSON into the request struct, spec
+// conversion, validation) costs far more than a memo-hit analysis
+// does, so a byte-identical repeated body short-circuits on a hash of
+// the raw bytes — which, with the fingerprint cached at parse time, is
+// the request's only hash. A session's body carries a full spec or an
+// edit against the session's last accepted system.
+func (s *Server) resolveJSON(body []byte, sess *session) (*model.System, model.Fingerprint, OptionsSpec, error) {
+	var key [sha256.Size]byte
+	if sess == nil {
+		// An empty body is never put (it has no system), so it never hits.
+		key = sha256.Sum256(body)
+		if cached, ok := s.parse.get(key); ok {
+			return cached.sys, cached.fp, cached.opt, nil
+		}
 	}
-	return sha256.Sum256(body)
+	var req AnalyzeRequest
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, model.Fingerprint{}, OptionsSpec{}, fmt.Errorf("%w: decoding request: %w", spec.ErrInvalid, err)
+		}
+	}
+	if sess == nil && req.System == nil && len(body) > 0 {
+		// curl friendliness: accept a bare spec document too.
+		var f spec.File
+		if json.Unmarshal(body, &f) == nil && len(f.Transactions) > 0 {
+			req.System = &f
+		}
+	}
+	var (
+		sys *model.System
+		err error
+	)
+	switch {
+	case req.Edit != nil && sess == nil:
+		err = fmt.Errorf("%w: edit requires a session-scoped analyze", spec.ErrInvalid)
+	case req.System != nil && req.Edit != nil:
+		err = fmt.Errorf("%w: request has both system and edit", spec.ErrInvalid)
+	case req.System != nil:
+		sys, err = req.System.ToSystem()
+	case req.Edit == nil:
+		err = fmt.Errorf("%w: request has no system or edit", spec.ErrInvalid)
+	case sess.base == nil:
+		err = fmt.Errorf("%w: edit against a session with no accepted system yet", spec.ErrInvalid)
+	default:
+		sys, err = req.Edit.apply(sess.base)
+	}
+	if err != nil {
+		return nil, model.Fingerprint{}, OptionsSpec{}, err
+	}
+	// Both arms produce a server-owned system (ToSystem builds fresh,
+	// apply clones before editing) that is never mutated, so interning
+	// is safe: duplicate posts across connections (and across the JSON
+	// and binary codecs) and a probe chain's revisited states collapse
+	// onto one resident copy.
+	sys, fp := s.svc.Intern(sys)
+	if sess == nil {
+		s.parse.put(key, sys, fp, req.Options)
+	}
+	return sys, fp, req.Options, nil
 }
 
-func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	var req AssignRequest
-	if err := s.readBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+	if err := readBody(r, &req); err != nil {
+		return err
 	}
 	if req.System == nil {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: request has no system", spec.ErrInvalid), start, 0)
-		return
+		return fmt.Errorf("%w: request has no system", spec.ErrInvalid)
 	}
 	policy := sched.Policy(req.Policy)
 	if req.Policy == "" {
@@ -520,19 +583,15 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		valid = valid || p == policy
 	}
 	if !valid {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: unknown policy %q", spec.ErrInvalid, req.Policy), start, 0)
-		return
+		return fmt.Errorf("%w: unknown policy %q", spec.ErrInvalid, req.Policy)
 	}
 	sys, err := req.System.ToSystem()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+		return err
 	}
 	ctx, cancel, dms, err := requestCtx(r, req.Options)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+		return err
 	}
 	defer cancel()
 	res, _, err := sched.Assign(ctx, sys, policy, sched.AssignOptions{
@@ -541,8 +600,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		Service:    s.svc,
 	})
 	if err != nil {
-		s.writeError(w, errStatus(err), err, start, dms)
-		return
+		return deadlineError{err, dms}
 	}
 	resp := &AssignResponse{
 		AnalyzeResponse: *buildAnalyzeResponse(res, req.Options.Bounds, elapsedMS(start)),
@@ -556,34 +614,29 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		resp.Priorities = append(resp.Priorities, prio)
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	var req MinimizeRequest
-	if err := s.readBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+	if err := readBody(r, &req); err != nil {
+		return err
 	}
 	if req.System == nil {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: request has no system", spec.ErrInvalid), start, 0)
-		return
+		return fmt.Errorf("%w: request has no system", spec.ErrInvalid)
 	}
 	sys, err := req.System.ToSystem()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+		return err
 	}
 	families, err := buildFamilies(req.Families, sys)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+		return err
 	}
 	ctx, cancel, dms, err := requestCtx(r, req.Options)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+		return err
 	}
 	defer cancel()
 	res, err := design.MinimizeContext(ctx, sys, families, design.Options{
@@ -593,8 +646,7 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		Service:   s.svc,
 	})
 	if err != nil {
-		s.writeError(w, errStatus(err), err, start, dms)
-		return
+		return deadlineError{err, dms}
 	}
 	resp := &MinimizeResponse{
 		Alphas:         res.Alphas,
@@ -607,6 +659,7 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // buildFamilies maps the request's family specs to design families;
@@ -653,147 +706,40 @@ func buildFamilies(fs []FamilySpec, sys *model.System) ([]design.Family, error) 
 	return out, nil
 }
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) error {
 	var req SessionRequest
-	if err := s.readBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
+	if err := readBody(r, &req); err != nil {
+		return err
 	}
-	sess, err := s.sessions.create(s.svc, req.Options)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err, start, 0)
-		return
-	}
-	writeJSON(w, http.StatusOK, &SessionResponse{Token: sess.token})
+	writeJSON(w, http.StatusOK, &SessionResponse{Token: s.sessions.create(s.svc, req.Options).token})
+	return nil
 }
 
-func (s *Server) handleSessionAnalyze(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) error {
 	sess := s.sessions.lookup(r.PathValue("token"))
 	if sess == nil {
-		s.writeError(w, http.StatusNotFound, errors.New("httpd: unknown session token"), start, 0)
-		return
-	}
-	body, pb, err := s.rawBody(r)
-	defer pb.release()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
-	}
-	binaryReq := isBinaryMedia(r.Header.Get("Content-Type"))
-	var req AnalyzeRequest
-	if !binaryReq && len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: decoding request: %w", spec.ErrInvalid, err), start, 0)
-			return
-		}
-	}
-
-	// Serialise probes on the session: chained-edit determinism (and
-	// the edit base) only exists for sequential probes.
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-
-	var sys *model.System
-	var fp model.Fingerprint
-	ropt := req.Options
-	if binaryReq {
-		// Binary probes always carry a full system (edits are a JSON
-		// shape); a repeated probe body is recognised in the intern
-		// pool by the hash of its wire bytes, with zero decoding.
-		var sysBytes []byte
-		ropt, sysBytes, err = decodeBinaryAnalyzeRequest(body)
-		if err == nil {
-			sys, fp, _, err = s.resolveBinarySystem(sysBytes)
-		}
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err, start, 0)
-			return
-		}
-	}
-	if ropt == (OptionsSpec{}) {
-		ropt = sess.opt
-	}
-	if ropt.Static {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: static analysis is not session-scoped (use /v1/analyze)", spec.ErrInvalid), start, 0)
-		return
-	}
-
-	if !binaryReq {
-		switch {
-		case req.System != nil && req.Edit != nil:
-			err = fmt.Errorf("%w: request has both system and edit", spec.ErrInvalid)
-		case req.System != nil:
-			sys, err = req.System.ToSystem()
-		case req.Edit != nil:
-			if sess.base == nil {
-				err = fmt.Errorf("%w: edit against a session with no accepted system yet", spec.ErrInvalid)
-			} else {
-				sys, err = req.Edit.apply(sess.base)
-			}
-		default:
-			err = fmt.Errorf("%w: request has neither system nor edit", spec.ErrInvalid)
-		}
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err, start, 0)
-			return
-		}
-		// Both arms produce a server-owned system (ToSystem builds
-		// fresh, apply clones before editing), so interning is safe
-		// and collapses a probe chain's revisited states onto the
-		// resident copies.
-		sys, fp = s.svc.Intern(sys)
-	}
-
-	ctx, cancel, dms, err := requestCtx(r, ropt)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err, start, 0)
-		return
-	}
-	defer cancel()
-	res, err := sess.probe.AnalyzeFingerprinted(ctx, fp, sys, ropt.analysis(s.def))
-	if err != nil {
-		s.writeError(w, errStatus(err), err, start, dms)
-		return
-	}
-	sess.base = sys
-
-	if isBinaryMedia(r.Header.Get("Accept")) {
-		writeBinaryAnalyzeResponse(w, res, elapsedMS(start))
-		return
-	}
-	resp := buildAnalyzeResponse(res, ropt.Bounds, elapsedMS(start))
-	ss := sess.probe.Stats()
-	resp.SessionStats = &ss
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
-	sess := s.sessions.lookup(r.PathValue("token"))
-	if sess == nil {
-		s.writeError(w, http.StatusNotFound, errors.New("httpd: unknown session token"), time.Now(), 0)
-		return
+		return errNoSession
 	}
 	writeJSON(w, http.StatusOK, sess.probe.Stats())
+	return nil
 }
 
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) error {
 	if !s.sessions.remove(r.PathValue("token")) {
-		s.writeError(w, http.StatusNotFound, errors.New("httpd: unknown session token"), time.Now(), 0)
-		return
+		return errNoSession
 	}
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
+	return nil
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	return nil
 }
 
 func (s *Server) statsSnapshot() *StatsResponse {
@@ -807,9 +753,7 @@ func (s *Server) statsSnapshot() *StatsResponse {
 		UptimeMS:    elapsedMS(s.start),
 		Endpoints:   make(map[string]EndpointStats, len(s.metrics)),
 	}
-	if s.parse != nil {
-		resp.ParseHits = s.parse.hits.Load()
-	}
+	resp.ParseHits = s.parse.hits.Load()
 	resp.BinaryHits = s.binHits.Load()
 	for name, m := range s.metrics {
 		if m.requests.Load() > 0 || m.shed.Load() > 0 {
@@ -829,7 +773,9 @@ func elapsedMS(start time.Time) float64 {
 // within DrainTimeout, stragglers past it are cut off hard, and one
 // final stats line is written to logw. A clean drain returns nil.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, logw io.Writer) error {
-	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
+	// IdleTimeout is negative: zero would inherit ReadTimeout and close
+	// idle keep-alive connections after it.
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readTimeout, ReadTimeout: readTimeout, IdleTimeout: -1}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

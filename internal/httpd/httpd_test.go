@@ -363,11 +363,11 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestParseMemo pins the body-hash decode cache's contract: distinct
-// bodies (same system, different options) never share an entry, a
-// capacity-1 memo survives eviction churn, and a disabled memo still
-// serves every request.
+// bodies (same system, different options) never share an entry, and a
+// capacity-1 memo survives eviction churn.
 func TestParseMemo(t *testing.T) {
-	s := New(Options{ParseMemo: 1})
+	s := New(Options{})
+	s.parse = newParseMemo(1)
 	terse := &AnalyzeRequest{System: paperFile()}
 	bounds := &AnalyzeRequest{System: paperFile(), Options: OptionsSpec{Bounds: true}}
 
@@ -393,16 +393,38 @@ func TestParseMemo(t *testing.T) {
 	if st.ParseHits != 0 {
 		t.Errorf("parse hits %d, want 0 (every body evicted before its repeat)", st.ParseHits)
 	}
+}
 
-	off := New(Options{ParseMemo: -1})
-	for i := 0; i < 2; i++ {
-		if w := do(t, off, "POST", "/v1/analyze", terse, &r1); w.Code != http.StatusOK {
-			t.Fatalf("disabled memo, request %d: %d", i, w.Code)
+// TestBodyCap: a body over the 8 MiB cap is a 400 whether its
+// Content-Length declares it, it has none, or it runs past a smaller
+// declared length (rawBody's spill branch), and the pooled read
+// buffer still serves the next well-formed request.
+func TestBodyCap(t *testing.T) {
+	s := New(Options{})
+	over := bytes.Repeat([]byte(" "), maxBody+1)
+	for _, tc := range []struct {
+		name     string
+		declared int64
+	}{
+		{"declared over the cap", int64(len(over))},
+		{"no content length", -1},
+		{"longer than declared", 16},
+	} {
+		req := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(over))
+		req.ContentLength = tc.declared
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		var er ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
+			t.Fatalf("%s: error body %q: %v", tc.name, w.Body.String(), err)
+		}
+		if w.Code != http.StatusBadRequest || !strings.Contains(er.Error, "too large") {
+			t.Errorf("%s: status %d, error %q; want 400 naming the size", tc.name, w.Code, er.Error)
 		}
 	}
-	do(t, off, "GET", "/v1/stats", nil, &st)
-	if st.ParseHits != 0 {
-		t.Errorf("disabled memo recorded %d hits", st.ParseHits)
+	var resp AnalyzeResponse
+	if w := do(t, s, "POST", "/v1/analyze", &AnalyzeRequest{System: paperFile()}, &resp); w.Code != http.StatusOK || !resp.Schedulable {
+		t.Fatalf("well-formed request after the capped ones: status %d: %s", w.Code, w.Body.String())
 	}
 }
 

@@ -40,18 +40,11 @@ type parseMemo struct {
 }
 
 func newParseMemo(capacity int) *parseMemo {
-	if capacity <= 0 {
-		return nil
-	}
 	return &parseMemo{byKey: cache.New[[sha256.Size]byte, *parsedAnalyze](capacity)}
 }
 
-// get returns the cached parse for a body hash, if any. A nil memo
-// (disabled) never hits.
+// get returns the cached parse for a body hash, if any.
 func (p *parseMemo) get(key [sha256.Size]byte) (*parsedAnalyze, bool) {
-	if p == nil {
-		return nil, false
-	}
 	p.mu.Lock()
 	e := p.byKey.Get(key)
 	if e == nil {
@@ -67,9 +60,6 @@ func (p *parseMemo) get(key [sha256.Size]byte) (*parsedAnalyze, bool) {
 
 // put records a successful parse, evicting past capacity.
 func (p *parseMemo) put(key [sha256.Size]byte, sys *model.System, fp model.Fingerprint, opt OptionsSpec) {
-	if p == nil {
-		return
-	}
 	parsed := &parsedAnalyze{sys: sys, fp: fp, opt: opt}
 	p.mu.Lock()
 	p.byKey.Put(key, parsed)

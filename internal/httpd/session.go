@@ -3,7 +3,6 @@ package httpd
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"sync"
 
 	"hsched/internal/cache"
@@ -55,11 +54,9 @@ func newSessions(cap int) *sessions {
 // full it evicts one session, dropping its seed: the oldest never-used
 // one leaving probation, or else one not looked up since the last
 // sweep.
-func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, error) {
+func (r *sessions) create(svc *service.Service, opt OptionsSpec) *session {
 	var buf [16]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		return nil, fmt.Errorf("httpd: session token: %w", err)
-	}
+	rand.Read(buf[:]) // never returns an error since Go 1.24
 	s := &session{
 		token: hex.EncodeToString(buf[:]),
 		probe: svc.NewSession(),
@@ -81,7 +78,7 @@ func (r *sessions) create(svc *service.Service, opt OptionsSpec) (*session, erro
 		r.evicted++
 	}
 	r.created++
-	return s, nil
+	return s
 }
 
 // lookup returns the session for token, touching it, or nil.

@@ -84,7 +84,7 @@
 //     stripes;
 //
 //   - a fingerprint-keyed intern pool (Intern, InternFingerprinted,
-//     Interned; Options.InternCapacity) sitting in front of the
+//     Interned; sized by Options.Capacity) sitting in front of the
 //     ladder for callers that decode systems from bytes. Interning a
 //     system returns the canonical resident *model.System for its
 //     fingerprint, so a population of duplicate-heavy traffic (an

@@ -40,7 +40,7 @@ func TestServiceFreshEntryNotSelfEvicted(t *testing.T) {
 // is looked up before the next arrives, so it leaves probation for
 // main instead of being dropped.
 func TestInternFreshEntryNotSelfEvicted(t *testing.T) {
-	svc := service.New(service.Options{Shards: 1, InternCapacity: 2})
+	svc := service.New(service.Options{Shards: 1, Capacity: 2})
 	var fps []model.Fingerprint
 	for _, seed := range []int64{4, 5} {
 		_, fp := svc.Intern(testSystem(t, seed))

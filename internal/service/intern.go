@@ -11,11 +11,11 @@ import "hsched/internal/model"
 // place must keep its private copy and skip interning.
 //
 // The pool lives in the stripes beside the memo, each slice a
-// cache.Clock of ceil(InternCapacity/Shards) entries. Eviction only
+// cache.Clock of ceil(Capacity/Shards) entries. Eviction only
 // drops the pool's reference: a resident still held by a caller or a
 // memoised Result simply stops being shared with future requests.
 //
-// With interning disabled (Options.InternCapacity < 0) sys is returned
+// With interning disabled (Options.Capacity < 0) sys is returned
 // unchanged and nothing is counted.
 func (s *Service) Intern(sys *model.System) (*model.System, model.Fingerprint) {
 	fp := sys.Fingerprint()

@@ -89,7 +89,7 @@ func TestInternedZeroDecode(t *testing.T) {
 // exact: a, looked up before b arrives, leaves probation for main, and
 // c drops b from probation.
 func TestInternEviction(t *testing.T) {
-	svc := New(Options{Shards: 1, InternCapacity: 2})
+	svc := New(Options{Shards: 1, Capacity: 2})
 	mk := func(period float64) *model.System {
 		sys := internTestSystem(t)
 		sys.Transactions[0].Period = period
@@ -120,7 +120,7 @@ func TestInternEviction(t *testing.T) {
 // nothing, which holds because a Put evicts at most one entry.
 func TestInternResidentGauge(t *testing.T) {
 	const population, ops = 64, 4000
-	svc := New(Options{Shards: 4, InternCapacity: 16})
+	svc := New(Options{Shards: 4, Capacity: 16})
 	systems := make([]*model.System, population)
 	fps := make([]model.Fingerprint, population)
 	for k := range systems {
@@ -204,7 +204,7 @@ func TestInternConcurrentWithMemo(t *testing.T) {
 // TestInternDisabled asserts a negative capacity turns interning off:
 // arguments pass through unchanged and nothing is counted.
 func TestInternDisabled(t *testing.T) {
-	svc := New(Options{InternCapacity: -1})
+	svc := New(Options{Capacity: -1})
 	sys := internTestSystem(t)
 	got, fp := svc.Intern(sys)
 	if got != sys || fp != sys.Fingerprint() {

@@ -25,11 +25,12 @@ type Options struct {
 	// concurrently. 0 selects runtime.GOMAXPROCS(0).
 	Shards int
 
-	// Capacity bounds the verdict memo in entries (whole detached
-	// Results), divided evenly across stripes. 0 selects 4096; a
-	// negative value disables memoisation entirely (every query runs an
-	// analysis) while keeping the engine pool and in-flight
-	// deduplication.
+	// Capacity bounds the verdict memo (whole detached Results) and,
+	// separately, the intern pool of canonical resident systems (see
+	// Intern), each in entries divided evenly across stripes. 0 selects
+	// 4096; a negative value disables both: every query runs an
+	// analysis (the engine pool and in-flight deduplication stay) and
+	// Intern returns its argument unchanged.
 	Capacity int
 
 	// Analysis is the default analysis configuration used by Analyze
@@ -45,12 +46,6 @@ type Options struct {
 	// that mutate one transaction at a time. A query without a session
 	// always runs cold on a miss.
 	DisableDelta bool
-
-	// InternCapacity bounds the fingerprint-keyed intern pool of
-	// canonical resident systems (see Intern) in entries, divided
-	// evenly across stripes. 0 selects 4096; a negative value disables
-	// interning (Intern returns its argument unchanged).
-	InternCapacity int
 }
 
 func (o Options) shards() int {
@@ -68,17 +63,6 @@ func (o Options) capacity() int {
 		return 4096
 	default:
 		return o.Capacity
-	}
-}
-
-func (o Options) internCapacity() int {
-	switch {
-	case o.InternCapacity < 0:
-		return 0
-	case o.InternCapacity == 0:
-		return 4096
-	default:
-		return o.InternCapacity
 	}
 }
 
@@ -298,14 +282,13 @@ func New(opt Options) *Service {
 	n := opt.shards()
 	s := &Service{opt: opt, stripes: make([]stripe, n)}
 	capPerStripe := perStripe(opt.capacity(), n)
-	internPerStripe := perStripe(opt.internCapacity(), n)
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.memo = cache.New[cacheKey, *analysis.Result](capPerStripe)
 		st.inflight = make(map[cacheKey]*inflight)
 		st.engines = make(map[engineKey]*analysis.Engine)
-		if internPerStripe > 0 {
-			st.intern = cache.New[model.Fingerprint, *model.System](internPerStripe)
+		if capPerStripe > 0 {
+			st.intern = cache.New[model.Fingerprint, *model.System](capPerStripe)
 		}
 	}
 	return s
