@@ -167,10 +167,11 @@ type (
 	// evaluating every scenario. One Analyzer serves one goroutine;
 	// results are identical for every worker count.
 	// Analyzer.AnalyzeFrom re-analyses an edited system incrementally,
-	// seeded by a previous result — including each sweep's critical
-	// scenario, re-evaluated as the next sweep's incumbent floor, the
-	// state that makes exact-oracle search chains tractable —
-	// bit-identical to a cold Analyze, a fraction of the work.
+	// replaying the previous result's per-round history for the tasks
+	// the edit cannot reach — bit-identical to a cold Analyze, a
+	// fraction of the work. An Analyzer carries buffers from one
+	// analysis to the next, never values: each analysis reports the
+	// same bounds and work counts as on a fresh Analyzer.
 	Analyzer = analysis.Engine
 	// AnalysisDelta describes how much work an incremental re-analysis
 	// skipped (AnalysisResult.Delta, non-nil on the delta path).
@@ -212,12 +213,8 @@ type (
 	// (Service.NewSession): it holds the caller's previous result as
 	// the explicit seed of the next query, so search loops analysing
 	// chains of one-edit-apart systems ride the incremental path
-	// deterministically. The pinned result carries the previous
-	// probe's exact-sweep state too — each task's critical scenario,
-	// re-evaluated as the next sweep's branch-and-bound incumbent —
-	// which is what keeps exact-oracle search chains tractable. The
-	// priority-assignment searches and the bandwidth minimisation
-	// probe through one.
+	// deterministically. The priority-assignment searches and the
+	// bandwidth minimisation probe through one.
 	ProbeSession = service.Session
 	// SessionStats is a snapshot of one probe session's counters
 	// (probes, memo hits, executed analyses, delta hits, rounds
@@ -416,8 +413,9 @@ var (
 // NewAnalyzer returns a reusable analysis engine with the given
 // options. Construct one per goroutine and call its Analyze /
 // AnalyzeStatic methods across many systems: consecutive analyses of
-// same-shaped systems reuse every cache and buffer, which is what the
-// batch sweeps rely on for throughput. Unlike the service-backed
+// same-sized systems reuse every buffer, which is what the batch
+// sweeps rely on for throughput; no value crosses from one analysis
+// to the next. Unlike the service-backed
 // entry points, every result is a private copy the caller may mutate.
 func NewAnalyzer(opt AnalysisOptions) *Analyzer {
 	return analysis.NewEngine(opt)

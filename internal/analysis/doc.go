@@ -18,24 +18,25 @@
 // higher-priority interference cache of Eq. (17), reduced-offset and
 // best-bound buffers, the per-round result matrices, and a pool of
 // per-task scenario buffers — and amortises all of it across calls.
-// Consecutive analyses of systems with the same shape (task counts,
-// platform mapping, priorities) reuse every cache, which makes the
-// hot callers (acceptance-ratio sweeps, the MinimizeBandwidth design
-// search, sensitivity probes) allocation-free on the analysis path.
+// Consecutive analyses of systems with the same task counts reuse
+// every buffer, which makes the hot callers (acceptance-ratio sweeps,
+// the MinimizeBandwidth design search, sensitivity probes)
+// allocation-free on the analysis path. Buffers cross analyses,
+// values never: every analysis rebuilds what it reads, so its bounds
+// and work counts are those of a fresh engine.
 //
 // Each round of the holistic fixed point runs as an explicit pipeline:
 //
 //  1. interference construction — bind the working system, rebuild
-//     the hp cache only when the shape changed, refresh the reduced
-//     offsets of Eq. (10);
+//     the hp cache in place, refresh the reduced offsets of Eq. (10);
 //  2. scenario enumeration — per task, loop over the Na+1 candidate
 //     initiators of the approximate analysis (Sec. 3.1.2), or stream
 //     the exact scenario product (Sec. 3.1.1) from a mixed-radix
 //     cursor, skipping subtrees the admissible bound of Eq. (15)
-//     refutes and seeding the incumbent with the task's previous
-//     critical scenario; the result is the first maximum over every
-//     scenario, bit for bit, which the tests check against a naive
-//     sweep that evaluates each one;
+//     refutes and seeding the incumbent with the task's critical
+//     scenario of the previous round; the result is the first maximum
+//     over every scenario, bit for bit, which the tests check against
+//     a naive sweep that evaluates each one;
 //  3. per-task response — the tasks of a round are independent, so
 //     their response times (Eq. 13-16) are computed on
 //     Options.Workers goroutines via the batch runner and collected

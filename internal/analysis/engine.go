@@ -18,16 +18,16 @@ import (
 // best-case bounds and round results, pooled per-task scenario
 // buffers) and amortises them across calls. Construct one with
 // NewEngine and call Analyze / AnalyzeStatic any number of times; on
-// systems of the same shape (task counts, platform mapping,
-// priorities) consecutive calls reuse all caches and run with near
-// zero allocations, and after an edit only the slabs the edit touched
-// are rebuilt.
+// systems of the same dimensions consecutive calls reuse every buffer
+// and run with near zero allocations. The engine carries buffers from
+// one analysis to the next, never values: an analysis's outcome and
+// work counts are the same on a fresh engine.
 //
 // Each fixed-point round is executed as an explicit pipeline:
 //
 //  1. interference construction — the analyzer rebinds the working
-//     system, rebuilding only the hp rows an edit invalidated and
-//     refreshing the reduced offsets of Eq. (10);
+//     system, rebuilding its hp rows in place and refreshing the
+//     reduced offsets of Eq. (10);
 //  2. scenario enumeration — per task, the approximate analysis
 //     (Sec. 3.1.2) loops over its Na+1 candidate initiators, while the
 //     exact scenario space (Sec. 3.1.1) is streamed one vector at a
@@ -104,18 +104,17 @@ type Engine struct {
 	// response computations of a round run in parallel). On the delta
 	// path only the recomputed tasks contribute — replayed tasks sweep
 	// nothing. subtrees counts the whole-subtree cursor jumps among
-	// them (the branch-and-bound decisions), sweepSeeded / sweepDiscarded
-	// the sweeps that used, respectively threw away, a recorded
-	// incumbent seed, roundCopied the per-task computations the
-	// unchanged-inputs round fast path replaced with a copy, and evals
-	// the W^k_i evaluations of the computed tasks (each task's phase
-	// table counts its own; the total is added once per task).
-	pruned         atomic.Int64
-	subtrees       atomic.Int64
-	evals          atomic.Int64
-	sweepSeeded    atomic.Int64
-	sweepDiscarded atomic.Int64
-	roundCopied    atomic.Int64
+	// them (the branch-and-bound decisions), sweepSeeded the sweeps
+	// that used the previous round's incumbent seed, roundCopied the
+	// per-task computations the unchanged-inputs round fast path
+	// replaced with a copy, and evals the W^k_i evaluations of the
+	// computed tasks (each task's phase table counts its own; the
+	// total is added once per task).
+	pruned      atomic.Int64
+	subtrees    atomic.Int64
+	evals       atomic.Int64
+	sweepSeeded atomic.Int64
+	roundCopied atomic.Int64
 
 	// jitChanged[i] reports whether any task of transaction i changed
 	// jitter (bitwise) in the last propagation step.
@@ -201,7 +200,6 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 	e.deltaSaved = 0
 	e.resetCounters()
 	e.initBounds()
-	e.installSweepSeeds(prev)
 
 	// Initial conditions of Section 3.2: J = 0, φ = Rbest (Eq. 18). The
 	// best starts already include the first task's external release
@@ -329,7 +327,6 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 	}
 	res.history = history
 	res.rkey = e.opt.ReplayKey()
-	res.sweepNu = e.harvestSweepSeeds()
 	if e.plan != nil {
 		res.Delta = &DeltaInfo{
 			CleanTasks:      len(e.plan.clean),
@@ -347,72 +344,7 @@ func (e *Engine) resetCounters() {
 	e.subtrees.Store(0)
 	e.evals.Store(0)
 	e.sweepSeeded.Store(0)
-	e.sweepDiscarded.Store(0)
 	e.roundCopied.Store(0)
-}
-
-// installSweepSeeds copies the cross-probe sweep summary of a seed
-// Result into the engine's slabs, where the exact sweeps of this
-// analysis pick the vectors up as incumbent seeds. Installation is
-// positional (transaction and task counts must line up — the same
-// correspondence the delta planner replays under) and per-seed
-// validation happens at sweep time: a vector whose axes no longer
-// match the task's interference shape is discarded there, so a seed
-// that is stale — or from a one-edit-apart system — costs one shape
-// check, never a wrong bound. prev is only read; the slabs get copies.
-func (e *Engine) installSweepSeeds(prev *Result) {
-	if prev == nil || !e.opt.Exact {
-		return
-	}
-	if len(prev.sweepNu) != len(e.an.slabs) {
-		return
-	}
-	for i, row := range prev.sweepNu {
-		sl := &e.an.slabs[i]
-		if len(row) != len(sl.seedNu) {
-			continue
-		}
-		for b, nu := range row {
-			if len(nu) > 0 {
-				sl.seedNu[b] = append(sl.seedNu[b][:0], nu...)
-			}
-		}
-	}
-}
-
-// harvestSweepSeeds deep-copies the slabs' recorded critical scenario
-// vectors into a Result-owned summary — the prune state a later
-// AnalyzeFrom re-seeds from. nil when the result cannot serve as a
-// seed anyway (approximate analysis, replay state disabled).
-func (e *Engine) harvestSweepSeeds() [][][]initiator {
-	if !e.opt.Exact || e.opt.DisableReplayState {
-		return nil
-	}
-	total := 0
-	for i := range e.an.slabs {
-		for _, nu := range e.an.slabs[i].seedNu {
-			total += len(nu)
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	block := make([]initiator, 0, total)
-	sweep := make([][][]initiator, len(e.an.slabs))
-	for i := range e.an.slabs {
-		seeds := e.an.slabs[i].seedNu
-		row := make([][]initiator, len(seeds))
-		for b, nu := range seeds {
-			if len(nu) == 0 {
-				continue
-			}
-			start := len(block)
-			block = append(block, nu...)
-			row[b] = block[start:len(block):len(block)]
-		}
-		sweep[i] = row
-	}
-	return sweep
 }
 
 // maxHistoryCells bounds the replay state retained on a Result:
@@ -492,8 +424,8 @@ func (e *Engine) AnalyzeStaticContext(ctx context.Context, sys *model.System) (*
 }
 
 // bind copies sys into the engine's working system, rebinds the
-// analyzer (which resizes the slabs and selectively rebuilds hp rows)
-// and refreshes the flat work list.
+// analyzer (which resizes the slabs, rebuilds the hp rows and empties
+// the sweep seeds) and refreshes the flat work list.
 func (e *Engine) bind(sys *model.System) {
 	e.copySystem(sys)
 	e.an.bind(e.work, e.opt)
@@ -676,9 +608,6 @@ func (e *Engine) analyzeTask(i, j int, ts *taskScratch) error {
 	}
 	if st.seeded {
 		e.sweepSeeded.Add(1)
-	}
-	if st.discarded {
-		e.sweepDiscarded.Add(1)
 	}
 	if err != nil {
 		// Cancellation is not a property of the task being analysed:

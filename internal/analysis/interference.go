@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 
 	"hsched/internal/model"
 )
@@ -13,18 +12,14 @@ var ErrTooManyScenarios = fmt.Errorf("analysis: exact scenario count exceeds lim
 
 // txSlab is the per-transaction slab of analysis state: everything the
 // engine and analyzer know about one transaction Γa lives here, keyed
-// by the transaction's position in the system under analysis. Keeping
-// the state transaction-keyed (instead of flat system-wide matrices)
-// lets consecutive analyses of edited systems invalidate exactly the
-// slabs an edit touched: the interference rows of an unchanged
-// transaction survive a neighbour's retuning, which is what the
-// incremental re-analysis path (Engine.AnalyzeFrom) builds on.
+// by the transaction's position in the system under analysis. The
+// slabs carry buffers from one analysis to the next, never values:
+// every field is rewritten (by bind, or by the stage that owns it)
+// before an analysis reads it, so the outcome and the work counts of
+// an analysis never depend on what the engine analysed before. The replay the incremental path
+// (Engine.AnalyzeFrom) builds on comes from the seed Result's history,
+// not from the slabs.
 type txSlab struct {
-	// shape is the structural signature (task count plus per-task
-	// platform and priority) the hp rows were built under; bind
-	// rebuilds only slabs whose signature moved.
-	shape []int
-
 	// hp[b][i] lists the task indices j of transaction i that can
 	// interfere with τa,b per Eq. (17): priority ≥ pa,b and same
 	// platform. For i == a the task (a, b) itself is excluded (its own
@@ -57,11 +52,12 @@ type txSlab struct {
 	lastRound []TaskResult
 
 	// seedNu[b] is the critical scenario vector the last completed
-	// exact sweep of τa,b recorded — the incumbent seed of the next
-	// sweep of the same task (see analyzer.exactSweep). It survives
-	// across analyses of same-shaped systems (that is the cross-probe
-	// reuse) and is cleared whenever the slab's shape moves; a
-	// neighbour's shape change is caught per sweep by seedValidFor.
+	// exact sweep of τa,b in the current analysis recorded — the
+	// incumbent seed of the task's sweep in the next round (see
+	// analyzer.exactSweep). bind empties it, so a seed never outlives
+	// its analysis; within one, the hp rows, and with them the
+	// task's scenario axes, are fixed, so a seed always names a member
+	// of the current scenario space.
 	seedNu [][]initiator
 }
 
@@ -70,8 +66,8 @@ type txSlab struct {
 // rewrites between rounds) and the transaction-keyed slabs holding the
 // interference rows and reduced offsets. It is the
 // interference-construction stage of the engine pipeline: bind
-// attaches a system (rebuilding only the hp rows an edit invalidated)
-// and refreshOffsets derives the reduced offsets feeding Eq. (10)/(11).
+// attaches a system and rebuilds its hp rows, and refreshOffsets
+// derives the reduced offsets feeding Eq. (10)/(11).
 type analyzer struct {
 	sys *model.System
 	opt Options
@@ -79,45 +75,16 @@ type analyzer struct {
 	// slabs is the per-transaction state, indexed like
 	// sys.Transactions.
 	slabs []txSlab
-
-	// nPlatforms is the platform count the slabs were built under; a
-	// different count invalidates every hp row (platform indices are
-	// incomparable across counts).
-	nPlatforms int
-
-	// sigBuf is the scratch the next signature is computed into;
-	// changedBuf and changedMark stage the set of slabs an edit
-	// touched.
-	sigBuf      []int
-	changedBuf  []int
-	changedMark []bool
-}
-
-// shapeSignatureTx appends the structural signature of transaction i
-// to dst: the task count plus every task's platform index and priority
-// — exactly the per-transaction inputs the hp rows depend on (Eq. 17).
-func shapeSignatureTx(dst []int, sys *model.System, i int) []int {
-	tasks := sys.Transactions[i].Tasks
-	dst = append(dst, len(tasks))
-	for j := range tasks {
-		dst = append(dst, tasks[j].Platform, tasks[j].Priority)
-	}
-	return dst
 }
 
 // bind attaches a system to the analyzer. Slabs are resized to the
-// system's dimensions (reusing backing arrays) and the interference
-// rows are rebuilt selectively: a slab whose own shape changed gets a
-// full row rebuild, an untouched slab only re-derives the sub-slices
-// that reference shape-changed transactions — unchanged transactions
-// keep their interference state across a neighbour's edit. bind does
-// not refresh the reduced offsets; each entry point runs that stage
-// itself (the holistic loop refreshes at the top of every iteration).
+// system's dimensions (reusing backing arrays), every hp row is
+// rebuilt in place and every sweep seed is emptied. bind does not
+// refresh the reduced offsets; each entry point runs that stage
+// itself.
 func (an *analyzer) bind(sys *model.System, opt Options) {
 	an.sys, an.opt = sys, opt
 	n := len(sys.Transactions)
-	full := len(an.slabs) != n || an.nPlatforms != len(sys.Platforms)
-	an.nPlatforms = len(sys.Platforms)
 	if cap(an.slabs) < n {
 		slabs := make([]txSlab, n)
 		copy(slabs, an.slabs)
@@ -125,13 +92,6 @@ func (an *analyzer) bind(sys *model.System, opt Options) {
 	} else {
 		an.slabs = an.slabs[:n]
 	}
-	if cap(an.changedMark) < n {
-		an.changedMark = make([]bool, n)
-	} else {
-		an.changedMark = an.changedMark[:n]
-	}
-
-	changed := an.changedBuf[:0]
 	for i := range an.slabs {
 		sl := &an.slabs[i]
 		m := len(sys.Transactions[i].Tasks)
@@ -142,53 +102,16 @@ func (an *analyzer) bind(sys *model.System, opt Options) {
 		sl.round = reuseRow(sl.round, m)
 		sl.prev = reuseRow(sl.prev, m)
 		sl.lastRound = reuseRow(sl.lastRound, m)
-		if len(sl.seedNu) != m {
-			sl.seedNu = make([][]initiator, m)
-		}
-
-		an.sigBuf = shapeSignatureTx(an.sigBuf[:0], sys, i)
-		an.changedMark[i] = full || !slices.Equal(sl.shape, an.sigBuf)
-		if an.changedMark[i] {
-			sl.shape = append(sl.shape[:0], an.sigBuf...)
-			changed = append(changed, i)
-			// A shape change moves the transaction's own scenario axes:
-			// its recorded critical scenarios no longer index the new
-			// candidate sets, so the seeds are dropped, not re-validated.
-			for b := range sl.seedNu {
-				sl.seedNu[b] = sl.seedNu[b][:0]
-			}
+		sl.seedNu = reuseRow(sl.seedNu, m)
+		for b := range sl.seedNu {
+			sl.seedNu[b] = sl.seedNu[b][:0]
 		}
 	}
-	an.changedBuf = changed
-	switch {
-	case len(changed) == 0:
-		// Every slab's shape survived: the hp rows carry over whole.
-	case full || len(changed) == n:
-		for a := range an.slabs {
-			an.buildHPRow(a)
-		}
-	default:
-		for a := range an.slabs {
-			if an.changedMark[a] {
-				// The transaction's own tasks moved: its whole row is stale.
-				an.buildHPRow(a)
-				continue
-			}
-			// Unchanged transaction: only the sub-slices referencing the
-			// shape-changed transactions need re-deriving; everything else
-			// is carried over untouched.
-			sl := &an.slabs[a]
-			for b := range sl.hp {
-				for _, i := range changed {
-					sl.hp[b][i] = an.hpFill(a, b, i, sl.hp[b][i][:0])
-				}
-			}
-		}
+	for a := range an.slabs {
+		an.buildHPRow(a)
 	}
-	// Unlike the hp rows, the overload test reads parameter values
-	// (WCETs, periods, rates), which can move without any shape change
-	// — recompute it on every bind. Still once per analysis, not per
-	// round: nothing it reads is rewritten by the holistic iteration.
+	// Still once per analysis, not per round: nothing the overload
+	// test reads is rewritten by the holistic iteration.
 	an.refreshOverload()
 }
 
@@ -316,9 +239,8 @@ func (an *analyzer) phaseK(i, k, j int) float64 {
 // them bit for bit as interference would at t = L0.
 //
 // The table is rebuilt by every responseTime call and never cached
-// beyond it: jitters move between holistic rounds, and the delta path,
-// sweep seeds and pooled scratch all cross round, analysis and engine
-// boundaries. Every run and every W^k_i(L0) is read at least once per
+// beyond it: jitters move between holistic rounds, and the pooled
+// scratch crosses round, analysis and engine boundaries. Every run and every W^k_i(L0) is read at least once per
 // call (by the W* sums of the approximate scenarios or of pruneBounds,
 // or by the exact sweep itself), so the build never evaluates more
 // phases or W^k_i terms than the per-step sums it replaces.

@@ -231,10 +231,10 @@ type Result struct {
 	// work the branch-and-bound discipline saved. Always 0 for the
 	// approximate analysis. Like Delta it is a work profile, not part
 	// of the analysis outcome: the count is the same for every worker
-	// count, but depends on the replay depth on the delta path
-	// (replayed tasks sweep nothing, so they contribute no prunes) and
-	// on the engine-resident sweep seeds of earlier analyses — the
-	// bounds and verdict are bit-identical regardless.
+	// count and for every engine history (each analysis starts with
+	// empty sweep seeds), but depends on the replay depth on the delta
+	// path (replayed tasks sweep nothing, so they contribute no
+	// prunes) — the bounds and verdict are bit-identical regardless.
 	ScenariosPruned int64
 
 	// SubtreesPruned counts the whole-subtree cursor jumps among the
@@ -265,17 +265,6 @@ type Result struct {
 	// truncated recordings leave it short or empty — the delta path
 	// then falls back (wholly or per-round) to computing.
 	history [][][]TaskResult
-
-	// sweepNu is the exact sweep's cross-probe prune-state summary:
-	// sweepNu[i][j] is the critical scenario vector of τ(i+1),(j+1)'s
-	// final sweep (one initiator per scenario axis; empty when the
-	// task never recorded one). AnalyzeFrom installs it into the next
-	// engine's slabs, where each sweep re-evaluates its entry under
-	// the new inputs as the incumbent seed — or discards it when the
-	// dirty closure moved the task's interference shape. Recorded only
-	// for exact analyses with reuse and replay state enabled; stripped
-	// with the history.
-	sweepNu [][][]initiator
 
 	// rkey identifies the analysis semantics the result was computed
 	// under; a seed is only valid for an analysis with the same key.
@@ -314,12 +303,11 @@ func (r *Result) HasReplayState() bool { return len(r.history) > 0 }
 // results and keeps a full one only as a session's pinned seed, so a
 // large verdict memo does not pin thousands of unreachable histories.
 func (r *Result) WithoutReplayState() *Result {
-	if len(r.history) == 0 && r.sweepNu == nil {
+	if len(r.history) == 0 {
 		return r
 	}
 	c := *r
 	c.history = nil
-	c.sweepNu = nil
 	return &c
 }
 

@@ -117,15 +117,14 @@ const cancelCheckInterval = 256
 
 // sweepStats is the work profile one task's response computation
 // reports upward: the exact scenarios the admissible prune skipped,
-// the whole-subtree cursor jumps among them, and whether a previous
-// sweep's critical scenario seeded (or was discarded as stale by) this
-// sweep's incumbent, plus the W^k_i evaluations the computation spent.
+// the whole-subtree cursor jumps among them, and whether the previous
+// round's critical scenario seeded this sweep's incumbent, plus the
+// W^k_i evaluations the computation spent.
 type sweepStats struct {
-	pruned    int64
-	subtrees  int64
-	evals     int64
-	seeded    bool
-	discarded bool
+	pruned   int64
+	subtrees int64
+	evals    int64
+	seeded   bool
 }
 
 // responseTime computes the worst-case response time R of τa,b
@@ -188,10 +187,9 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 // tree search instead of a per-scenario filter: the admissible
 // per-initiator bounds of pruneBounds let the cursor skip the whole
 // subtree under a Γa initiator with one seek (see sweepRange), and the
-// critical scenario of the previous sweep of the same task — last
-// round, or last analysis via Engine.AnalyzeFrom — is re-evaluated
-// under the current inputs to seed the incumbent the bounds are pruned
-// against.
+// critical scenario of the same task's sweep in the previous round is
+// re-evaluated under the current inputs to seed the incumbent the
+// bounds are pruned against.
 func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha float64, ts *taskScratch) (float64, critical, sweepStats, error) {
 	var st sweepStats
 	axes, aAxis, count, err := an.buildAxes(a, b, hp, ts)
@@ -210,41 +208,31 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		bounds = an.pruneBounds(a, b, hp, alpha, axes[aAxis].cands, ts)
 	}
 
-	// Incumbent seeding: re-evaluate the critical scenario recorded by
-	// the previous sweep of this task under the CURRENT offsets and
-	// jitters. Whatever inputs that scenario was recorded under, it is
-	// a member of the current scenario space once its shape validates,
-	// so its response is ≤ the true maximum — an admissible prune floor
-	// that never enters the result. Pruning against it is strict
-	// (bound < floor): a scenario tying the floor may be the first
-	// maximum and must still be evaluated. A seed whose axes no longer
-	// match (the dirty closure moved the task's interference shape) is
-	// discarded, never trusted. The floor's guaranteed price — one
-	// extra fixed point per sweep — is only ever paid when a seed
-	// exists, i.e. from the second round of a converging task or across
-	// AnalyzeFrom probes, exactly the regimes where the previous
-	// critical scenario is close to (usually is) the current maximum
-	// and the floor prunes most of the space; a gate on sweep size was
-	// tried and measurably hurt the probe-chain workloads, whose sweeps
-	// are small but whose seeds are near-perfect.
+	// Incumbent seeding: re-evaluate the critical scenario the previous
+	// round's sweep of this task recorded under the CURRENT jitters. The
+	// hp rows, and so the axes, are fixed within an analysis, so the
+	// seed is a member of the current scenario space and its response
+	// is ≤ the true maximum — an admissible prune floor that never
+	// enters the result. Pruning against it is strict (bound < floor):
+	// a scenario tying the floor may be the first maximum and must
+	// still be evaluated. The floor's price — one extra fixed point per
+	// sweep — is paid only once the task has been swept earlier in the
+	// analysis, when the previous critical scenario is close to (usually
+	// is) the current maximum and the floor prunes most of the space.
 	floor := 0.0
 	if bounds != nil {
 		if seed := an.slabs[a].seedNu[b]; len(seed) > 0 {
-			if !seedValidFor(axes, seed) {
-				st.discarded = true
-			} else {
-				st.seeded = true
-				r, _, ok := an.scenarioResponse(a, b, scenario{c: seed[aAxis].k, nu: seed}, hp, alpha, &ts.phases)
-				if !ok {
-					// The seed scenario itself diverges under the current
-					// inputs. Its bound diverges too (the bound dominates),
-					// so a cold sweep could never prune it, would evaluate
-					// it, and unbounded is absorbing — the outcome is the
-					// same +Inf either way.
-					return math.Inf(1), unboundedCritical, st, nil
-				}
-				floor = r
+			st.seeded = true
+			r, _, ok := an.scenarioResponse(a, b, scenario{c: seed[aAxis].k, nu: seed}, hp, alpha, &ts.phases)
+			if !ok {
+				// The seed scenario itself diverges under the current
+				// inputs. Its bound diverges too (the bound dominates),
+				// so a cold sweep could never prune it, would evaluate
+				// it, and unbounded is absorbing — the outcome is the
+				// same +Inf either way.
+				return math.Inf(1), unboundedCritical, st, nil
 			}
+			floor = r
 		}
 	}
 
@@ -261,46 +249,17 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 }
 
 // storeSeed records the critical scenario vector of a completed sweep
-// into the transaction's slab, where the next sweep of the same task —
-// next holistic round, or next analysis through Engine.AnalyzeFrom —
-// picks it up as its incumbent seed. Concurrent per-task computations
-// write disjoint slots. An empty vector (nothing beat zero) leaves the
-// previous seed in place: it stays shape-valid and re-evaluation keeps
-// it sound.
+// into the transaction's slab, where the same task's sweep in the next
+// holistic round picks it up as its incumbent seed. Concurrent
+// per-task computations write disjoint slots. An empty vector (nothing
+// beat zero) leaves the previous seed in place: re-evaluation keeps it
+// sound.
 func (an *analyzer) storeSeed(a, b int, critNu []initiator) {
 	if len(critNu) == 0 {
 		return
 	}
 	sl := &an.slabs[a]
 	sl.seedNu[b] = append(sl.seedNu[b][:0], critNu...)
-}
-
-// seedValidFor reports whether a recorded critical scenario vector is
-// a member of the CURRENT scenario space: one initiator per axis, each
-// naming the axis's transaction and one of its candidate tasks. Any
-// edit that moved the task's interference shape (priorities, platform
-// mapping, task counts) fails the check and the stale seed is
-// discarded — an out-of-space vector's response bounds nothing.
-func seedValidFor(axes []axis, seed []initiator) bool {
-	if len(seed) != len(axes) {
-		return false
-	}
-	for i, s := range seed {
-		if s.tr != axes[i].tr {
-			return false
-		}
-		found := false
-		for _, c := range axes[i].cands {
-			if c == s.k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // sweepResult is one exact sweep's reduction: its best response with
@@ -327,9 +286,9 @@ type sweepResult struct {
 // whole subtree instead of stepping through it (on aAxis == 0 the
 // subtree is the scenario itself). The running best may prune ties
 // (bound <= best): a tie with an earlier scenario never updates best
-// under the strict r > best rule. floor is the incumbent seeded from a
-// previous sweep's critical scenario re-evaluated under the current
-// inputs; it is a response some in-space scenario attains, so pruning
+// under the strict r > best rule. floor is the incumbent seeded from
+// the previous round's critical scenario re-evaluated under the
+// current inputs; it is a response some in-space scenario attains, so pruning
 // against it is strict (bound < floor) — a tying scenario may be the
 // first maximum — and it never enters res.best. The running best's
 // full scenario vector is recorded into res.critNu for the next sweep's

@@ -26,9 +26,8 @@ func CriticalScaling(sys *model.System, opt Options, tol, maxFactor float64) (fl
 	}
 
 	// The probes differ only in execution times, so one engine and one
-	// scaled working copy serve the whole search: the engine keeps its
-	// interference cache (the shape never changes) and the copy is
-	// rescaled in place from the pristine input.
+	// scaled working copy serve the whole search: the engine reuses its
+	// buffers and the copy is rescaled in place from the pristine input.
 	fastOpt := opt
 	fastOpt.StopAtDeadlineMiss = true
 	// Every probe rescales every transaction, so no probe could ever

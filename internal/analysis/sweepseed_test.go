@@ -8,11 +8,10 @@ import (
 	"hsched/internal/model"
 )
 
-// seedMutationChain extends sys into the probe-chain shape the
-// session-carried sweep state serves: cumulative one-edit mutations —
-// WCET retunings and one priority swap (an interference-shape change,
-// the case a stale prune-state summary must survive by being
-// discarded, not believed).
+// seedMutationChain extends sys into the probe-chain shape a search
+// session serves: cumulative one-edit mutations — WCET retunings and
+// one priority swap (an interference-shape change, which moves the
+// scenario axes of the tasks it interferes with).
 func seedMutationChain(sys *model.System) []*model.System {
 	chain := []*model.System{sys}
 	step := func(mutate func(*model.System)) {
@@ -36,12 +35,12 @@ func seedMutationChain(sys *model.System) []*model.System {
 	return chain
 }
 
-// TestSweepSeedBitIdentity is the cross-probe metamorphic contract:
+// TestSweepSeedBitIdentity is the probe-chain metamorphic contract:
 // walking a mutation chain through one engine via AnalyzeFrom — each
-// exact sweep seeded by the previous probe's critical scenarios and
-// each round eligible for the unchanged-inputs copy — must hold every
-// round to the naive sweep and reproduce, bit for bit, each step
-// analysed cold on a fresh engine, for every worker count.
+// exact sweep seeded by its task's critical scenario of the previous
+// round and each round eligible for the unchanged-inputs copy — must
+// hold every round to the naive sweep and reproduce, bit for bit, each
+// step analysed cold on a fresh engine, for every worker count.
 func TestSweepSeedBitIdentity(t *testing.T) {
 	gensys, err := gen.System(gen.Config{
 		Seed: 9300, Platforms: 1, Transactions: 3, ChainLen: 4,

@@ -88,8 +88,8 @@ const regressionTolerance = 0.75
 // through the exact scenario sweep — the streamed, pruned
 // branch-and-bound hot path — and reports the scenarios and subtrees
 // the admissible bounds refuted; "exact-search" runs one exact-oracle
-// Audsley search per query, the probe-chain traffic the session-
-// carried sweep state (cross-probe incumbent seeding) accelerates;
+// Audsley search per query, probe chains of exact analyses served by
+// the session-pinned incremental path and the memo;
 // "assign" runs one full Audsley priority-assignment search per query
 // against the shared service, the probe-chain traffic of the sched
 // layer (every probe one priority move apart, served by the session-
@@ -184,10 +184,9 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		}
 	case "exact-search":
 		// One whole exact-oracle Audsley search per query: tens of
-		// probes each one priority move apart, the traffic the
-		// session-carried sweep state (cross-probe incumbent seeding)
-		// exists for. Systems stay small — the cost per query is the
-		// search, not the single sweep.
+		// probes each one priority move apart, every miss an exact
+		// branch-and-bound sweep. Systems stay small — the cost per
+		// query is the search, not the single sweep.
 		if !explicit["exact"] {
 			*exact = true
 		}

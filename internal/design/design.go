@@ -163,7 +163,7 @@ func MinimizeContext(ctx context.Context, sys *model.System, families []Family, 
 	// The feasibility oracle is evaluated hundreds of times on the
 	// same system shape (only platform parameters move) and the
 	// searches below revisit parameter points — the service's resident
-	// engines keep the interference caches warm, its verdict memo
+	// engines keep their buffers warm, its verdict memo
 	// answers every revisited point without re-running the analysis,
 	// and fresh probes run incrementally against the nearest resident
 	// result (the transactions are untouched, so only the tasks of the

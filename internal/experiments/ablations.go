@@ -49,7 +49,7 @@ type ExactVsApproxRow struct {
 func ExactVsApprox(seeds []int64) ([]ExactVsApproxRow, error) {
 	var out []ExactVsApproxRow
 	// The generated systems all share one shape, so the two engines
-	// keep their interference caches warm across the whole sweep.
+	// keep their buffers warm across the whole sweep.
 	exactEng := analysis.NewEngine(analysis.Options{Exact: true})
 	approxEng := analysis.NewEngine(analysis.Options{})
 	for _, seed := range seeds {

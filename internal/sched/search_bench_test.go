@@ -27,8 +27,8 @@ func exactSearchSystem(tb testing.TB) *gen.Config {
 // BenchmarkExactSearch measures one whole Audsley search with the
 // exact oracle: tens of probes, each a branch-and-bound exact sweep,
 // all routed through one probe session so consecutive one-move-apart
-// probes seed each other's sweeps with the previous critical scenario
-// (cross-probe prune-state reuse).
+// probes replay each other's unreached tasks (delta path) and revisits
+// hit the verdict memo.
 func BenchmarkExactSearch(b *testing.B) {
 	cfg := exactSearchSystem(b)
 	sys, err := gen.System(*cfg)

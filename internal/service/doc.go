@@ -75,8 +75,9 @@
 //     turns the rung off;
 //
 //   - a pool of resident analysis.Engines, one set per stripe.
-//     Engines amortise their transaction-keyed slabs (interference
-//     rows, bounds, round buffers) across calls but are
+//     Engines amortise the buffers of their transaction-keyed slabs
+//     (interference rows, bounds, round buffers) across calls, carry
+//     no values from one analysis to the next, and are
 //     single-goroutine; the service keeps each stripe's engines
 //     behind their own mutex and routes queries by
 //     model.System.Fingerprint, so same-system traffic reuses a warm
@@ -109,12 +110,9 @@
 // the chained probes ride the incremental path deterministically,
 // and SessionStats attributes the session's share of the traffic
 // (probes, memo hits, executed analyses, delta hits, rounds saved).
-// The pinned result also carries the previous probe's exact-sweep
-// state — each task's critical scenario vector — which the next
-// probe's sweeps re-evaluate as their branch-and-bound incumbents, so
-// exact-oracle searches prune against what the one-edit-apart
-// predecessor already established (bit-identical either way; stale
-// shapes are discarded, never believed).
+// The pinned result carries replay history only: the exact sweeps of
+// every analysis start with empty incumbent seeds, so a miss does the
+// same work whichever engine, session or earlier query it follows.
 //
 // Every entry point takes a context.Context and cancels the underlying
 // analysis promptly (see analysis.Engine.AnalyzeContext for the

@@ -530,8 +530,8 @@ func (s *Service) countWork(res *analysis.Result) {
 // maxEnginesPerStripe bounds the resident engines one stripe keeps. A
 // serving process normally sees a handful of option sets, but nothing
 // stops clients from sending per-query options (distinct Epsilon or
-// Workers values), and each engine pins interference caches and
-// scratch buffers for the process lifetime — so past the bound an
+// Workers values), and each engine pins its slab and scratch buffers
+// for the process lifetime — so past the bound an
 // arbitrary resident engine is dropped and rebuilt on demand, which
 // only costs the warm-up of the next analysis with its options.
 const maxEnginesPerStripe = 8
