@@ -42,12 +42,13 @@
 //	          └─ Service — concurrency-safe front-end: stripes
 //	             routed by System.Fingerprint, each holding a CLOCK
 //	             verdict memo keyed by (fingerprint, normalised
-//	             options), an intern pool and resident engines;
-//	             singleflight dedup of concurrent identical queries,
-//	             a session's misses re-analysed incrementally off its
-//	             pinned seed, context-aware cancellation
+//	             options) and an intern pool, and running one analysis
+//	             at a time; singleflight dedup of concurrent identical
+//	             queries, a session's misses re-analysed incrementally
+//	             off its pinned seed, context-aware cancellation
 //	              └─ Analyzer (analysis.Engine) — one goroutine's
-//	                 reusable engine: transaction-keyed state slabs,
+//	                 reusable engine (the service draws pooled ones
+//	                 per analysis): transaction-keyed state slabs,
 //	                 per-round parallel response computation, one
 //	                 streamed, pruned exact sweep per task,
 //	                 incremental AnalyzeFrom replay
@@ -58,8 +59,8 @@
 //	one-shot query, don't care        Analyze / AnalyzeStatic
 //	cancellable one-shot query        AnalyzeContext / AnalyzeStaticContext
 //	serving many queries (traffic)    NewService + Service.Analyze
-//	tight loop, single goroutine,     NewAnalyzer + Analyzer.Analyze
-//	  private mutable results
+//	private mutable results, or       NewAnalyzer + Analyzer.Analyze
+//	  AnalyzeFrom chains of your own
 //	sweeping huge populations         one NewAnalyzer per goroutine,
 //	                                  AnalysisOptions.Workers = 1
 //	choosing task priorities          Assign (policy rm/dm/hopa/audsley)
@@ -179,7 +180,8 @@ type (
 )
 
 // Service types: the long-running, concurrency-safe analysis
-// front-end (engine pool + verdict memo + in-flight dedup).
+// front-end (verdict memo + in-flight dedup + a bound on the analyses
+// running at once).
 type (
 	// Service is a sharded, memoising, concurrency-safe analysis
 	// service; construct with NewService. Callers that decode
@@ -421,20 +423,21 @@ func NewAnalyzer(opt AnalysisOptions) *Analyzer {
 	return analysis.NewEngine(opt)
 }
 
-// NewService returns a concurrency-safe analysis service: a pool of
-// resident engines sharded by system fingerprint, a CLOCK memo of
-// verdicts keyed by (fingerprint, normalised options), and
-// singleflight deduplication of concurrent identical queries. Hold
-// one Service for the lifetime of a serving process and query it from
-// any number of goroutines.
+// NewService returns a concurrency-safe analysis service: stripes
+// routed by system fingerprint, each running at most one analysis at a
+// time, a CLOCK memo of verdicts keyed by (fingerprint, normalised
+// options), and singleflight deduplication of concurrent identical
+// queries. The service keeps no engines: every analysis draws a pooled
+// one from the analysis package. Hold one Service for the lifetime of
+// a serving process and query it from any number of goroutines.
 func NewService(opt ServiceOptions) *Service {
 	return service.New(opt)
 }
 
 // defaultService backs the package-level Analyze / AnalyzeStatic free
 // functions: a lazily-constructed process-wide service with default
-// options, so existing one-shot callers transparently gain engine
-// reuse and verdict memoisation.
+// options, so existing one-shot callers transparently gain verdict
+// memoisation.
 var (
 	defaultServiceOnce sync.Once
 	defaultService     *Service
@@ -444,7 +447,7 @@ var (
 // package-level Analyze and AnalyzeStatic use. Use it to read cache
 // statistics for the free-function traffic, to share the same memo
 // with explicit Service-style calls, or to release the memory its
-// memo and resident engines pin (Service.Reset) in long-lived
+// memo and intern pool pin (Service.Reset) in long-lived
 // processes that analyse large disjoint system populations.
 func DefaultService() *Service {
 	defaultServiceOnce.Do(func() { defaultService = service.New(service.Options{}) })

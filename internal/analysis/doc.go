@@ -71,9 +71,11 @@
 //   - CriticalScaling — the sensitivity metric: the largest uniform
 //     execution-time scaling keeping the system schedulable.
 //
-// The package-level Analyze/AnalyzeStatic are one-shot wrappers that
-// construct a throwaway engine; anything analysing more than one
-// system should hold an Engine.
+// The package-level Analyze, AnalyzeStatic and their Context
+// variants, and AnalyzeFromContext, run on engines drawn from one
+// sync.Pool, so repeated calls reuse buffers as a held Engine does and
+// are safe for concurrent use. A goroutine running a long loop of
+// analyses may still hold its own Engine and skip the pool.
 //
 // All response times are measured from the activation of the
 // transaction (not of the task), so the response time of the last task

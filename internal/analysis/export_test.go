@@ -17,3 +17,6 @@ func CheckSweep(tb testing.TB, e *Engine) { checkSweep(tb, e, "static pass") }
 type BenchShape = benchShape
 
 var BenchShapes = benchShapes
+
+// RaceEnabled exposes raceEnabled to the external test package.
+const RaceEnabled = raceEnabled

@@ -2,9 +2,29 @@ package analysis
 
 import (
 	"context"
+	"sync"
 
 	"hsched/internal/model"
 )
+
+// engines pools the option-free engines behind the package-level
+// entry points, so a call reuses a previous call's buffers instead of
+// allocating its own. An engine carries buffers, never values, from
+// one analysis to the next (the Engine doc), so a pooled engine's
+// outcome and work counts equal a fresh one's.
+var engines = sync.Pool{New: func() any { return NewEngine(Options{}) }}
+
+// pooled runs one analysis on a pooled engine under opt. The engine
+// goes back to the pool with its options reset, so it keeps no
+// Recorder closure alive.
+func pooled(opt Options, run func(*Engine) (*Result, error)) (*Result, error) {
+	e := engines.Get().(*Engine)
+	e.opt = opt
+	res, err := run(e)
+	e.opt, e.an.opt = Options{}, Options{}
+	engines.Put(e)
+	return res, err
+}
 
 // AnalyzeStatic runs one pass of the static-offset analysis of Section
 // 3.1: every task keeps the offset φ and jitter J stored in the
@@ -12,11 +32,10 @@ import (
 // it when offsets and jitters are externally known; for chains whose
 // offsets derive from predecessor completions, use Analyze.
 //
-// It is a convenience wrapper constructing a one-shot Engine; callers
-// analysing many systems should construct one Engine with NewEngine
-// and reuse it.
+// Like every package-level entry point it runs on a pooled engine, so
+// repeated calls reuse buffers without the caller holding an Engine.
 func AnalyzeStatic(sys *model.System, opt Options) (*Result, error) {
-	return NewEngine(opt).AnalyzeStatic(sys)
+	return AnalyzeStaticContext(context.Background(), sys, opt)
 }
 
 // Analyze runs the dynamic-offset holistic analysis of Section 3.2:
@@ -32,25 +51,29 @@ func AnalyzeStatic(sys *model.System, opt Options) (*Result, error) {
 // external inputs (release offset/jitter) and are preserved from the
 // input system; offsets of later tasks are overwritten by Eq. 18.
 //
-// It is a convenience wrapper constructing a one-shot Engine; callers
-// analysing many systems should construct one Engine with NewEngine
-// and reuse it.
+// It runs on a pooled engine, like every package-level entry point.
 func Analyze(sys *model.System, opt Options) (*Result, error) {
-	return NewEngine(opt).Analyze(sys)
+	return AnalyzeFromContext(context.Background(), nil, sys, opt)
 }
 
 // AnalyzeContext is Analyze with cancellation: see
 // Engine.AnalyzeContext for the polling points. Long-running callers
-// (services, admission controllers) should prefer it — or better, hold
-// a Service from package service, which adds engine pooling and
-// verdict memoisation on top.
+// (services, admission controllers) should prefer it — or hold a
+// Service from package service, which adds verdict memoisation on top.
 func AnalyzeContext(ctx context.Context, sys *model.System, opt Options) (*Result, error) {
-	return NewEngine(opt).AnalyzeContext(ctx, sys)
+	return AnalyzeFromContext(ctx, nil, sys, opt)
+}
+
+// AnalyzeFromContext is Engine.AnalyzeFromContext on a pooled engine:
+// the incremental re-analysis of sys seeded with prev, bit-identical to
+// AnalyzeContext. A nil prev runs cold.
+func AnalyzeFromContext(ctx context.Context, prev *Result, sys *model.System, opt Options) (*Result, error) {
+	return pooled(opt, func(e *Engine) (*Result, error) { return e.AnalyzeFromContext(ctx, prev, sys) })
 }
 
 // AnalyzeStaticContext is AnalyzeStatic with cancellation.
 func AnalyzeStaticContext(ctx context.Context, sys *model.System, opt Options) (*Result, error) {
-	return NewEngine(opt).AnalyzeStaticContext(ctx, sys)
+	return pooled(opt, func(e *Engine) (*Result, error) { return e.AnalyzeStaticContext(ctx, sys) })
 }
 
 // BestBounds exposes the best-case bounds used by Eq. 18: for every

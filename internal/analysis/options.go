@@ -60,7 +60,7 @@ type Options struct {
 	//
 	// Recorder is a side-effect hook, not an analysis parameter: it
 	// never changes the computed bounds, so it is excluded from
-	// Options equality and from cache keys (Normalised drops it).
+	// ReplayKey and so from cache keys.
 	// Queries carrying a Recorder bypass the service's verdict memo
 	// entirely — a cache hit would silence the callbacks.
 	Recorder func(iteration int, snapshot *Result)
@@ -87,25 +87,6 @@ type Options struct {
 	// parallel (batch sweeps, design searches) should set 1 to avoid
 	// oversubscription.
 	Workers int
-}
-
-// Normalised returns the options with every defaulted numeric field
-// materialised to its effective value (MaxScenarios, Epsilon,
-// MaxIterations, MaxInner) and the Recorder hook dropped, so that a
-// zero-value Options and an explicitly-spelled-default Options compare
-// equal. It is the canonical form the analysis service keys its
-// verdict memo with. Workers is preserved verbatim: it only changes
-// how a round is scheduled, never its results, and the service
-// excludes it from cache keys for that reason (its GOMAXPROCS default
-// is also host-dependent, so materialising it would break key
-// portability).
-func (o Options) Normalised() Options {
-	o.MaxScenarios = o.maxScenarios()
-	o.Epsilon = o.eps()
-	o.MaxIterations = o.maxIter()
-	o.MaxInner = o.maxInner()
-	o.Recorder = nil
-	return o
 }
 
 // ReplayKey is the comparable projection of every Options field that

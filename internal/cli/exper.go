@@ -38,8 +38,8 @@ func Exper(args []string, stdout, stderr io.Writer) int {
 
 	// With -cache the acceptance sweep runs through one explicit
 	// service so its statistics can be reported afterwards; without it
-	// the sweep still uses a service internally (engine pooling and
-	// in-flight dedup), just an anonymous one.
+	// the sweep still uses a service internally (stripes and in-flight
+	// dedup), just an anonymous one.
 	var svc *service.Service
 	if *cache {
 		svc = service.New(service.Options{Shards: experiments.SweepShards(*workers)})

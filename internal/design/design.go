@@ -128,7 +128,7 @@ func MinimizeContext(ctx context.Context, sys *model.System, families []Family, 
 	svc := opt.Service
 	if svc == nil {
 		// A private single-shard service: the search is sequential, so
-		// one resident engine suffices; the memo is what matters here.
+		// one stripe suffices; the memo is what matters here.
 		svc = service.New(service.Options{Shards: 1})
 	}
 
@@ -162,11 +162,10 @@ func MinimizeContext(ctx context.Context, sys *model.System, families []Family, 
 
 	// The feasibility oracle is evaluated hundreds of times on the
 	// same system shape (only platform parameters move) and the
-	// searches below revisit parameter points — the service's resident
-	// engines keep their buffers warm, its verdict memo
-	// answers every revisited point without re-running the analysis,
-	// and fresh probes run incrementally against the nearest resident
-	// result (the transactions are untouched, so only the tasks of the
+	// searches below revisit parameter points — the service's verdict
+	// memo answers every revisited point without re-running the
+	// analysis, and fresh probes run incrementally against the session's
+	// pinned previous result (the transactions are untouched, so only the tasks of the
 	// platform being searched — plus whatever their changed responses
 	// reach — are recomputed).
 	// Analysis errors (e.g. scenario overflow of the exact oracle) are

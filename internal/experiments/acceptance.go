@@ -48,9 +48,9 @@ var acceptanceVariants = struct{ approx, exact, tight analysis.Options }{
 // SweepShards oversizes a sweep service's shard count relative to its
 // worker count: every generated system is distinct, so queries land on
 // fingerprint-random shards, and with shards == workers balls-in-bins
-// collisions would leave workers blocked on each other's shard
-// mutexes. 4× keeps the collision probability low at the cost of a
-// few idle resident engines.
+// collisions would leave workers blocked on each other's stripe run
+// locks (a stripe runs one analysis at a time). 4× keeps the
+// collision probability low at the cost of a few idle stripes.
 func SweepShards(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -59,7 +59,7 @@ func SweepShards(workers int) int {
 }
 
 // AcceptanceRatioService is AcceptanceRatio routed through an analysis
-// service: all workers share svc's resident engine pool, and repeated
+// service: all workers share svc's stripes and memo, and repeated
 // runs over the same seeds (or concurrent duplicate queries) are
 // answered from its verdict memo. svc == nil constructs a private
 // service sized to the worker count; pass an explicit service to read

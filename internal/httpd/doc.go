@@ -3,7 +3,7 @@
 // assignment, bandwidth minimisation — plus per-client probe sessions
 // and an observability endpoint, all routed through one shared
 // service.Service so remote traffic enjoys the same verdict memo,
-// resident engine pool and incremental re-analysis as in-process
+// in-flight deduplication and incremental re-analysis as in-process
 // callers.
 //
 // Routes:

@@ -50,7 +50,7 @@ type AssignOptions struct {
 // searches (hopa, audsley) install the best assignment they found even
 // when it is not schedulable. All analysis traffic runs through one
 // probe session on AssignOptions.Service, so back-to-back Assign calls
-// sharing a service share its memo and engine pool; treat the returned
+// sharing a service share its memo; treat the returned
 // result as read-only.
 func Assign(ctx context.Context, sys *model.System, policy Policy, opt AssignOptions) (*analysis.Result, bool, error) {
 	switch policy {

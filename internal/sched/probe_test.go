@@ -46,8 +46,8 @@ func paperSystem() *model.System {
 }
 
 // coldService returns a service with memo and delta path disabled:
-// every probe runs cold on a resident engine, which is exactly the
-// pre-session private-engine oracle.
+// every probe runs cold, which is exactly the pre-session
+// private-engine oracle.
 func coldService() *service.Service {
 	return service.New(service.Options{Shards: 1, Capacity: -1, DisableDelta: true})
 }

@@ -86,7 +86,7 @@ type HOPAOptions struct {
 	Analysis analysis.Options
 	// Service, when non-nil, is the analysis service the oracle probes
 	// route through (via a probe Session) — sharing it across searches
-	// shares its engine pool and verdict memo. When nil, the search
+	// shares its verdict memo. When nil, the search
 	// runs a private single-shard service for its duration.
 	Service *service.Service
 }
@@ -100,7 +100,7 @@ func (o HOPAOptions) iterations() int {
 
 // sessionFor returns a probe session on svc, or on a private
 // single-shard service when svc is nil: the searches are sequential,
-// so one resident engine suffices, and the session's pinned seed plus
+// so one stripe suffices, and the session's pinned seed plus
 // the verdict memo are what turn a chain of one-priority-apart probes
 // into memo hits and incremental re-analyses.
 func sessionFor(svc *service.Service) *service.Session {

@@ -44,8 +44,8 @@ func BenchmarkServiceHit(b *testing.B) {
 }
 
 // BenchmarkServiceMiss measures the cold path: memoisation disabled,
-// so every query runs a full analysis on the shard's resident engine
-// (the warm-engine cost, i.e. the cheapest possible non-memoised
+// so every query runs a full analysis on a pooled engine (the
+// warm-engine cost, i.e. the cheapest possible non-memoised
 // analysis — the hit/miss ratio is therefore a lower bound on the
 // memo's real-world win).
 func BenchmarkServiceMiss(b *testing.B) {

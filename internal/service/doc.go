@@ -20,7 +20,7 @@
 //	  │ no session                      replay unchanged,    a cold run)
 //	  │                                 recompute dirty
 //	  ▼
-//	resident engine ────────────────► cold Analyze        (full work)
+//	pooled engine ──────────────────► cold Analyze        (full work)
 //	                                    │ exact sweeps stream from a
 //	                                    │ mixed-radix cursor, jump
 //	                                    │ refuted subtrees via admissible
@@ -28,17 +28,17 @@
 //	                                    ▼ ScenariosPruned / SubtreesPruned)
 //
 // State is placed by how it is looked up. Everything looked up by
-// fingerprint — the memo, the in-flight table, the intern pool and the
-// resident engines — lives in Options.Shards stripes routed by
-// fingerprint, so one query takes exactly one stripe mutex. The only
-// delta seed is a Session's pinned result, held by the session.
+// fingerprint — the memo, the in-flight table and the intern pool —
+// lives in Options.Shards stripes routed by fingerprint, so one query
+// takes exactly one stripe mutex. The only delta seed is a Session's
+// pinned result, held by the session. The service keeps no engines.
 //
 // The mechanisms, top to bottom:
 //
 //   - a lock-striped verdict memo of detached *analysis.Results keyed
 //     by (fingerprint, normalised options), each stripe holding its
 //     slice of the capacity.
-//     Options.Normalised materialises defaulted fields, so a
+//     Options.ReplayKey materialises defaulted fields, so a
 //     zero-value Options and an explicitly-spelled-default Options
 //     share an entry; Workers is excluded from keys (results are
 //     identical for every worker count) and Recorder queries bypass
@@ -65,8 +65,8 @@
 //     retries and becomes the new leader;
 //
 //   - session delta: a Session's miss is seeded with the session's
-//     pinned previous result and runs Engine.AnalyzeFrom, which
-//     replays the recorded per-round state of every transaction the
+//     pinned previous result and runs analysis.AnalyzeFromContext,
+//     which replays the recorded per-round state of every transaction the
 //     edit provably cannot reach and recomputes only the dirty rest —
 //     bit-identical to a cold analysis, a fraction of the work. A miss
 //     without a session runs cold. Stats.DeltaHits counts the
@@ -74,15 +74,16 @@
 //     response computations the replay skipped; Options.DisableDelta
 //     turns the rung off;
 //
-//   - a pool of resident analysis.Engines, one set per stripe.
-//     Engines amortise the buffers of their transaction-keyed slabs
-//     (interference rows, bounds, round buffers) across calls, carry
-//     no values from one analysis to the next, and are
-//     single-goroutine; the service keeps each stripe's engines
-//     behind their own mutex and routes queries by
-//     model.System.Fingerprint, so same-system traffic reuses a warm
-//     engine while distinct systems analyse concurrently on other
-//     stripes;
+//   - one analysis at a time per stripe. Every miss calls the
+//     package-level analysis entry points, which draw an engine from
+//     the analysis package's pool: engines amortise the buffers of
+//     their transaction-keyed slabs (interference rows, bounds, round
+//     buffers) across calls and carry no values from one analysis to
+//     the next, so the service need not keep any. Each stripe holds a
+//     run lock across its analysis, so at most Options.Shards
+//     analyses — and so at most that many engines' buffers and replay
+//     histories — are live at once, while distinct systems analyse
+//     concurrently on other stripes;
 //
 //   - a fingerprint-keyed intern pool (Intern, InternFingerprinted,
 //     Interned; sized by Options.Capacity) sitting in front of the
@@ -112,7 +113,7 @@
 // (probes, memo hits, executed analyses, delta hits, rounds saved).
 // The pinned result carries replay history only: the exact sweeps of
 // every analysis start with empty incumbent seeds, so a miss does the
-// same work whichever engine, session or earlier query it follows.
+// same work whichever session or earlier query it follows.
 //
 // Every entry point takes a context.Context and cancels the underlying
 // analysis promptly (see analysis.Engine.AnalyzeContext for the

@@ -24,11 +24,11 @@ func workSince(svc *service.Service, before service.Stats) serviceWork {
 	}
 }
 
-// TestServiceColdWorkIndependentOfHistory: on a one-shard service, whose
-// stripe keeps one resident engine per option set, a sessionless miss
-// adds the same work to the Stats counters whatever that engine
-// analysed before — an unrelated same-shaped system, or a session's
-// delta chain — as the same miss on a fresh service.
+// TestServiceColdWorkIndependentOfHistory: on a one-shard service,
+// whose analyses all draw from the analysis package's engine pool, a
+// sessionless miss adds the same work to the Stats counters whatever
+// the service analysed before — an unrelated same-shaped system, or a
+// session's delta chain — as the same miss on a fresh service.
 func TestServiceColdWorkIndependentOfHistory(t *testing.T) {
 	ctx := context.Background()
 	draw := func(seed int64) *model.System {

@@ -17,34 +17,34 @@ import (
 type Options struct {
 	// Shards is the number of stripes the service's state is split
 	// into. Each stripe owns one slice of the verdict memo, in-flight
-	// table and intern pool behind a short-held mutex, plus one set of
-	// resident analysis engines behind a long-held one; queries are
-	// routed by system fingerprint, so one fingerprint touches exactly
-	// one stripe — repeated queries on the same system land on the same
-	// warm engine while distinct systems spread across stripes and run
-	// concurrently. 0 selects runtime.GOMAXPROCS(0).
+	// table and intern pool behind a short-held mutex, and runs at most
+	// one analysis at a time behind a long-held one, so at most Shards
+	// analyses run at once; queries are routed by system fingerprint,
+	// so one fingerprint touches exactly one stripe while distinct
+	// systems spread across stripes and run concurrently. 0 selects
+	// runtime.GOMAXPROCS(0).
 	Shards int
 
 	// Capacity bounds the verdict memo (whole detached Results) and,
 	// separately, the intern pool of canonical resident systems (see
 	// Intern), each in entries divided evenly across stripes. 0 selects
 	// 4096; a negative value disables both: every query runs an
-	// analysis (the engine pool and in-flight deduplication stay) and
-	// Intern returns its argument unchanged.
+	// analysis (in-flight deduplication stays) and Intern returns its
+	// argument unchanged.
 	Capacity int
 
 	// Analysis is the default analysis configuration used by Analyze
 	// and AnalyzeStatic; AnalyzeOptions overrides it per query.
 	Analysis analysis.Options
 
-	// DisableDelta turns the incremental path off: engines record no
+	// DisableDelta turns the incremental path off: analyses record no
 	// replay state and sessions never pin a seed, so every miss runs
 	// cold. By default a Session's miss is seeded with the session's
-	// previous result and routed through Engine.AnalyzeFrom, which
-	// replays the unchanged transactions' state instead of recomputing
-	// it — the fast path for search loops and admission controllers
-	// that mutate one transaction at a time. A query without a session
-	// always runs cold on a miss.
+	// previous result and routed through analysis.AnalyzeFromContext,
+	// which replays the unchanged transactions' state instead of
+	// recomputing it — the fast path for search loops and admission
+	// controllers that mutate one transaction at a time. A query
+	// without a session always runs cold on a miss.
 	DisableDelta bool
 }
 
@@ -81,7 +81,7 @@ func perStripe(total, n int) int {
 // counted exactly once as either a hit (served from the memo, or from
 // a concurrent duplicate's in-flight analysis) or a miss (it ran an
 // analysis), so Hits + Misses == Queries at quiescence; Misses is the
-// number of analyses the engines actually executed.
+// number of analyses the service actually executed.
 //
 // The json tags are a stable wire contract: /v1/stats (internal/httpd)
 // and `hsched bench -json` emit these lowercase names, and clients
@@ -214,14 +214,6 @@ type cacheKey struct {
 	opt optKey
 }
 
-// engineKey identifies one resident engine within a stripe. Unlike the
-// cache key it includes Workers, because an engine is constructed with
-// a fixed worker bound.
-type engineKey struct {
-	opt     optKey
-	workers int
-}
-
 // inflight is one in-progress analysis that concurrent identical
 // queries wait on instead of re-running it. res and err are written
 // before done is closed.
@@ -232,40 +224,40 @@ type inflight struct {
 }
 
 // stripe owns one fingerprint slice of the per-system service state:
-// the memo, the in-flight table, the intern pool and the resident
-// engines. Routing is model.Fingerprint.Shard, so one fingerprint
-// touches exactly one stripe and a query acquires at most one stripe
-// mutex. The two locks have very different hold times:
+// the memo, the in-flight table and the intern pool. Routing is
+// model.Fingerprint.Shard, so one fingerprint touches exactly one
+// stripe and a query acquires at most one stripe mutex. The two locks
+// have very different hold times:
 //
 //   - mu guards the memo, the in-flight table and the intern pool —
 //     map operations only, never held across an analysis, and taken
 //     exactly once per memoised query (a cache.Clock has no lock of
 //     its own);
-//   - engMu guards the resident engines and IS held across an
-//     analysis (engines are single-goroutine), so a long cold run
-//     never blocks the stripe's hit path.
+//   - runMu IS held across an analysis, so the stripe runs at most one
+//     at a time and the service at most Shards at once — the bound on
+//     the engine buffers and replay histories live at any instant. A
+//     long cold run never blocks the stripe's hit path.
 type stripe struct {
 	mu       sync.Mutex
 	memo     *cache.Clock[cacheKey, *analysis.Result]
 	inflight map[cacheKey]*inflight
 	intern   *cache.Clock[model.Fingerprint, *model.System] // nil: interning disabled
 
-	engMu   sync.Mutex
-	engines map[engineKey]*analysis.Engine
+	runMu sync.Mutex
 
 	_ [64]byte // keep neighbouring stripes' mutexes off one cache line
 }
 
-// Service is a concurrency-safe front-end over a pool of resident
-// analysis engines: the long-running "admission control" shape of the
-// ROADMAP. It routes each query to a stripe by system fingerprint,
-// memoises detached Results in per-stripe CLOCK caches keyed by
-// (fingerprint, normalised options), and deduplicates concurrent
-// identical queries singleflight-style so the analysis runs once.
+// Service is a concurrency-safe front-end over the analysis: the
+// long-running "admission control" shape of the ROADMAP. It routes
+// each query to a stripe by system fingerprint, memoises detached
+// Results in per-stripe CLOCK caches keyed by (fingerprint, normalised
+// options), and deduplicates concurrent identical queries
+// singleflight-style so the analysis runs once.
 //
 // Returned *Results are shared: a memo hit hands the same pointer to
 // every caller, so treat them as read-only. Callers that need a
-// private mutable copy should run their own analysis.Engine.
+// private mutable copy should call package analysis directly.
 //
 // The zero value is not usable; construct with New.
 type Service struct {
@@ -286,7 +278,6 @@ func New(opt Options) *Service {
 		st := &s.stripes[i]
 		st.memo = cache.New[cacheKey, *analysis.Result](capPerStripe)
 		st.inflight = make(map[cacheKey]*inflight)
-		st.engines = make(map[engineKey]*analysis.Engine)
 		if capPerStripe > 0 {
 			st.intern = cache.New[model.Fingerprint, *model.System](capPerStripe)
 		}
@@ -354,7 +345,7 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Reset drops every memo entry and every resident engine, releasing
+// Reset drops every memo entry and every interned system, releasing
 // the memory they pin, and forgets the memo's and intern pool's ghosts,
 // so the service admits like a new one; counters are preserved.
 // In-flight analyses are unaffected (their results simply land in the
@@ -371,14 +362,11 @@ func (s *Service) Reset() {
 			st.intern.Clear()
 		}
 		st.mu.Unlock()
-		st.engMu.Lock()
-		clear(st.engines)
-		st.engMu.Unlock()
 	}
 }
 
 func (s *Service) analyze(ctx context.Context, sys *model.System, opt analysis.Options, static bool, sess *Session) (*analysis.Result, error) {
-	// No up-front Validate: the engine validates on every miss, and an
+	// No up-front Validate: the analysis validates on every miss, and an
 	// invalid system can never collide with a valid system's
 	// fingerprint (the fingerprint covers every field validation
 	// reads), so the hit path skips the check — it is the single most
@@ -394,12 +382,13 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 	}
 	if opt.Recorder != nil {
 		// Recorder queries want their per-iteration callbacks fired,
-		// which a memo hit would silence; they bypass both the memo
-		// and the resident engines (an engine is constructed with its
-		// recorder baked in).
+		// which a memo hit would silence; they bypass the memo and the
+		// in-flight table and run cold. Their results never become
+		// session seeds, so they record no replay state.
 		s.ctr.misses.Add(1)
 		s.ctr.queries.Add(1)
-		res, err := s.runFresh(ctx, sys, opt, static)
+		opt.DisableReplayState = true
+		res, err := s.run(ctx, s.stripeFor(fp), sys, opt, static, nil)
 		if sess != nil {
 			sess.noteExecuted(res)
 		}
@@ -430,7 +419,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		}
 		if fl, ok := st.inflight[key]; ok {
 			// A concurrent identical query is already analysing; wait
-			// for it instead of burning a second engine. Attribution
+			// for it instead of running a second analysis. Attribution
 			// happens at resolution: a query that ends here — result,
 			// leader error, or its own cancellation — ran no analysis
 			// and counts as a hit; one that loops back to become the
@@ -470,7 +459,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		s.ctr.queries.Add(1)
 
 		// A session's pinned previous result seeds an incremental
-		// analysis. The engine re-verifies soundness and falls back
+		// analysis. The analysis re-verifies soundness and falls back
 		// transparently, so a bad seed only costs the plan.
 		var seed *analysis.Result
 		if sess != nil {
@@ -527,67 +516,20 @@ func (s *Service) countWork(res *analysis.Result) {
 	}
 }
 
-// maxEnginesPerStripe bounds the resident engines one stripe keeps. A
-// serving process normally sees a handful of option sets, but nothing
-// stops clients from sending per-query options (distinct Epsilon or
-// Workers values), and each engine pins its slab and scratch buffers
-// for the process lifetime — so past the bound an
-// arbitrary resident engine is dropped and rebuilt on demand, which
-// only costs the warm-up of the next analysis with its options.
-const maxEnginesPerStripe = 8
-
-// run executes one analysis on the resident engine of the query's
-// stripe, constructing the engine on first use. A non-nil seed routes
-// the analysis through the incremental path; the engine falls back to
-// a cold run when the seed turns out not to be soundly replayable.
+// run executes one analysis under the stripe's run lock. A non-nil
+// seed routes it through the incremental path, which falls back to a
+// cold run when the seed turns out not to be soundly replayable.
 func (s *Service) run(ctx context.Context, st *stripe, sys *model.System, opt analysis.Options, static bool, seed *analysis.Result) (*analysis.Result, error) {
-	// Workers is resolved to its effective value for the engine key so
-	// Workers:0 and an explicit Workers:GOMAXPROCS share one engine.
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if s.opt.DisableDelta {
+		// No result will ever be used as a seed: skip the recording.
+		opt.DisableReplayState = true
 	}
-	ek := engineKey{opt: keyOf(opt, false), workers: workers}
-	st.engMu.Lock()
-	defer st.engMu.Unlock()
-	eng, ok := st.engines[ek]
-	if !ok {
-		for k := range st.engines {
-			if len(st.engines) < maxEnginesPerStripe {
-				break
-			}
-			delete(st.engines, k)
-		}
-		engOpt := opt.Normalised()
-		// With the delta path disabled no Result will ever be used as
-		// a seed, so don't pay for recording replay state. The flag is
-		// uniform per service, so it cannot alias engines across
-		// settings.
-		engOpt.DisableReplayState = s.opt.DisableDelta
-		eng = analysis.NewEngine(engOpt)
-		st.engines[ek] = eng
-	}
-	switch {
-	case static:
-		return eng.AnalyzeStaticContext(ctx, sys)
-	case seed != nil:
-		return eng.AnalyzeFromContext(ctx, seed, sys)
-	default:
-		return eng.AnalyzeContext(ctx, sys)
-	}
-}
-
-// runFresh executes one analysis on a throwaway engine (recorder
-// queries only — the recorder is baked into the engine's options).
-// Recorder results never become session seeds, so replay state is
-// never recorded for them.
-func (s *Service) runFresh(ctx context.Context, sys *model.System, opt analysis.Options, static bool) (*analysis.Result, error) {
-	opt.DisableReplayState = true
-	eng := analysis.NewEngine(opt)
+	st.runMu.Lock()
+	defer st.runMu.Unlock()
 	if static {
-		return eng.AnalyzeStaticContext(ctx, sys)
+		return analysis.AnalyzeStaticContext(ctx, sys, opt)
 	}
-	return eng.AnalyzeContext(ctx, sys)
+	return analysis.AnalyzeFromContext(ctx, seed, sys, opt)
 }
 
 // ctxErr reports whether err is (or wraps) a context cancellation or

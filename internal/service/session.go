@@ -22,8 +22,7 @@ type SessionStats struct {
 	Probes int64 `json:"probes"`
 	// MemoHits counts probes answered without running an analysis.
 	MemoHits int64 `json:"memo_hits"`
-	// Executed counts probes that ran (or errored in) an analysis on a
-	// resident engine.
+	// Executed counts probes that ran (or errored in) an analysis.
 	Executed int64 `json:"executed"`
 	// DeltaHits counts the subset of Executed that rode the
 	// incremental path, seeded by the session's pinned previous result.
@@ -49,7 +48,7 @@ type SessionStats struct {
 //
 // Sessions are cheap (one pointer plus counters): create one per
 // search, not one per process. A session's probes flow through the
-// owning service's memo, in-flight table and engine pool, and count
+// owning service's memo, in-flight table and stripes, and count
 // into ServiceStats like any other query; SessionStats additionally
 // attributes this session's share. Like the Service itself a Session
 // is safe for concurrent use, but its pinned seed is a single slot —
@@ -81,7 +80,7 @@ func (ss *Session) Analyze(ctx context.Context, sys *model.System) (*analysis.Re
 
 // AnalyzeOptions is Analyze with per-probe analysis options. A session
 // probed under several option sets pins only the most recent result;
-// the engine re-verifies seed compatibility (same semantics-affecting
+// the analysis re-verifies seed compatibility (same semantics-affecting
 // options), so mixing option sets costs delta hits, never correctness.
 func (ss *Session) AnalyzeOptions(ctx context.Context, sys *model.System, opt analysis.Options) (*analysis.Result, error) {
 	return ss.svc.analyze(ctx, sys, opt, false, ss)
@@ -111,7 +110,7 @@ func (ss *Session) Drop() {
 	ss.mu.Unlock()
 }
 
-// currentSeed returns the pinned seed, or nil. The engine re-checks
+// currentSeed returns the pinned seed, or nil. The analysis re-checks
 // replay soundness (option key, structural overlap) on every use, so a
 // stale or mismatched seed degrades to a cold run, never to a wrong
 // result.

@@ -3,7 +3,9 @@ package service_test
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hsched/internal/analysis"
 	"hsched/internal/model"
@@ -114,5 +116,56 @@ func TestServiceStripeStress(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Fatalf("stats = %+v: capacity %d over %d systems must evict", st, 6, population)
+	}
+}
+
+// TestStripeRunsOneAnalysisAtATime pins the service's concurrency
+// bound: a stripe runs at most one analysis at a time, so a service
+// runs at most Shards at once. On a one-shard service two goroutines
+// run Recorder queries (which skip the memo and the in-flight table)
+// on distinct multi-round systems; the Recorder counts the callbacks
+// in flight and sleeps in each, so overlapping analyses would show.
+func TestStripeRunsOneAnalysisAtATime(t *testing.T) {
+	ctx := context.Background()
+	svc := service.New(service.Options{Shards: 1})
+	var active, peak, calls atomic.Int64
+	rec := func(int, *analysis.Result) {
+		n := active.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		calls.Add(1)
+		time.Sleep(time.Millisecond)
+		active.Add(-1)
+	}
+	opt := analysis.Options{Workers: 1, Recorder: rec}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if _, err := svc.AnalyzeOptions(ctx, testSystem(t, int64(700+10*g+i)), opt); err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := calls.Load(); n < 16 {
+		t.Fatalf("%d Recorder callbacks over 8 analyses, want multi-round systems", n)
+	}
+	if p := peak.Load(); p > 1 {
+		t.Errorf("%d analyses ran at once on one stripe, want at most 1", p)
 	}
 }
