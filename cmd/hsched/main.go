@@ -7,9 +7,9 @@
 // Usage:
 //
 //	hsched [-spec system.json] [-exact] [-static] [-tight] [-dump] [-sensitivity] [-workers n] [-cache]
-//	hsched assign [-spec system.json] [-policy rm|dm|hopa|audsley] [-iterations n] [-exact] [-workers n] [-cache] [-delta]
-//	hsched bench [-workload default|contended|exact-heavy|exact-search|assign] [-systems n] [-mutations n] [-queries n] [-goroutines n] [-shards n] [-capacity n] [-seed n] [-exact] [-util u] [-delta] [-json] [-compare base.json] [-remote URL] [-pipeline n] [-codec json|binary]
-//	hsched serve [-addr host:port] [-shards n] [-cache n] [-delta] [-max-inflight n] [-max-sessions n] [-workers n] [-drain d] [-pprof]
+//	hsched assign [-spec system.json] [-policy rm|dm|hopa|audsley] [-iterations n] [-exact] [-workers n] [-cache]
+//	hsched bench [-workload default|contended|exact-heavy|exact-search|assign] [-systems n] [-mutations n] [-queries n] [-goroutines n] [-shards n] [-capacity n] [-seed n] [-exact] [-util u] [-json] [-compare base.json] [-remote URL] [-pipeline n] [-codec json|binary]
+//	hsched serve [-addr host:port] [-shards n] [-cache n] [-max-inflight n] [-max-sessions n] [-workers n] [-drain d] [-pprof]
 //
 // The assign subcommand searches a local fixed-priority assignment
 // (the paper leaves it to the component designer): the classical

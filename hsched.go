@@ -45,7 +45,8 @@
 //	             options) and an intern pool, and running one analysis
 //	             at a time; singleflight dedup of concurrent identical
 //	             queries, a session's misses re-analysed incrementally
-//	             off its pinned seed, context-aware cancellation
+//	             off its pinned seed (other misses run cold and record
+//	             no replay history), context-aware cancellation
 //	              └─ Analyzer (analysis.Engine) — one goroutine's
 //	                 reusable engine (the service draws pooled ones
 //	                 per analysis): transaction-keyed state slabs,
@@ -192,7 +193,8 @@ type (
 	Service = service.Service
 	// ServiceOptions configures NewService: shard count, the capacity
 	// of the verdict memo and of the intern pool, default analysis
-	// options.
+	// options. The memo, the intern pool and the session delta path
+	// have no off-switch.
 	ServiceOptions = service.Options
 	// ServiceStats is a snapshot of a service's counters (queries,
 	// hits, misses, evictions, in-flight dedups, delta hits, the
@@ -426,8 +428,9 @@ func NewAnalyzer(opt AnalysisOptions) *Analyzer {
 // NewService returns a concurrency-safe analysis service: stripes
 // routed by system fingerprint, each running at most one analysis at a
 // time, a CLOCK memo of verdicts keyed by (fingerprint, normalised
-// options), and singleflight deduplication of concurrent identical
-// queries. The service keeps no engines: every analysis draws a pooled
+// options) and an intern pool, both always on (a Capacity of 0 or less
+// selects the default size), and singleflight deduplication of
+// concurrent identical queries. The service keeps no engines: every analysis draws a pooled
 // one from the analysis package. Hold one Service for the lifetime of
 // a serving process and query it from any number of goroutines.
 func NewService(opt ServiceOptions) *Service {

@@ -138,9 +138,6 @@ func NewEngine(opt Options) *Engine {
 	return e
 }
 
-// Options returns the options the engine was constructed with.
-func (e *Engine) Options() Options { return e.opt }
-
 // Analyze runs the dynamic-offset holistic analysis of Section 3.2 on
 // sys, exactly as the package-level Analyze, but reusing the engine's
 // caches and buffers. sys is not mutated.

@@ -69,10 +69,11 @@ type Options struct {
 	// makes a Result usable as an Engine.AnalyzeFrom seed. The
 	// recording costs one detached copy of every round's TaskResults
 	// (bounded, but pure overhead for callers that never re-analyse
-	// mutations): tight search loops over unrelated systems and
-	// services with the delta path disabled should set it. Like
-	// Workers it never changes the computed bounds, so it is excluded
-	// from cache keys and replay-compatibility checks.
+	// mutations). The analysis service sets it on every analysis that
+	// is not a session probe, and the sensitivity search sets it on its
+	// probes; tight search loops over unrelated systems should set it
+	// too. Like Workers it never changes the computed bounds, so it is
+	// excluded from cache keys and replay-compatibility checks.
 	DisableReplayState bool
 
 	// Workers bounds the goroutines computing per-task response times
@@ -274,8 +275,8 @@ type DeltaInfo struct {
 
 // HasReplayState reports whether the result carries the per-round
 // history an AnalyzeFrom seed needs. Results of dynamic analyses
-// normally do; static passes and results trimmed by the history cap do
-// not.
+// normally do; static passes, analyses run with DisableReplayState and
+// results trimmed by the history cap do not.
 func (r *Result) HasReplayState() bool { return len(r.history) > 0 }
 
 // WithoutReplayState returns the result stripped of its replay

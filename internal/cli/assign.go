@@ -31,7 +31,6 @@ func Assign(args []string, stdout, stderr io.Writer) int {
 		exact      = fs.Bool("exact", false, "use the exact scenario enumeration as the oracle")
 		workers    = fs.Int("workers", 0, "per-round response-time workers (0 = all CPUs; results are identical)")
 		cache      = fs.Bool("cache", false, "print the oracle service's cache statistics line")
-		delta      = fs.Bool("delta", true, "let each probe re-analyse incrementally off the previous one (delta path)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -44,9 +43,8 @@ func Assign(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := analysis.Options{Exact: *exact, Workers: *workers}
-	// The search is sequential, so a single shard holds the one warm
-	// engine every probe reuses.
-	svc := service.New(service.Options{Shards: 1, DisableDelta: !*delta, Analysis: opt})
+	// The search is sequential, so a single shard is enough.
+	svc := service.New(service.Options{Shards: 1, Analysis: opt})
 
 	res, ok, err := sched.Assign(context.Background(), sys, sched.Policy(*policy), sched.AssignOptions{
 		Analysis:   opt,

@@ -46,7 +46,6 @@ type benchReport struct {
 	Goroutines int     `json:"goroutines"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	Exact      bool    `json:"exact"`
-	Delta      bool    `json:"delta"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	Throughput float64 `json:"throughput_qps"`
 	Latency    struct {
@@ -117,11 +116,10 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		queries    = fs.Int("queries", 4096, "total queries to issue")
 		goroutines = fs.Int("goroutines", 0, "concurrent client goroutines (0 = all CPUs)")
 		shards     = fs.Int("shards", 0, "engine shards of the service (0 = all CPUs)")
-		capacity   = fs.Int("capacity", 0, "verdict-memo and intern-pool capacity in entries (0 = default, negative = both off)")
+		capacity   = fs.Int("capacity", 0, "verdict-memo and intern-pool capacity in entries (0 = default)")
 		seed       = fs.Int64("seed", 1, "workload generator seed")
 		exact      = fs.Bool("exact", false, "use the exact analysis for the workload")
 		util       = fs.Float64("util", 0.45, "per-platform utilisation of the generated systems")
-		delta      = fs.Bool("delta", true, "let session probes (the assign and exact-search workloads) re-analyse incrementally off their previous result (delta path)")
 		jsonOut    = fs.Bool("json", false, "emit a machine-readable JSON report instead of text")
 		compare    = fs.String("compare", "", "baseline report file; exit non-zero when throughput regresses >25% against the matching workload entry")
 		remote     = fs.String("remote", "", "benchmark a running `hsched serve` instance at this base URL instead of the in-process service")
@@ -293,10 +291,9 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		query, flush, finalStats = q, fl, fin
 	} else {
 		svc := service.New(service.Options{
-			Shards:       *shards,
-			Capacity:     *capacity,
-			DisableDelta: !*delta,
-			Analysis:     analysis.Options{Exact: *exact, StopAtDeadlineMiss: true, Workers: 1},
+			Shards:   *shards,
+			Capacity: *capacity,
+			Analysis: analysis.Options{Exact: *exact, StopAtDeadlineMiss: true, Workers: 1},
 		})
 		// One query is one service call — except on the assign
 		// workload, where it is one whole priority-assignment search
@@ -376,7 +373,7 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		Workload: *workload, Remote: *remote,
 		Systems: *systems, Mutations: *mutations, Queries: *queries,
 		Goroutines: clients, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Exact: *exact, Delta: *delta,
+		Exact:      *exact,
 		ElapsedMS:  float64(elapsed.Microseconds()) / 1e3,
 		Throughput: float64(*queries) / elapsed.Seconds(),
 	}
@@ -405,8 +402,8 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	} else {
-		fmt.Fprintf(stdout, "workload: %s — %d systems x %d mutation chain, %d queries, %d goroutines, exact=%v delta=%v\n",
-			rep.Workload, *systems, *mutations, *queries, clients, *exact, *delta)
+		fmt.Fprintf(stdout, "workload: %s — %d systems x %d mutation chain, %d queries, %d goroutines, exact=%v\n",
+			rep.Workload, *systems, *mutations, *queries, clients, *exact)
 		if *remote != "" {
 			fmt.Fprintf(stdout, "remote: %s (cache stats are the server-side counter delta)\n", *remote)
 		}

@@ -2,13 +2,19 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hsched/internal/analysis"
 	"hsched/internal/experiments"
+	"hsched/internal/sched"
 	"hsched/internal/spec"
 )
 
@@ -248,10 +254,11 @@ func TestAssignPolicies(t *testing.T) {
 
 // TestAssignCacheFlag: -cache prints the oracle's stats line, and on
 // the Audsley search it must show memo hits and incremental probes —
-// the acceptance criterion of the service-routed search layer.
+// the acceptance criterion of the service-routed search layer — while
+// installing exactly the priorities and bounds of a cold search.
 func TestAssignCacheFlag(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := Assign([]string{"-policy", "audsley", "-cache", "-delta"}, &out, &errb); code != 0 {
+	if code := Assign([]string{"-policy", "audsley", "-cache"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	s := out.String()
@@ -265,17 +272,28 @@ func TestAssignCacheFlag(t *testing.T) {
 		t.Errorf("audsley probes never hit the memo:\n%s", s)
 	}
 
-	// With the delta path off the stats line must report zero delta
-	// hits (cold probes), and the verdict must be unchanged.
-	out.Reset()
-	if code := Assign([]string{"-policy", "audsley", "-cache", "-delta=false"}, &out, &errb); code != 0 {
-		t.Fatalf("-delta=false exit %d, stderr: %s", code, errb.String())
+	// The reference search probes a cold oracle: a no-op Recorder
+	// makes every probe skip the memo and the session seed.
+	sys := experiments.PaperSystem()
+	res, ok, err := sched.Assign(context.Background(), sys, sched.PolicyAudsley, sched.AssignOptions{
+		Analysis: analysis.Options{Recorder: func(int, *analysis.Result) {}},
+	})
+	if err != nil || !ok {
+		t.Fatalf("cold reference search: ok %v, err %v", ok, err)
 	}
-	if !strings.Contains(out.String(), "delta-hits=0 ") {
-		t.Errorf("-delta=false still delta-hit:\n%s", out.String())
+	rows := make(map[string][]string)
+	for _, line := range strings.Split(s, "\n") {
+		if f := strings.Fields(line); len(f) >= 4 {
+			rows[f[0]] = f[1:4]
+		}
 	}
-	if !strings.Contains(out.String(), "schedulable: true") {
-		t.Errorf("verdict missing:\n%s", out.String())
+	for i, tr := range sys.Transactions {
+		for j, task := range tr.Tasks {
+			want := []string{fmt.Sprintf("Pi%d", task.Platform+1), fmt.Sprint(task.Priority), fmt.Sprintf("%.3f", res.Tasks[i][j].Worst)}
+			if got := rows[sys.TaskName(i, j)]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: printed %v, cold search installed %v", sys.TaskName(i, j), got, want)
+			}
+		}
 	}
 }
 
@@ -374,21 +392,41 @@ func TestBenchJSON(t *testing.T) {
 	}
 }
 
+// TestBenchDeltaOff: the delta path has no off-switch — bench, assign
+// and serve reject a -delta flag as undefined — and the default preset,
+// which holds no session, reports zero delta hits. serve also gets an
+// address it cannot listen on, so it returns even if it parsed -delta.
 func TestBenchDeltaOff(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cmd  func([]string, io.Writer, io.Writer) int
+		args []string
+	}{
+		{"bench", Bench, []string{"-delta=false"}},
+		{"assign", Assign, []string{"-delta=false"}},
+		{"serve", Serve, []string{"-addr", "256.0.0.1:0", "-delta=false"}},
+	} {
+		var out, errb bytes.Buffer
+		code := tc.cmd(tc.args, &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "flag provided but not defined: -delta") {
+			t.Errorf("%s -delta=false: exit %d, stderr %q; want an undefined-flag error", tc.name, code, errb.String())
+		}
+	}
 	var out, errb bytes.Buffer
-	if code := Bench([]string{"-workload", "assign", "-systems", "4", "-mutations", "1", "-queries", "12", "-goroutines", "2", "-delta=false", "-json"}, &out, &errb); code != 0 {
+	if code := Bench([]string{"-systems", "4", "-mutations", "1", "-queries", "12", "-goroutines", "2", "-json"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	var rep struct {
 		Cache struct {
+			Misses    int64 `json:"misses"`
 			DeltaHits int64 `json:"delta_hits"`
 		} `json:"cache"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Cache.DeltaHits != 0 {
-		t.Errorf("delta hits with -delta=false: %+v", rep)
+	if rep.Cache.Misses == 0 || rep.Cache.DeltaHits != 0 {
+		t.Errorf("sessionless preset: %+v, want misses and no delta hits", rep)
 	}
 }
 

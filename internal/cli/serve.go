@@ -28,8 +28,7 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		shards      = fs.Int("shards", 0, "engine shards of the service (0 = all CPUs)")
-		cache       = fs.Int("cache", 0, "verdict-memo and intern-pool capacity in entries (0 = default, negative = both off)")
-		delta       = fs.Bool("delta", true, "let session probes re-analyse incrementally off their previous result (delta path)")
+		cache       = fs.Int("cache", 0, "verdict-memo and intern-pool capacity in entries (0 = default)")
 		maxInflight = fs.Int("max-inflight", 0, "concurrent analyses beyond which requests are shed with a 429 (0 = unbounded)")
 		maxSessions = fs.Int("max-sessions", 0, "probe sessions kept before eviction of sessions not used recently (0 = default 1024)")
 		workers     = fs.Int("workers", 1, "default per-analysis worker bound; requests may override (0 = all CPUs)")
@@ -52,10 +51,9 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 
 	defOpt := analysis.Options{Workers: *workers}
 	svc := service.New(service.Options{
-		Shards:       *shards,
-		Capacity:     *cache,
-		DisableDelta: !*delta,
-		Analysis:     defOpt,
+		Shards:   *shards,
+		Capacity: *cache,
+		Analysis: defOpt,
 	})
 	srv := httpd.New(httpd.Options{
 		Service:      svc,

@@ -143,10 +143,17 @@ func TestTDMADominatesPollingAtEqualBandwidth(t *testing.T) {
 	}
 }
 
+// coldOracle returns analysis options whose no-op Recorder makes every
+// feasibility probe skip the service's memo, in-flight table and
+// session seed: the unmemoised, cold reference search.
+func coldOracle() analysis.Options {
+	return analysis.Options{Recorder: func(int, *analysis.Result) {}}
+}
+
 // TestMinimizeCacheReducesAnalyses: routed through a shared analysis
 // service, the search's revisited parameter points are answered by the
 // verdict memo — same optimum, measurably fewer engine analyses than
-// with the memo disabled.
+// the cold reference search, whose probes skip the memo.
 func TestMinimizeCacheReducesAnalyses(t *testing.T) {
 	sys := experiments.PaperSystem()
 	fams := []design.Family{design.PollingFamily(0.8333), design.PollingFamily(0.8333), design.PollingFamily(1.25)}
@@ -156,8 +163,8 @@ func TestMinimizeCacheReducesAnalyses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached := service.New(service.Options{Shards: 1, Capacity: -1})
-	resOff, err := design.Minimize(sys, fams, design.Options{Service: uncached})
+	uncached := service.New(service.Options{Shards: 1})
+	resOff, err := design.Minimize(sys, fams, design.Options{Service: uncached, Analysis: coldOracle()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +191,7 @@ func TestMinimizeCacheReducesAnalyses(t *testing.T) {
 // TestMinimizeDeltaPath: the feasibility oracle's probes are chains of
 // one-platform-apart systems, which the service routes through the
 // incremental analysis — measurably fewer task-rounds computed, same
-// optimum as with the delta path disabled.
+// optimum as the cold reference search.
 func TestMinimizeDeltaPath(t *testing.T) {
 	sys := experiments.PaperSystem()
 	fams := []design.Family{design.PollingFamily(0.8333), design.PollingFamily(0.8333), design.PollingFamily(1.25)}
@@ -194,8 +201,8 @@ func TestMinimizeDeltaPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := service.New(service.Options{Shards: 1, DisableDelta: true})
-	resOff, err := design.Minimize(sys, fams, design.Options{Service: cold})
+	cold := service.New(service.Options{Shards: 1})
+	resOff, err := design.Minimize(sys, fams, design.Options{Service: cold, Analysis: coldOracle()})
 	if err != nil {
 		t.Fatal(err)
 	}

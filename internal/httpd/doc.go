@@ -23,7 +23,8 @@
 //
 // Request bodies reuse the internal/spec JSON system format, wrapped
 // with an options block mirroring the CLI flags (exact, workers,
-// deadline_ms, …). A 512-entry body-hash parse memo in front of
+// deadline_ms, …); a client's workers are clamped to the server's
+// runtime.GOMAXPROCS(0), in either codec. A 512-entry body-hash parse memo in front of
 // /v1/analyze mirrors the service's verdict memo one layer up:
 // admission-control traffic re-asks about a small population of
 // systems, and for a memo-hit query the JSON decode and spec
@@ -56,7 +57,8 @@
 // client chaining one-edit-apart probes (an admission controller, a
 // remote priority search) rides the incremental path
 // (Engine.AnalyzeFrom) deterministically; a sessionless query runs
-// cold on a memo miss. Session-scoped probes accept either a full spec or
+// cold on a memo miss and records no replay history, since only a
+// session can reuse it. Session-scoped probes accept either a full spec or
 // a model.Diff-shaped edit (platform parameter changes, transaction
 // set/remove/add) applied against the session's last accepted system.
 // The registry is bounded by the same segmented CLOCK cache

@@ -6,10 +6,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"hsched/internal/analysis"
 	"hsched/internal/experiments"
 	"hsched/internal/gen"
 	"hsched/internal/model"
@@ -558,5 +560,36 @@ func TestUnschedulable422NotReturned(t *testing.T) {
 	}
 	if resp.Transactions[0].Response != nil {
 		t.Errorf("unbounded response = %v, want null", *resp.Transactions[0].Response)
+	}
+}
+
+// TestOptionsWorkersClamped: a client's workers never exceed
+// runtime.GOMAXPROCS(0), whichever codec carried them, while the
+// server default and smaller values pass through. Only the mapping is
+// exercised: no request runs with a huge value.
+func TestOptionsWorkersClamped(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	def := analysis.Options{Workers: 1}
+	for _, tc := range []struct{ workers, want int }{
+		{0, def.Workers},
+		{1, 1},
+		{procs, procs},
+		{procs + 1, procs},
+		{math.MaxInt, procs},
+	} {
+		if got := (OptionsSpec{Workers: tc.workers}).analysis(def).Workers; got != tc.want {
+			t.Errorf("JSON workers %d: mapped to %d, want %d", tc.workers, got, tc.want)
+		}
+		body, err := EncodeAnalyzeRequestBinary(experiments.PaperSystem(), OptionsSpec{Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, _, err := decodeBinaryAnalyzeRequest(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := o.analysis(def).Workers; got != tc.want {
+			t.Errorf("binary workers %d: mapped to %d, want %d", tc.workers, got, tc.want)
+		}
 	}
 }

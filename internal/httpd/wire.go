@@ -3,6 +3,7 @@ package httpd
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"hsched/internal/analysis"
@@ -31,7 +32,8 @@ type OptionsSpec struct {
 	StopAtDeadlineMiss bool `json:"stop_at_deadline_miss,omitempty"`
 	// Workers bounds the per-round response-time workers of this
 	// query; 0 falls back to the server default (1 on a shared server,
-	// so concurrent requests do not oversubscribe the host).
+	// so concurrent requests do not oversubscribe the host), and a
+	// value above runtime.GOMAXPROCS(0) is clamped to it.
 	Workers int `json:"workers,omitempty"`
 	// MaxIterations bounds the outer holistic iteration; 0 keeps the
 	// analysis default.
@@ -53,7 +55,9 @@ type OptionsSpec struct {
 }
 
 // analysis maps the options block onto analysis.Options, falling back
-// to the server defaults for the integer knobs.
+// to the server defaults for the integer knobs. A client's workers are
+// clamped to runtime.GOMAXPROCS(0): no request fans one round out over
+// more goroutines than the host runs at once.
 func (o OptionsSpec) analysis(def analysis.Options) analysis.Options {
 	opt := analysis.Options{
 		Exact:              o.Exact,
@@ -65,7 +69,7 @@ func (o OptionsSpec) analysis(def analysis.Options) analysis.Options {
 		Epsilon:            def.Epsilon,
 	}
 	if o.Workers > 0 {
-		opt.Workers = o.Workers
+		opt.Workers = min(o.Workers, runtime.GOMAXPROCS(0))
 	}
 	if o.MaxIterations > 0 {
 		opt.MaxIterations = o.MaxIterations

@@ -45,11 +45,11 @@ func paperSystem() *model.System {
 	}
 }
 
-// coldService returns a service with memo and delta path disabled:
-// every probe runs cold, which is exactly the pre-session
-// private-engine oracle.
-func coldService() *service.Service {
-	return service.New(service.Options{Shards: 1, Capacity: -1, DisableDelta: true})
+// coldOracle returns analysis options whose no-op Recorder makes every
+// probe skip the service's memo, in-flight table and session seed and
+// run cold, which is exactly the pre-session private-engine oracle.
+func coldOracle() analysis.Options {
+	return analysis.Options{Recorder: func(int, *analysis.Result) {}}
 }
 
 // multiPlatformSystem returns a generated 3-platform system with
@@ -117,7 +117,7 @@ func TestAudsleyServiceBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resCold, okCold, err := AudsleyContext(context.Background(), coldSys, AudsleyOptions{Service: coldService()})
+			resCold, okCold, err := AudsleyContext(context.Background(), coldSys, AudsleyOptions{Analysis: coldOracle()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func TestHOPAServiceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resCold, err := HOPAContext(context.Background(), coldSys, HOPAOptions{Service: coldService()})
+	resCold, err := HOPAContext(context.Background(), coldSys, HOPAOptions{Analysis: coldOracle()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,10 +69,11 @@
 //     which replays the recorded per-round state of every transaction the
 //     edit provably cannot reach and recomputes only the dirty rest —
 //     bit-identical to a cold analysis, a fraction of the work. A miss
-//     without a session runs cold. Stats.DeltaHits counts the
+//     without a session runs cold, and since only a session's executed
+//     probe can become a seed, it records no replay history
+//     (analysis.Options.DisableReplayState). Stats.DeltaHits counts the
 //     analyses served this way and Stats.RoundsSaved the per-task
-//     response computations the replay skipped; Options.DisableDelta
-//     turns the rung off;
+//     response computations the replay skipped;
 //
 //   - one analysis at a time per stripe. Every miss calls the
 //     package-level analysis entry points, which draw an engine from
@@ -80,10 +81,11 @@
 //     their transaction-keyed slabs (interference rows, bounds, round
 //     buffers) across calls and carry no values from one analysis to
 //     the next, so the service need not keep any. Each stripe holds a
-//     run lock across its analysis, so at most Options.Shards
+//     run slot across its analysis, so at most Options.Shards
 //     analyses — and so at most that many engines' buffers and replay
 //     histories — are live at once, while distinct systems analyse
-//     concurrently on other stripes;
+//     concurrently on other stripes. A query waiting for its stripe's
+//     run slot still honours its context;
 //
 //   - a fingerprint-keyed intern pool (Intern, InternFingerprinted,
 //     Interned; sized by Options.Capacity) sitting in front of the

@@ -14,9 +14,6 @@ import "hsched/internal/model"
 // cache.Clock of ceil(Capacity/Shards) entries. Eviction only
 // drops the pool's reference: a resident still held by a caller or a
 // memoised Result simply stops being shared with future requests.
-//
-// With interning disabled (Options.Capacity < 0) sys is returned
-// unchanged and nothing is counted.
 func (s *Service) Intern(sys *model.System) (*model.System, model.Fingerprint) {
 	fp := sys.Fingerprint()
 	return s.InternFingerprinted(fp, sys), fp
@@ -33,9 +30,6 @@ func (s *Service) Intern(sys *model.System) (*model.System, model.Fingerprint) {
 // yield one pointer.
 func (s *Service) InternFingerprinted(fp model.Fingerprint, sys *model.System) *model.System {
 	st := s.stripeFor(fp)
-	if st.intern == nil {
-		return sys
-	}
 	st.mu.Lock()
 	if e := st.intern.Get(fp); e != nil {
 		res := e.Value()
@@ -61,9 +55,6 @@ func (s *Service) InternFingerprinted(fp model.Fingerprint, sys *model.System) *
 // so each request increments exactly one intern counter.
 func (s *Service) Interned(fp model.Fingerprint) (*model.System, bool) {
 	st := s.stripeFor(fp)
-	if st.intern == nil {
-		return nil, false
-	}
 	st.mu.Lock()
 	e := st.intern.Get(fp)
 	if e == nil {

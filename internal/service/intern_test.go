@@ -201,20 +201,29 @@ func TestInternConcurrentWithMemo(t *testing.T) {
 	}
 }
 
-// TestInternDisabled asserts a negative capacity turns interning off:
-// arguments pass through unchanged and nothing is counted.
-func TestInternDisabled(t *testing.T) {
-	svc := New(Options{Capacity: -1})
-	sys := internTestSystem(t)
-	got, fp := svc.Intern(sys)
-	if got != sys || fp != sys.Fingerprint() {
-		t.Fatal("disabled Intern must return its argument and true fingerprint")
-	}
-	if _, ok := svc.Interned(fp); ok {
-		t.Fatal("disabled pool reported a resident")
-	}
-	if st := svc.Stats(); st.InternHits != 0 || st.InternMisses != 0 || st.Resident != 0 {
-		t.Fatalf("disabled pool counted: %+v", st)
+// TestNonPositiveCapacitySelectsDefault: the memo and the intern pool
+// have no off-switch; a zero or negative Capacity sizes both at the
+// default.
+func TestNonPositiveCapacitySelectsDefault(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []int{0, -1} {
+		if got := (Options{Capacity: c}).capacity(); got != 4096 {
+			t.Errorf("Capacity %d: capacity() = %d, want 4096", c, got)
+		}
+		svc := New(Options{Shards: 1, Capacity: c})
+		sys := internTestSystem(t)
+		svc.Intern(sys)
+		if got, _ := svc.Intern(sys.Clone()); got != sys {
+			t.Errorf("Capacity %d: an equal system did not collapse onto the resident", c)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := svc.Analyze(ctx, sys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := svc.Stats(); st.Hits != 1 || st.Misses != 1 || st.InternHits != 1 {
+			t.Errorf("Capacity %d: stats %+v, want the repeat to hit the memo and the pool", c, st)
+		}
 	}
 }
 

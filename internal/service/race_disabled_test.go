@@ -1,6 +1,6 @@
 //go:build !race
 
-package service_test
+package service
 
 // raceEnabled gates the AllocsPerRun tests; see race_enabled_test.go.
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package service_test
+package service
 
 // raceEnabled gates the AllocsPerRun tests: the race detector makes
 // sync.Pool drop items at random (by design, to surface lifetime

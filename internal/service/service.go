@@ -18,34 +18,22 @@ type Options struct {
 	// Shards is the number of stripes the service's state is split
 	// into. Each stripe owns one slice of the verdict memo, in-flight
 	// table and intern pool behind a short-held mutex, and runs at most
-	// one analysis at a time behind a long-held one, so at most Shards
-	// analyses run at once; queries are routed by system fingerprint,
-	// so one fingerprint touches exactly one stripe while distinct
-	// systems spread across stripes and run concurrently. 0 selects
-	// runtime.GOMAXPROCS(0).
+	// one analysis at a time behind a one-slot run semaphore, so at
+	// most Shards analyses run at once; queries are routed by system
+	// fingerprint, so one fingerprint touches exactly one stripe while
+	// distinct systems spread across stripes and run concurrently. 0
+	// selects runtime.GOMAXPROCS(0).
 	Shards int
 
 	// Capacity bounds the verdict memo (whole detached Results) and,
 	// separately, the intern pool of canonical resident systems (see
-	// Intern), each in entries divided evenly across stripes. 0 selects
-	// 4096; a negative value disables both: every query runs an
-	// analysis (in-flight deduplication stays) and Intern returns its
-	// argument unchanged.
+	// Intern), each in entries divided evenly across stripes. 0 or a
+	// negative value selects 4096.
 	Capacity int
 
 	// Analysis is the default analysis configuration used by Analyze
 	// and AnalyzeStatic; AnalyzeOptions overrides it per query.
 	Analysis analysis.Options
-
-	// DisableDelta turns the incremental path off: analyses record no
-	// replay state and sessions never pin a seed, so every miss runs
-	// cold. By default a Session's miss is seeded with the session's
-	// previous result and routed through analysis.AnalyzeFromContext,
-	// which replays the unchanged transactions' state instead of
-	// recomputing it — the fast path for search loops and admission
-	// controllers that mutate one transaction at a time. A query
-	// without a session always runs cold on a miss.
-	DisableDelta bool
 }
 
 func (o Options) shards() int {
@@ -56,25 +44,10 @@ func (o Options) shards() int {
 }
 
 func (o Options) capacity() int {
-	switch {
-	case o.Capacity < 0:
-		return 0
-	case o.Capacity == 0:
-		return 4096
-	default:
+	if o.Capacity > 0 {
 		return o.Capacity
 	}
-}
-
-// perStripe divides a total capacity over n stripes, rounding up so a
-// positive total stays positive on every stripe (the bound becomes
-// "at most ceil(total/n) per stripe", i.e. total rounded up to a
-// multiple of n overall). Zero stays zero: disabled is disabled.
-func perStripe(total, n int) int {
-	if total <= 0 {
-		return 0
-	}
-	return (total + n - 1) / n
+	return 4096
 }
 
 // Stats is a snapshot of the service's counters. Every query is
@@ -233,17 +206,19 @@ type inflight struct {
 //     map operations only, never held across an analysis, and taken
 //     exactly once per memoised query (a cache.Clock has no lock of
 //     its own);
-//   - runMu IS held across an analysis, so the stripe runs at most one
-//     at a time and the service at most Shards at once — the bound on
-//     the engine buffers and replay histories live at any instant. A
-//     long cold run never blocks the stripe's hit path.
+//   - run is a one-slot semaphore held across an analysis, so the
+//     stripe runs at most one at a time and the service at most Shards
+//     at once — the bound on the engine buffers and replay histories
+//     live at any instant. A query waiting for the slot still honours
+//     its context, and a long cold run never blocks the stripe's hit
+//     path.
 type stripe struct {
 	mu       sync.Mutex
 	memo     *cache.Clock[cacheKey, *analysis.Result]
 	inflight map[cacheKey]*inflight
-	intern   *cache.Clock[model.Fingerprint, *model.System] // nil: interning disabled
+	intern   *cache.Clock[model.Fingerprint, *model.System]
 
-	runMu sync.Mutex
+	run chan struct{}
 
 	_ [64]byte // keep neighbouring stripes' mutexes off one cache line
 }
@@ -273,14 +248,15 @@ type Service struct {
 func New(opt Options) *Service {
 	n := opt.shards()
 	s := &Service{opt: opt, stripes: make([]stripe, n)}
-	capPerStripe := perStripe(opt.capacity(), n)
+	// Rounded up, so every stripe keeps at least one entry: the bound
+	// is capacity rounded up to a multiple of n overall.
+	capPerStripe := (opt.capacity() + n - 1) / n
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.memo = cache.New[cacheKey, *analysis.Result](capPerStripe)
 		st.inflight = make(map[cacheKey]*inflight)
-		if capPerStripe > 0 {
-			st.intern = cache.New[model.Fingerprint, *model.System](capPerStripe)
-		}
+		st.intern = cache.New[model.Fingerprint, *model.System](capPerStripe)
+		st.run = make(chan struct{}, 1)
 	}
 	return s
 }
@@ -357,10 +333,8 @@ func (s *Service) Reset() {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		st.memo.Clear()
-		if st.intern != nil {
-			s.ctr.resident.Add(-int64(st.intern.Len()))
-			st.intern.Clear()
-		}
+		s.ctr.resident.Add(-int64(st.intern.Len()))
+		st.intern.Clear()
 		st.mu.Unlock()
 	}
 }
@@ -380,14 +354,17 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 	if sess != nil {
 		sess.noteProbe()
 	}
+	if sess == nil || opt.Recorder != nil {
+		// Only a session's executed probe can become a seed, so any
+		// other analysis skips recording its replay history.
+		opt.DisableReplayState = true
+	}
 	if opt.Recorder != nil {
 		// Recorder queries want their per-iteration callbacks fired,
 		// which a memo hit would silence; they bypass the memo and the
-		// in-flight table and run cold. Their results never become
-		// session seeds, so they record no replay state.
+		// in-flight table and run cold, and never become session seeds.
 		s.ctr.misses.Add(1)
 		s.ctr.queries.Add(1)
-		opt.DisableReplayState = true
 		res, err := s.run(ctx, s.stripeFor(fp), sys, opt, static, nil)
 		if sess != nil {
 			sess.noteExecuted(res)
@@ -471,10 +448,10 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			sess.noteExecuted(res)
 		}
 
-		// Callers and the memo receive the result stripped of its
-		// replay history; only a session's pinned seed keeps the full
-		// version, so the memo's thousands of entries never pin
-		// unreachable histories.
+		// Callers and the memo receive a session probe's result
+		// stripped of its replay history (other results record none);
+		// only the session's pinned seed keeps the full version, so the
+		// memo's thousands of entries never pin unreachable histories.
 		shared := res
 		if err == nil {
 			shared = res.WithoutReplayState()
@@ -516,16 +493,18 @@ func (s *Service) countWork(res *analysis.Result) {
 	}
 }
 
-// run executes one analysis under the stripe's run lock. A non-nil
-// seed routes it through the incremental path, which falls back to a
-// cold run when the seed turns out not to be soundly replayable.
+// run executes one analysis holding the stripe's run slot; a query
+// whose context ends while it waits for the slot fails with the
+// context's error. A non-nil seed routes the analysis through the
+// incremental path, which falls back to a cold run when the seed turns
+// out not to be soundly replayable.
 func (s *Service) run(ctx context.Context, st *stripe, sys *model.System, opt analysis.Options, static bool, seed *analysis.Result) (*analysis.Result, error) {
-	if s.opt.DisableDelta {
-		// No result will ever be used as a seed: skip the recording.
-		opt.DisableReplayState = true
+	select {
+	case st.run <- struct{}{}:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("service: %w", ctx.Err())
 	}
-	st.runMu.Lock()
-	defer st.runMu.Unlock()
+	defer func() { <-st.run }()
 	if static {
 		return analysis.AnalyzeStaticContext(ctx, sys, opt)
 	}

@@ -215,21 +215,6 @@ func TestServiceLRUEviction(t *testing.T) {
 	}
 }
 
-func TestServiceCacheDisabled(t *testing.T) {
-	ctx := context.Background()
-	svc := service.New(service.Options{Shards: 1, Capacity: -1})
-	sys := testSystem(t, 7)
-	for i := 0; i < 3; i++ {
-		if _, err := svc.Analyze(ctx, sys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := svc.Stats()
-	if st.Misses != 3 || st.Hits != 0 {
-		t.Fatalf("stats = %+v: Capacity < 0 must disable memoisation", st)
-	}
-}
-
 func TestServiceContextCancelled(t *testing.T) {
 	sys := testSystem(t, 8)
 	svc := service.New(service.Options{Shards: 1})
@@ -350,26 +335,6 @@ func TestServiceDeltaPath(t *testing.T) {
 	}
 	if st4 := svc.Stats(); res.Delta != nil || st4.DeltaHits != st3.DeltaHits || st4.Misses != st3.Misses+1 {
 		t.Fatalf("stats = %+v: a plain near-match query must run cold, with 0 delta hits", st4)
-	}
-}
-
-// TestServiceDeltaDisabled: DisableDelta turns the session delta path
-// off.
-func TestServiceDeltaDisabled(t *testing.T) {
-	ctx := context.Background()
-	base := experiments.PaperSystem()
-	mut := base.Clone()
-	mut.Transactions[3].Tasks[0].WCET = 7.5 // would delta-hit with the delta path on
-	svc := service.New(service.Options{Shards: 1, DisableDelta: true, Analysis: analysis.Options{Workers: 1}})
-	sess := svc.NewSession()
-	if _, err := sess.Analyze(ctx, base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Analyze(ctx, mut); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.Stats(); st.DeltaHits != 0 {
-		t.Fatalf("stats = %+v: DisableDelta must disable the delta path", st)
 	}
 }
 

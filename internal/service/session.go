@@ -56,10 +56,8 @@ type SessionStats struct {
 // only guaranteed for sequential probes (the search-loop shape it
 // exists for).
 //
-// The pinned seed keeps one full Result (with replay history) alive;
-// sessions on a service with the delta path disabled
-// (Options.DisableDelta) never pin — probes still memoise, they just
-// run cold on a miss.
+// The pinned seed keeps one full Result (with replay history) alive
+// until the next executed probe replaces it or Drop releases it.
 type Session struct {
 	svc *Service
 

@@ -137,31 +137,6 @@ func TestSessionPinnedSeedBeatsPoolLuck(t *testing.T) {
 	}
 }
 
-// TestSessionOnDeltaDisabledService: sessions degrade to memoisation
-// when the service's delta path is off — no pinning, no delta hits,
-// results unaffected.
-func TestSessionOnDeltaDisabledService(t *testing.T) {
-	chain := mutateChain(sessionChainSystem(t, 31), 4)
-	svc := New(Options{Shards: 1, DisableDelta: true})
-	sess := svc.NewSession()
-	ctx := context.Background()
-	for _, sys := range chain {
-		if _, err := sess.Analyze(ctx, sys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := sess.Stats()
-	if st.DeltaHits != 0 {
-		t.Fatalf("delta-disabled service produced session delta hits: %+v", st)
-	}
-	if sess.currentSeed() != nil {
-		t.Fatalf("delta-disabled service pinned a seed")
-	}
-	if st.MemoHits+st.Executed != st.Probes {
-		t.Fatalf("stats inconsistent: %+v", st)
-	}
-}
-
 // TestSessionDrop: dropping the pinned seed releases it; probing
 // continues unaffected.
 func TestSessionDrop(t *testing.T) {

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // allocations per query: fingerprint (pooled encode buffer), stripe
 // lookup, CLOCK touch and atomic counters all run allocation-free.
 func TestServiceHitZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if service.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc counts are meaningless")
 	}
 	ctx := context.Background()
@@ -167,5 +168,50 @@ func TestStripeRunsOneAnalysisAtATime(t *testing.T) {
 	}
 	if p := peak.Load(); p > 1 {
 		t.Errorf("%d analyses ran at once on one stripe, want at most 1", p)
+	}
+}
+
+// TestRunSlotWaitHonoursDeadline: a query queued behind a long analysis
+// on its stripe fails by its own deadline instead of waiting the
+// analysis out. On a one-shard service a Recorder query blocks in its
+// first callback, holding the stripe's run slot until a timer releases
+// it 2 s later; a second query with a 20 ms deadline must fail with
+// context.DeadlineExceeded long before that.
+func TestRunSlotWaitHonoursDeadline(t *testing.T) {
+	svc := service.New(service.Options{Shards: 1})
+	release := make(chan struct{})
+	timer := time.AfterFunc(2*time.Second, func() { close(release) })
+	entered := make(chan struct{})
+	var once sync.Once
+	rec := func(int, *analysis.Result) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
+	held, queued := testSystem(t, 810), testSystem(t, 811)
+	first := make(chan error, 1)
+	go func() {
+		_, err := svc.AnalyzeOptions(context.Background(), held, analysis.Options{Workers: 1, Recorder: rec})
+		first <- err
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := svc.Analyze(ctx, queued)
+	waited := time.Since(start)
+	if timer.Stop() {
+		close(release)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("queued query: err = %v, want context.DeadlineExceeded", err)
+	}
+	if waited > time.Second {
+		t.Errorf("queued query returned after %v: it waited out the stripe's analysis", waited)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("blocking Recorder query: %v", err)
 	}
 }
