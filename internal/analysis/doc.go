@@ -49,6 +49,15 @@
 //     jitter from its predecessor's previous-round response and the
 //     loop repeats until the responses reach a fixed point.
 //
+// Responses never decrease from one round to the next, so a deadline
+// miss in any round is final. Options.StopAtDeadlineMiss ends the
+// iteration at the first round in which any transaction misses, and
+// Options.Goal at the first round in which the one goal transaction
+// misses (Result.StoppedAtGoal); the bounds are then lower bounds of
+// the fixed point. A goal that never misses leaves the analysis
+// unchanged, bit for bit, and a stopped result's recorded rounds are a
+// prefix of the goal-free run, so it seeds AnalyzeFrom under any goal.
+//
 // One Engine serves one goroutine at a time; callers that are
 // themselves parallel run one engine per worker with
 // Options.Workers = 1.

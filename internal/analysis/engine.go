@@ -190,6 +190,9 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
+	if g := e.opt.Goal; g < 0 || g > len(sys.Transactions) {
+		return nil, fmt.Errorf("analysis: goal transaction %d of %d", g, len(sys.Transactions))
+	}
 	e.ctx = ctx
 	defer func() { e.ctx = nil; e.plan = nil; e.delta.plan.base = nil }()
 	e.bind(sys)
@@ -226,7 +229,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 	// reduced offsets of Eq. (10) are derived once, not per round.
 	e.an.refreshOffsets()
 
-	converged := false
+	converged, stopped := false, false
 	iters := 0
 	for iter := 0; iter < e.opt.maxIter(); iter++ {
 		// Cancellation point between holistic rounds.
@@ -272,19 +275,14 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 		// An intermediate deadline miss is equally final when the
 		// caller only needs the verdict: responses are monotone
 		// non-decreasing across rounds.
-		if e.opt.StopAtDeadlineMiss {
-			missed := false
-			for i := range e.an.slabs {
-				row := e.an.slabs[i].round
-				if row[len(row)-1].Worst > e.work.Transactions[i].Deadline+e.opt.eps() {
-					missed = true
-					break
-				}
-			}
-			if missed {
-				converged = true
-				break
-			}
+		if e.opt.StopAtDeadlineMiss && e.roundMisses() {
+			converged = true
+			break
+		}
+		// The same for the goal transaction alone (Options.Goal).
+		if g := e.opt.Goal; g > 0 && e.txMisses(g-1) {
+			converged, stopped = true, true
+			break
 		}
 
 		// Stage 4: jitter propagation, Eq. 18:
@@ -316,6 +314,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 		return nil, fmt.Errorf("analysis: no iterations executed")
 	}
 	res := e.finalize(iters, converged)
+	res.StoppedAtGoal = stopped
 	if !converged {
 		// The iteration was cut off by MaxIterations: the reported
 		// response times are lower bounds of the (larger) fixed point,
@@ -732,6 +731,24 @@ func (e *Engine) roundInputsUnchanged(i, j int) bool {
 		}
 	}
 	return true
+}
+
+// txMisses reports whether transaction i's end-to-end response in the
+// current round exceeds its deadline plus ε.
+func (e *Engine) txMisses(i int) bool {
+	row := e.an.slabs[i].round
+	return row[len(row)-1].Worst > e.work.Transactions[i].Deadline+e.opt.eps()
+}
+
+// roundMisses reports whether any transaction misses in the current
+// round.
+func (e *Engine) roundMisses() bool {
+	for i := range e.an.slabs {
+		if e.txMisses(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // roundHasInf reports an unbounded response in the current round.

@@ -52,6 +52,22 @@ type Options struct {
 	// it for speed; reporting consumers leave it off.
 	StopAtDeadlineMiss bool
 
+	// Goal names one transaction whose verdict is all the caller
+	// needs, by its 1-based number in the paper's notation (Γ1 is 1);
+	// 0, the zero value, means no goal. Once a round ends with the
+	// goal's end-to-end response above its deadline plus ε, the
+	// iteration stops: StopAtDeadlineMiss restricted to one
+	// transaction, sound for the same monotonicity reason. The result
+	// then reports StoppedAtGoal, its bounds are lower bounds of the
+	// fixed point and MeetsDeadline(Goal−1) is false. A goal that never
+	// misses leaves the analysis running to the same fixed point, bit
+	// for bit, as an analysis without one. A negative goal, or one
+	// above the number of transactions, is an error; the one-pass
+	// static analysis ignores the goal. The Audsley priority search
+	// (package sched) sets it to the candidate's transaction on every
+	// candidate probe.
+	Goal int
+
 	// Recorder, when non-nil, is invoked after every holistic
 	// iteration with the iteration index (0-based) and a snapshot of
 	// the per-task jitters and response times. It powers the
@@ -100,6 +116,13 @@ type Options struct {
 // service's memo keys embed it too, so a future Options field added
 // here is automatically respected by both the replay gate and the
 // verdict cache.
+//
+// Goal is in the key, since a stopped result differs from the fixed
+// point, but it only ever cuts the goal-free trajectory short: a
+// stopped run's recorded rounds are a prefix of the run without it.
+// So the replay gate compares keys WithoutGoal, and the service memo
+// keeps every result that did not stop at its goal under the
+// goal-free key.
 type ReplayKey struct {
 	exact              bool
 	maxScenarios       int
@@ -108,6 +131,7 @@ type ReplayKey struct {
 	maxInner           int
 	tightBestCase      bool
 	stopAtDeadlineMiss bool
+	goal               int
 }
 
 // ReplayKey returns the options' semantic identity; see the type.
@@ -120,7 +144,15 @@ func (o Options) ReplayKey() ReplayKey {
 		maxInner:           o.maxInner(),
 		tightBestCase:      o.TightBestCase,
 		stopAtDeadlineMiss: o.StopAtDeadlineMiss,
+		goal:               o.Goal,
 	}
+}
+
+// WithoutGoal returns the key with its goal cleared: the key of the
+// same options with no goal.
+func (k ReplayKey) WithoutGoal() ReplayKey {
+	k.goal = 0
+	return k
 }
 
 func (o Options) workers() int {
@@ -196,8 +228,14 @@ type Result struct {
 	// static analysis).
 	Iterations int
 	// Converged reports whether the holistic iteration reached a fixed
-	// point within Options.MaxIterations.
+	// point within Options.MaxIterations, or stopped early on a final
+	// verdict (StopAtDeadlineMiss, or StoppedAtGoal).
 	Converged bool
+	// StoppedAtGoal reports that the iteration ended at a round where
+	// the Options.Goal transaction missed its deadline, before the
+	// fixed point: the bounds are lower bounds, MeetsDeadline of the
+	// goal is false and so is Schedulable.
+	StoppedAtGoal bool
 	// Schedulable reports whether every transaction's end-to-end
 	// response time is finite and within its deadline.
 	Schedulable bool

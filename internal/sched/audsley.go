@@ -18,7 +18,13 @@ const audsleyUnassigned = 1 << 20
 
 // AudsleyOptions tunes AudsleyContext.
 type AudsleyOptions struct {
-	// Analysis configures the holistic oracle.
+	// Analysis configures the holistic oracle. Its Goal is the
+	// search's to set: every candidate probe names the candidate's
+	// transaction, so the probe stops at that transaction's first
+	// deadline miss, and the "no candidate" and final probes run
+	// without a goal to the fixed point. A candidate is accepted only
+	// on a converged probe: one cut by MaxIterations reports lower
+	// bounds.
 	Analysis analysis.Options
 	// Service, when non-nil, is the analysis service the oracle probes
 	// route through (via a probe Session): consecutive probes are one
@@ -89,12 +95,16 @@ func AudsleyContext(ctx context.Context, sys *model.System, opt AudsleyOptions) 
 	// assignments the search revisits (notably the final analysis of
 	// an attempt, which re-states the last accepted probe) come
 	// straight from the service's verdict memo.
+	// A probe's goal is its candidate's transaction (see
+	// AudsleyOptions.Analysis); 0 runs to the fixed point.
 	sess := sessionFor(opt.Service)
-	probe := func() (*analysis.Result, error) {
+	probe := func(goal int) (*analysis.Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
-		return sess.AnalyzeOptions(ctx, sys, opt.Analysis)
+		aopt := opt.Analysis
+		aopt.Goal = goal
+		return sess.AnalyzeOptions(ctx, sys, aopt)
 	}
 
 	attempt := func(order []int) (*analysis.Result, bool, error) {
@@ -113,11 +123,13 @@ func AudsleyContext(ctx context.Context, sys *model.System, opt AudsleyOptions) 
 						continue
 					}
 					task(refs[c]).Priority = level
-					res, err := probe()
+					res, err := probe(refs[c].i + 1)
 					if err != nil {
 						return nil, false, fmt.Errorf("sched: audsley oracle: %w", err)
 					}
-					if res.MeetsDeadline(refs[c].i) {
+					// A probe cut by MaxIterations reports lower
+					// bounds, so only a converged one can accept.
+					if res.Converged && res.MeetsDeadline(refs[c].i) {
 						assigned[c] = true
 						found = true
 						break
@@ -125,7 +137,7 @@ func AudsleyContext(ctx context.Context, sys *model.System, opt AudsleyOptions) 
 					task(refs[c]).Priority = audsleyUnassigned
 				}
 				if !found {
-					res, err := probe()
+					res, err := probe(0)
 					if err != nil {
 						return nil, false, err
 					}
@@ -133,7 +145,7 @@ func AudsleyContext(ctx context.Context, sys *model.System, opt AudsleyOptions) 
 				}
 			}
 		}
-		res, err := probe()
+		res, err := probe(0)
 		if err != nil {
 			return nil, false, err
 		}

@@ -13,8 +13,11 @@
 // service.Session: each probe is seeded by the previous result and
 // re-analyses only what the move can reach, revisited assignments come
 // from the verdict memo, and sharing one service across searches
-// shares all of it. Results are bit-identical to probing a private
-// engine.
+// shares all of it. The Audsley search's candidate probes need only
+// their candidate's verdict, so they name its transaction as the
+// analysis goal (analysis.Options.Goal) and stop at its first deadline
+// miss. Results are bit-identical to probing a private engine without
+// goals.
 package sched
 
 import (

@@ -171,13 +171,20 @@ type counters struct {
 // entry. Recorder is likewise absent (recorder queries bypass the
 // memo). static distinguishes the one-pass static analysis from the
 // holistic iteration — same system, different semantics.
+//
+// keyOf masks the options' goal (analysis.Options.Goal): a result
+// that did not stop at its goal is bit-identical to the goal-free
+// one, so it is memoised under the goal-free key, where goal-free
+// queries and goal probes alike find it. Only a result that stopped
+// at its goal is memoised under its goal key, which a goal-free
+// query never looks up.
 type optKey struct {
 	rk     analysis.ReplayKey
 	static bool
 }
 
 func keyOf(opt analysis.Options, static bool) optKey {
-	return optKey{rk: opt.ReplayKey(), static: static}
+	return optKey{rk: opt.ReplayKey().WithoutGoal(), static: static}
 }
 
 // cacheKey identifies one memoisable verdict: the canonical system
@@ -375,7 +382,15 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		return res, err
 	}
 
+	// key is goal-free; goalKey equals it unless opt carries a goal. A
+	// goal probe accepts a result under either key, so it looks up the
+	// goal-free key first, then its own, and waits on in-flight
+	// analyses of its own key; a goal-free query sees only key.
 	key := cacheKey{fp: fp, opt: keyOf(opt, static)}
+	goalKey := key
+	if opt.Goal != 0 {
+		goalKey.opt.rk = opt.ReplayKey()
+	}
 	st := s.stripeFor(fp)
 	for {
 		// The memoised hit path: one stripe-mutex acquisition, held for
@@ -383,10 +398,21 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		// the lock (a Put may refresh it); the CLOCK touch and all
 		// counting are lock-free and happen after release.
 		st.mu.Lock()
-		if e := st.memo.Get(key); e != nil {
+		e := st.memo.Get(key)
+		if e == nil && opt.Goal != 0 {
+			e = st.memo.Get(goalKey)
+		}
+		if e != nil {
 			res := e.Value()
 			st.mu.Unlock()
-			e.Touch()
+			// A session's hit is a search revisiting its own recent
+			// probe, which says nothing about reuse outside the
+			// search, so it does not mark the entry used: the entry
+			// leaves through probation unless a sessionless query
+			// reuses it.
+			if sess == nil {
+				e.Touch()
+			}
 			s.ctr.hits.Add(1)
 			s.ctr.queries.Add(1)
 			if sess != nil {
@@ -394,7 +420,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			}
 			return res, nil
 		}
-		if fl, ok := st.inflight[key]; ok {
+		if fl, ok := st.inflight[goalKey]; ok {
 			// A concurrent identical query is already analysing; wait
 			// for it instead of running a second analysis. Attribution
 			// happens at resolution: a query that ends here — result,
@@ -430,7 +456,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			return fl.res, nil
 		}
 		fl := &inflight{done: make(chan struct{})}
-		st.inflight[key] = fl
+		st.inflight[goalKey] = fl
 		st.mu.Unlock()
 		s.ctr.misses.Add(1)
 		s.ctr.queries.Add(1)
@@ -460,9 +486,13 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		fl.res, fl.err = shared, err
 		evicted := false
 		st.mu.Lock()
-		delete(st.inflight, key)
+		delete(st.inflight, goalKey)
 		if err == nil {
-			_, evicted = st.memo.Put(key, shared)
+			putKey := key
+			if res.StoppedAtGoal {
+				putKey = goalKey
+			}
+			_, evicted = st.memo.Put(putKey, shared)
 		}
 		st.mu.Unlock()
 		if evicted {

@@ -50,7 +50,10 @@ type SessionStats struct {
 // search, not one per process. A session's probes flow through the
 // owning service's memo, in-flight table and stripes, and count
 // into ServiceStats like any other query; SessionStats additionally
-// attributes this session's share. Like the Service itself a Session
+// attributes this session's share. A probe's memo hit does not mark
+// the entry used, though: it is a search revisiting its own recent
+// probe, so the entry still leaves through the memo's probation
+// instead of filling its main region. Like the Service itself a Session
 // is safe for concurrent use, but its pinned seed is a single slot —
 // concurrent probes race to pin it, so chained-edit determinism is
 // only guaranteed for sequential probes (the search-loop shape it
