@@ -112,11 +112,11 @@ func (e *Engine) planDelta(prev *Result, sys *model.System) *deltaPlan {
 	}
 	// The baseline must have been computed under the same analysis
 	// semantics: a different epsilon, scenario mode or best-case bound
-	// converges along a different trajectory. A goal only cuts the
-	// goal-free trajectory short, so the baseline's recorded rounds are
-	// a prefix of it whatever either goal is (rounds past the recording
-	// recompute), and the check masks the goal on both sides.
-	if e.opt.ReplayKey().WithoutGoal() != prev.rkey.WithoutGoal() {
+	// converges along a different trajectory. A stop rule only cuts
+	// the stop-free trajectory short, so the baseline's recorded rounds
+	// are a prefix of it whatever either rule is (rounds past the
+	// recording recompute), and the check masks the rule on both sides.
+	if e.opt.ReplayKey().WithoutStop() != prev.rkey.WithoutStop() {
 		return nil
 	}
 	old := prev.System

@@ -50,13 +50,18 @@
 //     loop repeats until the responses reach a fixed point.
 //
 // Responses never decrease from one round to the next, so a deadline
-// miss in any round is final. Options.StopAtDeadlineMiss ends the
-// iteration at the first round in which any transaction misses, and
-// Options.Goal at the first round in which the one goal transaction
-// misses (Result.StoppedAtGoal); the bounds are then lower bounds of
-// the fixed point. A goal that never misses leaves the analysis
-// unchanged, bit for bit, and a stopped result's recorded rounds are a
-// prefix of the goal-free run, so it seeds AnalyzeFrom under any goal.
+// miss in any round is final, while a bound under its deadline is
+// final only at the fixed point. The package states both halves once.
+// One stop rule: Options.Goal names a goal transaction and
+// Options.StopAtDeadlineMiss makes every transaction a goal, and the
+// iteration ends at the first round in which a goal misses
+// (Result.StoppedAtGoal). A run that never stops is unchanged, bit for
+// bit, and a stopped result's recorded rounds are a prefix of the
+// stop-free run, so it seeds AnalyzeFrom under any stop rule. One
+// verdict rule: Result.MeetsDeadline is true only when the bounds are
+// the fixed point (or the one static pass), never after a stop, a
+// MaxIterations cut or the exit on an unbounded response, and
+// Result.Schedulable is every transaction meeting.
 //
 // One Engine serves one goroutine at a time; callers that are
 // themselves parallel run one engine per worker with

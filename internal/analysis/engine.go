@@ -229,7 +229,9 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 	// reduced offsets of Eq. (10) are derived once, not per round.
 	e.an.refreshOffsets()
 
-	converged, stopped := false, false
+	// fixed: the round reached the fixed point; converged: the verdict
+	// is final (a fixed point, a stop, or an unbounded response).
+	converged, fixed, stopped := false, false, false
 	iters := 0
 	for iter := 0; iter < e.opt.maxIter(); iter++ {
 		// Cancellation point between holistic rounds.
@@ -259,7 +261,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 		}
 
 		if e.havePrev && e.roundUnchanged() {
-			converged = true
+			converged, fixed = true, true
 			break
 		}
 		e.storePrev()
@@ -272,15 +274,10 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 			break
 		}
 
-		// An intermediate deadline miss is equally final when the
-		// caller only needs the verdict: responses are monotone
-		// non-decreasing across rounds.
-		if e.opt.StopAtDeadlineMiss && e.roundMisses() {
-			converged = true
-			break
-		}
-		// The same for the goal transaction alone (Options.Goal).
-		if g := e.opt.Goal; g > 0 && e.txMisses(g-1) {
+		// A goal's deadline miss is equally final (Options.Goal; with
+		// StopAtDeadlineMiss every transaction is a goal): responses are
+		// monotone non-decreasing across rounds.
+		if s := e.opt.stop(); s != 0 && e.goalMisses(s) {
 			converged, stopped = true, true
 			break
 		}
@@ -313,14 +310,8 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 	if iters == 0 {
 		return nil, fmt.Errorf("analysis: no iterations executed")
 	}
-	res := e.finalize(iters, converged)
+	res := e.finalize(iters, converged, fixed)
 	res.StoppedAtGoal = stopped
-	if !converged {
-		// The iteration was cut off by MaxIterations: the reported
-		// response times are lower bounds of the (larger) fixed point,
-		// so a positive verdict would be unsound.
-		res.Schedulable = false
-	}
 	res.history = history
 	res.rkey = e.opt.ReplayKey()
 	if e.plan != nil {
@@ -416,7 +407,7 @@ func (e *Engine) AnalyzeStaticContext(ctx context.Context, sys *model.System) (*
 	if err := e.runRound(0); err != nil {
 		return nil, err
 	}
-	return e.finalize(1, true), nil
+	return e.finalize(1, true, true), nil
 }
 
 // bind copies sys into the engine's working system, rebinds the
@@ -672,15 +663,16 @@ func cloneCompact(src *model.System, totalTasks int) *model.System {
 // finalize builds the analysis outcome from the last round. Oversized
 // sequential scratch is released here so one outlier exact analysis
 // does not pin its peak memory across the engine's lifetime (the
-// pooled parallel scratch is already reclaimed by the GC).
-func (e *Engine) finalize(iterations int, converged bool) *Result {
+// pooled parallel scratch is already reclaimed by the GC). fixed
+// reports that the last round's bounds are final (see MeetsDeadline).
+func (e *Engine) finalize(iterations int, converged, fixed bool) *Result {
 	e.seq.shrink()
 	res := e.detach(iterations)
 	res.Converged = converged
 	res.ScenariosPruned = e.pruned.Load()
 	res.SubtreesPruned = e.subtrees.Load()
 	res.InterferenceEvals = e.evals.Load()
-	res.computeVerdict(e.opt.eps())
+	res.computeVerdict(e.opt.eps(), fixed)
 	return res
 }
 
@@ -733,18 +725,13 @@ func (e *Engine) roundInputsUnchanged(i, j int) bool {
 	return true
 }
 
-// txMisses reports whether transaction i's end-to-end response in the
-// current round exceeds its deadline plus ε.
-func (e *Engine) txMisses(i int) bool {
-	row := e.an.slabs[i].round
-	return row[len(row)-1].Worst > e.work.Transactions[i].Deadline+e.opt.eps()
-}
-
-// roundMisses reports whether any transaction misses in the current
-// round.
-func (e *Engine) roundMisses() bool {
+// goalMisses reports whether a goal transaction of stop rule s (see
+// Options.stop) misses in the current round: its end-to-end response
+// exceeds its deadline plus ε.
+func (e *Engine) goalMisses(s int) bool {
 	for i := range e.an.slabs {
-		if e.txMisses(i) {
+		row := e.an.slabs[i].round
+		if (s == stopAll || s == i+1) && row[len(row)-1].Worst > e.work.Transactions[i].Deadline+e.opt.eps() {
 			return true
 		}
 	}

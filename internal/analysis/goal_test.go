@@ -75,19 +75,26 @@ func TestGoalMatchesGoalFree(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFromStoppedSeed: a result that stopped at its goal
-// records a prefix of the goal-free trajectory, so seeding AnalyzeFrom
-// with it — on the same system or after an edit, with no goal or
-// another one — must equal a cold analysis under the new options, bit
+// TestAnalyzeFromStoppedSeed: a result that stopped — at its goal,
+// or at any transaction's miss under StopAtDeadlineMiss — records a
+// prefix of the stop-free trajectory, so seeding AnalyzeFrom with it —
+// on the same system or after an edit, with no stop rule, the same one
+// or another — must equal a cold analysis under the new options, bit
 // for bit.
 func TestAnalyzeFromStoppedSeed(t *testing.T) {
 	for name, opt := range goalModes {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			seeded := 0
+			seeded, stopSeeded := 0, 0
 			for _, sys := range randomSystems(t, 30) {
+				stopAll := opt
+				stopAll.StopAtDeadlineMiss = true
+				seedOpts := []analysis.Options{stopAll}
 				for g := 1; g <= len(sys.Transactions); g++ {
-					seed, err := analysis.NewEngine(withGoal(opt, g)).Analyze(sys)
+					seedOpts = append(seedOpts, withGoal(opt, g))
+				}
+				for _, sopt := range seedOpts {
+					seed, err := analysis.NewEngine(sopt).Analyze(sys)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -95,15 +102,16 @@ func TestAnalyzeFromStoppedSeed(t *testing.T) {
 						continue
 					}
 					if !seed.HasReplayState() {
-						t.Fatalf("goal %d: a stopped result carries no replay state", g)
+						t.Fatalf("%+v: a stopped result carries no replay state", sopt)
 					}
 					next := sys
 					if rng.Intn(2) == 1 {
 						next = mutateOnce(rng, sys)
 					}
 					n := len(next.Transactions) // an edit may drop a transaction
-					for _, goal := range []int{0, min(g, n), 1 + rng.Intn(n)} {
-						nopt := withGoal(opt, goal)
+					for _, nopt := range []analysis.Options{
+						opt, withGoal(opt, min(max(sopt.Goal, 1), n)), withGoal(opt, 1+rng.Intn(n)), stopAll,
+					} {
 						cold, err := analysis.NewEngine(nopt).Analyze(next)
 						if err != nil {
 							t.Fatal(err)
@@ -113,18 +121,21 @@ func TestAnalyzeFromStoppedSeed(t *testing.T) {
 							t.Fatal(err)
 						}
 						if !resultsIdentical(cold, warm) || cold.StoppedAtGoal != warm.StoppedAtGoal {
-							t.Fatalf("goal %d seed, goal %d: AnalyzeFrom diverged from a cold analysis (delta=%+v)", g, goal, warm.Delta)
+							t.Fatalf("seed %+v, options %+v: AnalyzeFrom diverged from a cold analysis (delta=%+v)", sopt, nopt, warm.Delta)
 						}
-						if warm.Delta != nil && goal != g {
+						if warm.Delta != nil && nopt.ReplayKey() != sopt.ReplayKey() {
 							seeded++
+							if sopt.StopAtDeadlineMiss {
+								stopSeeded++
+							}
 						}
 					}
 				}
 			}
-			if seeded == 0 {
-				t.Fatalf("no stopped seed was ever replayed under another goal: the test is vacuous")
+			if seeded == 0 || stopSeeded == 0 {
+				t.Fatalf("%d stopped seeds replayed under another stop rule, %d of them StopAtDeadlineMiss seeds: the test is vacuous", seeded, stopSeeded)
 			}
-			t.Logf("%s: %d analyses replayed a stopped seed under another goal", name, seeded)
+			t.Logf("%s: %d analyses replayed a stopped seed under another stop rule (%d StopAtDeadlineMiss seeds)", name, seeded, stopSeeded)
 		})
 	}
 }

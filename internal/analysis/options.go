@@ -42,30 +42,27 @@ type Options struct {
 	// the simple bound, and Table 3 is reproduced with it.
 	TightBestCase bool
 
-	// StopAtDeadlineMiss ends the holistic iteration as soon as any
-	// transaction's end-to-end response exceeds its deadline. Sound
-	// for the verdict — responses grow monotonically across rounds, so
-	// an intermediate miss implies a miss at the fixed point — but the
-	// reported response times are then lower bounds of the fixed
-	// point, not the fixed point itself. Verdict-only consumers (the
-	// design search, sensitivity analysis, acceptance sweeps) enable
-	// it for speed; reporting consumers leave it off.
+	// StopAtDeadlineMiss makes every transaction a goal (see Goal):
+	// the holistic iteration ends at the first round in which any
+	// transaction's end-to-end response exceeds its deadline plus ε.
+	// Verdict-only consumers (the design search, sensitivity analysis,
+	// acceptance sweeps) enable it for speed; reporting consumers leave
+	// it off.
 	StopAtDeadlineMiss bool
 
 	// Goal names one transaction whose verdict is all the caller
 	// needs, by its 1-based number in the paper's notation (Γ1 is 1);
-	// 0, the zero value, means no goal. Once a round ends with the
-	// goal's end-to-end response above its deadline plus ε, the
-	// iteration stops: StopAtDeadlineMiss restricted to one
-	// transaction, sound for the same monotonicity reason. The result
-	// then reports StoppedAtGoal, its bounds are lower bounds of the
-	// fixed point and MeetsDeadline(Goal−1) is false. A goal that never
-	// misses leaves the analysis running to the same fixed point, bit
-	// for bit, as an analysis without one. A negative goal, or one
-	// above the number of transactions, is an error; the one-pass
-	// static analysis ignores the goal. The Audsley priority search
-	// (package sched) sets it to the candidate's transaction on every
-	// candidate probe.
+	// 0, the zero value, means no goal. Responses never decrease from
+	// one round to the next, so a goal's deadline miss in any round is
+	// final: once a round ends with a goal's end-to-end response above
+	// its deadline plus ε, the iteration stops and the result reports
+	// StoppedAtGoal. Its bounds are then lower bounds of the fixed
+	// point, so MeetsDeadline is false for every transaction. A run
+	// that never stops reaches the same fixed point, bit for bit, as
+	// one without a goal. A negative goal, or one above the number of
+	// transactions, is an error; the one-pass static analysis ignores
+	// the stop rule. The Audsley priority search (package sched) sets
+	// it to the candidate's transaction on every candidate probe.
 	Goal int
 
 	// Recorder, when non-nil, is invoked after every holistic
@@ -117,42 +114,54 @@ type Options struct {
 // here is automatically respected by both the replay gate and the
 // verdict cache.
 //
-// Goal is in the key, since a stopped result differs from the fixed
-// point, but it only ever cuts the goal-free trajectory short: a
-// stopped run's recorded rounds are a prefix of the run without it.
-// So the replay gate compares keys WithoutGoal, and the service memo
-// keeps every result that did not stop at its goal under the
-// goal-free key.
+// The stop rule (Goal, or StopAtDeadlineMiss: every transaction a
+// goal) is one field of the key, since a stopped result differs from
+// the fixed point, but it only ever cuts the stop-free trajectory
+// short: a stopped run's recorded rounds are a prefix of the run
+// without a stop, whichever rule stopped it. So the replay gate
+// compares keys WithoutStop, and the service memo keeps every result
+// that did not stop under the stop-free key.
 type ReplayKey struct {
-	exact              bool
-	maxScenarios       int
-	epsilon            float64
-	maxIterations      int
-	maxInner           int
-	tightBestCase      bool
-	stopAtDeadlineMiss bool
-	goal               int
+	exact         bool
+	maxScenarios  int
+	epsilon       float64
+	maxIterations int
+	maxInner      int
+	tightBestCase bool
+	stop          int
 }
 
 // ReplayKey returns the options' semantic identity; see the type.
 func (o Options) ReplayKey() ReplayKey {
 	return ReplayKey{
-		exact:              o.Exact,
-		maxScenarios:       o.maxScenarios(),
-		epsilon:            o.eps(),
-		maxIterations:      o.maxIter(),
-		maxInner:           o.maxInner(),
-		tightBestCase:      o.TightBestCase,
-		stopAtDeadlineMiss: o.StopAtDeadlineMiss,
-		goal:               o.Goal,
+		exact:         o.Exact,
+		maxScenarios:  o.maxScenarios(),
+		epsilon:       o.eps(),
+		maxIterations: o.maxIter(),
+		maxInner:      o.maxInner(),
+		tightBestCase: o.TightBestCase,
+		stop:          o.stop(),
 	}
 }
 
-// WithoutGoal returns the key with its goal cleared: the key of the
-// same options with no goal.
-func (k ReplayKey) WithoutGoal() ReplayKey {
-	k.goal = 0
+// WithoutStop returns the key with its stop rule cleared: the key of
+// the same options with no goal and no StopAtDeadlineMiss.
+func (k ReplayKey) WithoutStop() ReplayKey {
+	k.stop = 0
 	return k
+}
+
+// stopAll is the stop rule of StopAtDeadlineMiss: every transaction is
+// a goal.
+const stopAll = -1
+
+// stop returns the options' stop rule: 0 for none, stopAll, or the
+// goal's 1-based number.
+func (o Options) stop() int {
+	if o.StopAtDeadlineMiss {
+		return stopAll
+	}
+	return o.Goal
 }
 
 func (o Options) workers() int {
@@ -227,17 +236,20 @@ type Result struct {
 	// Iterations is the number of holistic rounds executed (1 for the
 	// static analysis).
 	Iterations int
-	// Converged reports whether the holistic iteration reached a fixed
-	// point within Options.MaxIterations, or stopped early on a final
-	// verdict (StopAtDeadlineMiss, or StoppedAtGoal).
+	// Converged reports whether the verdict is final: the holistic
+	// iteration reached a fixed point within Options.MaxIterations,
+	// stopped at a goal's deadline miss (StoppedAtGoal), or ended on an
+	// unbounded response. A run cut by MaxIterations is not converged.
 	Converged bool
 	// StoppedAtGoal reports that the iteration ended at a round where
-	// the Options.Goal transaction missed its deadline, before the
-	// fixed point: the bounds are lower bounds, MeetsDeadline of the
-	// goal is false and so is Schedulable.
+	// a goal transaction (Options.Goal; with StopAtDeadlineMiss, any
+	// transaction) missed its deadline, before the fixed point: the
+	// bounds are lower bounds, and Schedulable and every MeetsDeadline
+	// are false.
 	StoppedAtGoal bool
-	// Schedulable reports whether every transaction's end-to-end
-	// response time is finite and within its deadline.
+	// Schedulable reports whether every transaction meets its deadline
+	// (MeetsDeadline), so it is false whenever the bounds are not the
+	// fixed point.
 	Schedulable bool
 
 	// Delta is non-nil when the result was produced by the incremental
@@ -293,6 +305,12 @@ type Result struct {
 	// eps is the convergence tolerance the result was computed under,
 	// the guard band of MeetsDeadline.
 	eps float64
+
+	// fixed reports that the bounds are final upper bounds: the fixed
+	// point of the holistic iteration, or the one static pass. A stop,
+	// a MaxIterations cut and the exit on an unbounded response leave
+	// it false.
+	fixed bool
 }
 
 // DeltaInfo reports the work profile of an incremental analysis.
@@ -338,20 +356,22 @@ func (r *Result) TransactionResponse(i int) float64 {
 	return row[len(row)-1].Worst
 }
 
-// MeetsDeadline reports whether transaction i's end-to-end response is
-// finite and within its deadline, with the convergence tolerance the
-// analysis ran under as the guard band (the same ε the fixed points
-// were computed under). Schedulable is this test over every
-// transaction of a converged analysis; per-transaction verdicts must
-// use it too, so the two never disagree.
+// MeetsDeadline reports whether transaction i is proven to meet its
+// deadline: the bounds are final (the fixed point, or the one static
+// pass) and its end-to-end response is finite and within its deadline,
+// with the convergence tolerance the analysis ran under as the guard
+// band. A stopped, cut or unbounded-exit result reports false for
+// every transaction, since its bounds may still grow. Schedulable is
+// this test over every transaction, so the two never disagree.
 func (r *Result) MeetsDeadline(i int) bool {
 	rt := r.TransactionResponse(i)
-	return !math.IsInf(rt, 1) && rt <= r.System.Transactions[i].Deadline+r.eps
+	return r.fixed && !math.IsInf(rt, 1) && rt <= r.System.Transactions[i].Deadline+r.eps
 }
 
-// computeVerdict decides Schedulable from the final round.
-func (r *Result) computeVerdict(eps float64) {
-	r.eps = eps
+// computeVerdict decides Schedulable from the final round; fixed
+// reports that its bounds are final.
+func (r *Result) computeVerdict(eps float64, fixed bool) {
+	r.eps, r.fixed = eps, fixed
 	r.Schedulable = true
 	for i := range r.Tasks {
 		if !r.MeetsDeadline(i) {

@@ -55,9 +55,10 @@ func PolicyAcceptance(utils []float64, perPoint int, seed int64, workers int, sv
 	}
 	// One option set for every policy and both searches: verdicts and
 	// probes then share memo entries across policies (an Audsley probe
-	// can be answered by a HOPA round's resident result). The oracle
-	// must see fixed-point responses — the searches accept candidates
-	// by their transaction's response — so no StopAtDeadlineMiss.
+	// can be answered by a HOPA round's resident result). No
+	// StopAtDeadlineMiss: the searches would clear it on their probes
+	// anyway (sched.AudsleyOptions.Analysis, sched.HOPAOptions.Analysis),
+	// so it could only cut the closed-form policies' one verdict short.
 	opt := analysis.Options{Workers: 1, MaxInner: 50_000, MaxIterations: 60}
 	ctx := context.Background()
 	type verdicts struct{ rm, dm, hopa, audsley bool }

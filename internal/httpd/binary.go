@@ -43,7 +43,7 @@ const binaryVersion = 1
 // Binary response layout:
 //
 //	u64  binaryVersion
-//	u64  flags (bit 0 schedulable, 1 converged)
+//	u64  flags (bit 0 schedulable, 1 converged, 2 stopped)
 //	u64  iterations
 //	u64  scenarios_pruned
 //	u64  subtrees_pruned
@@ -68,6 +68,7 @@ const (
 const (
 	binaryRespFlagSchedulable = 1 << iota
 	binaryRespFlagConverged
+	binaryRespFlagStopped
 )
 
 // isBinaryMedia reports whether a Content-Type or Accept header value
@@ -174,6 +175,9 @@ func writeBinaryAnalyzeResponse(w http.ResponseWriter, res *analysis.Result, ela
 	if res.Converged {
 		flags |= binaryRespFlagConverged
 	}
+	if res.StoppedAtGoal {
+		flags |= binaryRespFlagStopped
+	}
 	pb := bufPool.Get().(*poolBuf)
 	buf := pb.b[:0]
 	buf = binary.LittleEndian.AppendUint64(buf, binaryVersion)
@@ -216,6 +220,7 @@ func DecodeAnalyzeResponseBinary(body []byte) (*AnalyzeResponse, error) {
 	resp := &AnalyzeResponse{
 		Schedulable:     flags&binaryRespFlagSchedulable != 0,
 		Converged:       flags&binaryRespFlagConverged != 0,
+		Stopped:         flags&binaryRespFlagStopped != 0,
 		Iterations:      int(int64(binary.LittleEndian.Uint64(body[16:]))),
 		ScenariosPruned: int64(binary.LittleEndian.Uint64(body[24:])),
 		SubtreesPruned:  int64(binary.LittleEndian.Uint64(body[32:])),

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hsched/internal/experiments"
+	"hsched/internal/model"
 	"hsched/internal/service"
 	"hsched/internal/spec"
 )
@@ -29,45 +30,62 @@ func doBinary(t *testing.T, s *Server, path string, body []byte, acceptBinary bo
 }
 
 // TestAnalyzeBinaryRoundTrip asserts a binary request with a binary
-// Accept returns the same verdict as the JSON codec for the paper
-// example, through the full encode → handler → decode loop.
+// Accept returns the same verdict as the JSON codec, through the full
+// encode → handler → decode loop: for the paper example, and for a
+// tightened copy whose StopAtDeadlineMiss analysis stops at its first
+// round (the stopped marker).
 func TestAnalyzeBinaryRoundTrip(t *testing.T) {
 	s := New(Options{})
+	tight := experiments.PaperSystem()
+	tight.Transactions[0].Deadline = 10
+	var body []byte
+	for _, c := range []struct {
+		sys  *model.System
+		opt  OptionsSpec
+		stop bool
+	}{{experiments.PaperSystem(), OptionsSpec{}, false}, {tight, OptionsSpec{StopAtDeadlineMiss: true}, true}} {
+		var jsonResp AnalyzeResponse
+		w := do(t, s, "POST", "/v1/analyze", &AnalyzeRequest{System: spec.FromSystem(c.sys), Options: c.opt}, &jsonResp)
+		if w.Code != http.StatusOK {
+			t.Fatalf("json status %d: %s", w.Code, w.Body.String())
+		}
+		if jsonResp.Stopped != c.stop {
+			t.Fatalf("json stopped %v, want %v", jsonResp.Stopped, c.stop)
+		}
 
-	var jsonResp AnalyzeResponse
-	w := do(t, s, "POST", "/v1/analyze", &AnalyzeRequest{System: paperFile()}, &jsonResp)
-	if w.Code != http.StatusOK {
-		t.Fatalf("json status %d: %s", w.Code, w.Body.String())
-	}
-
-	body, err := EncodeAnalyzeRequestBinary(experiments.PaperSystem(), OptionsSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := doBinary(t, s, "/v1/analyze", body, true)
-	if bw.Code != http.StatusOK {
-		t.Fatalf("binary status %d: %s", bw.Code, bw.Body.String())
-	}
-	if ct := bw.Header().Get("Content-Type"); ct != ContentTypeBinary {
-		t.Fatalf("binary response Content-Type = %q", ct)
-	}
-	resp, err := DecodeAnalyzeResponseBinary(bw.Body.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Schedulable != jsonResp.Schedulable || resp.Converged != jsonResp.Converged ||
-		resp.Iterations != jsonResp.Iterations {
-		t.Fatalf("binary verdict %+v != json verdict %+v", resp, jsonResp)
-	}
-	if len(resp.Transactions) != len(jsonResp.Transactions) {
-		t.Fatalf("%d binary transactions, want %d", len(resp.Transactions), len(jsonResp.Transactions))
-	}
-	for i, tv := range resp.Transactions {
-		jv := jsonResp.Transactions[i]
-		if tv.Deadline != jv.Deadline || tv.Schedulable != jv.Schedulable ||
-			(tv.Response == nil) != (jv.Response == nil) ||
-			(tv.Response != nil && *tv.Response != *jv.Response) {
-			t.Fatalf("transaction %d: binary %+v != json %+v", i, tv, jv)
+		var err error
+		body, err = EncodeAnalyzeRequestBinary(c.sys, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw := doBinary(t, s, "/v1/analyze", body, true)
+		if bw.Code != http.StatusOK {
+			t.Fatalf("binary status %d: %s", bw.Code, bw.Body.String())
+		}
+		if ct := bw.Header().Get("Content-Type"); ct != ContentTypeBinary {
+			t.Fatalf("binary response Content-Type = %q", ct)
+		}
+		resp, err := DecodeAnalyzeResponseBinary(bw.Body.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Schedulable != jsonResp.Schedulable || resp.Converged != jsonResp.Converged ||
+			resp.Stopped != jsonResp.Stopped || resp.Iterations != jsonResp.Iterations {
+			t.Fatalf("binary verdict %+v != json verdict %+v", resp, jsonResp)
+		}
+		if len(resp.Transactions) != len(jsonResp.Transactions) {
+			t.Fatalf("%d binary transactions, want %d", len(resp.Transactions), len(jsonResp.Transactions))
+		}
+		for i, tv := range resp.Transactions {
+			jv := jsonResp.Transactions[i]
+			if tv.Deadline != jv.Deadline || tv.Schedulable != jv.Schedulable ||
+				(tv.Response == nil) != (jv.Response == nil) ||
+				(tv.Response != nil && *tv.Response != *jv.Response) {
+				t.Fatalf("transaction %d: binary %+v != json %+v", i, tv, jv)
+			}
+			if c.stop && tv.Schedulable {
+				t.Fatalf("transaction %d: a stopped analysis reported schedulable", i)
+			}
 		}
 	}
 

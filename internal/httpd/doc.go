@@ -40,6 +40,15 @@
 // service guarantees an aborted analysis leaves no trace in the
 // verdict memo or a session's pinned seed.
 //
+// Verdicts are never read off lower bounds. The options block's
+// stop_at_deadline_miss ends an analysis at its first deadline miss;
+// such a response carries stopped: true (bit 2 of the binary response
+// flags), and its responses are lower bounds of the fixed point. A
+// per-transaction schedulable means "proven to meet": it is true only
+// when the responses are the fixed point (or the one static pass) and
+// the transaction's is within its deadline, so a stopped analysis, or
+// one cut by max_iterations, reports every transaction false.
+//
 // /v1/analyze and the session analyze endpoint negotiate a second,
 // binary content type: a request with Content-Type
 // application/x-hsched-bin carries a fixed 48-byte options header

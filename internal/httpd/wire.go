@@ -27,8 +27,8 @@ type OptionsSpec struct {
 	// best-case bounds.
 	TightBestCase bool `json:"tight_best_case,omitempty"`
 	// StopAtDeadlineMiss ends the iteration at the first provable
-	// deadline miss (verdict-only traffic; reported responses are then
-	// lower bounds).
+	// deadline miss (verdict-only traffic; a stopped response reports
+	// stopped, and its responses are lower bounds).
 	StopAtDeadlineMiss bool `json:"stop_at_deadline_miss,omitempty"`
 	// Workers bounds the per-round response-time workers of this
 	// query; 0 falls back to the server default (1 on a shared server,
@@ -222,7 +222,11 @@ func (e *EditSpec) apply(base *model.System) (*model.System, error) {
 type AnalyzeResponse struct {
 	Schedulable bool `json:"schedulable"`
 	Converged   bool `json:"converged"`
-	Iterations  int  `json:"iterations"`
+	// Stopped marks an analysis that stopped at a deadline miss
+	// (options.stop_at_deadline_miss) before the fixed point: its
+	// responses are lower bounds.
+	Stopped    bool `json:"stopped,omitempty"`
+	Iterations int  `json:"iterations"`
 	// ScenariosPruned is the exact sweep's branch-and-bound savings
 	// for this analysis (0 for approximate or memo-answered traffic).
 	ScenariosPruned int64 `json:"scenarios_pruned,omitempty"`
@@ -357,6 +361,7 @@ func buildAnalyzeResponse(res *analysis.Result, bounds bool, elapsedMS float64) 
 	resp := &AnalyzeResponse{
 		Schedulable:     res.Schedulable,
 		Converged:       res.Converged,
+		Stopped:         res.StoppedAtGoal,
 		Iterations:      res.Iterations,
 		ScenariosPruned: res.ScenariosPruned,
 		SubtreesPruned:  res.SubtreesPruned,

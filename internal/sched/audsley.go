@@ -18,13 +18,14 @@ const audsleyUnassigned = 1 << 20
 
 // AudsleyOptions tunes AudsleyContext.
 type AudsleyOptions struct {
-	// Analysis configures the holistic oracle. Its Goal is the
+	// Analysis configures the holistic oracle. Its stop rule is the
 	// search's to set: every candidate probe names the candidate's
-	// transaction, so the probe stops at that transaction's first
-	// deadline miss, and the "no candidate" and final probes run
-	// without a goal to the fixed point. A candidate is accepted only
-	// on a converged probe: one cut by MaxIterations reports lower
-	// bounds.
+	// transaction as its Goal and clears StopAtDeadlineMiss, so the
+	// probe stops only at that transaction's first deadline miss; the
+	// "no candidate" and final probes keep StopAtDeadlineMiss and run
+	// without a goal. A candidate is accepted only when its probe
+	// proves the deadline met (analysis.Result.MeetsDeadline), so
+	// StopAtDeadlineMiss never changes the priorities installed.
 	Analysis analysis.Options
 	// Service, when non-nil, is the analysis service the oracle probes
 	// route through (via a probe Session): consecutive probes are one
@@ -95,8 +96,9 @@ func AudsleyContext(ctx context.Context, sys *model.System, opt AudsleyOptions) 
 	// assignments the search revisits (notably the final analysis of
 	// an attempt, which re-states the last accepted probe) come
 	// straight from the service's verdict memo.
-	// A probe's goal is its candidate's transaction (see
-	// AudsleyOptions.Analysis); 0 runs to the fixed point.
+	// A candidate probe's only goal is its candidate's transaction (see
+	// AudsleyOptions.Analysis); goal 0 keeps the caller's
+	// StopAtDeadlineMiss.
 	sess := sessionFor(opt.Service)
 	probe := func(goal int) (*analysis.Result, error) {
 		if err := ctx.Err(); err != nil {
@@ -104,6 +106,7 @@ func AudsleyContext(ctx context.Context, sys *model.System, opt AudsleyOptions) 
 		}
 		aopt := opt.Analysis
 		aopt.Goal = goal
+		aopt.StopAtDeadlineMiss = aopt.StopAtDeadlineMiss && goal == 0
 		return sess.AnalyzeOptions(ctx, sys, aopt)
 	}
 
@@ -127,9 +130,7 @@ func AudsleyContext(ctx context.Context, sys *model.System, opt AudsleyOptions) 
 					if err != nil {
 						return nil, false, fmt.Errorf("sched: audsley oracle: %w", err)
 					}
-					// A probe cut by MaxIterations reports lower
-					// bounds, so only a converged one can accept.
-					if res.Converged && res.MeetsDeadline(refs[c].i) {
+					if res.MeetsDeadline(refs[c].i) {
 						assigned[c] = true
 						found = true
 						break

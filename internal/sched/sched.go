@@ -13,11 +13,14 @@
 // service.Session: each probe is seeded by the previous result and
 // re-analyses only what the move can reach, revisited assignments come
 // from the verdict memo, and sharing one service across searches
-// shares all of it. The Audsley search's candidate probes need only
-// their candidate's verdict, so they name its transaction as the
-// analysis goal (analysis.Options.Goal) and stop at its first deadline
-// miss. Results are bit-identical to probing a private engine without
-// goals.
+// shares all of it. The searches stop a probe early only on what they
+// ask about: the Audsley search's candidate probes need only their
+// candidate's verdict, so they name its transaction as the analysis
+// goal (analysis.Options.Goal) and stop at its first deadline miss,
+// while HOPA reads every response and so runs every probe to the fixed
+// point. Both clear analysis.Options.StopAtDeadlineMiss on those
+// probes, so it never changes the priorities a search installs.
+// Results are bit-identical to probing a private engine without goals.
 package sched
 
 import (
@@ -85,7 +88,9 @@ type HOPAOptions struct {
 	// Iterations bounds the deadline-redistribution rounds; 0 selects
 	// 10.
 	Iterations int
-	// Analysis configures the holistic oracle.
+	// Analysis configures the holistic oracle. Its StopAtDeadlineMiss
+	// is ignored: the redistribution reads every response, so every
+	// probe runs to the fixed point.
 	Analysis analysis.Options
 	// Service, when non-nil, is the analysis service the oracle probes
 	// route through (via a probe Session) — sharing it across searches
@@ -163,12 +168,14 @@ func HOPAContext(ctx context.Context, sys *model.System, opt HOPAOptions) (*anal
 	// re-analysis replays whatever the priority moves provably cannot
 	// reach, and revisited assignments are answered by the memo.
 	sess := sessionFor(opt.Service)
+	aopt := opt.Analysis
+	aopt.StopAtDeadlineMiss = false
 	for round := 0; round < opt.iterations(); round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
 		assignByLocalDeadlines(sys, locals)
-		res, err := sess.AnalyzeOptions(ctx, sys, opt.Analysis)
+		res, err := sess.AnalyzeOptions(ctx, sys, aopt)
 		if err != nil {
 			return nil, err
 		}

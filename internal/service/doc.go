@@ -42,7 +42,12 @@
 //     zero-value Options and an explicitly-spelled-default Options
 //     share an entry; Workers is excluded from keys (results are
 //     identical for every worker count) and Recorder queries bypass
-//     the memo (a hit would silence their callbacks). Memo hits
+//     the memo (a hit would silence their callbacks). Keys mask the
+//     stop rule (Goal, StopAtDeadlineMiss) of every result that did
+//     not stop, so a query with a stop and a stop-free one share the
+//     fixed point; a stopped result, whose bounds are lower bounds,
+//     lives under its query's own key, which a stop-free query never
+//     looks up. Memo hits
 //     return a shared pointer — treat cached Results as read-only —
 //     and are allocation-free: a hit reads the stripe's index under
 //     its mutex and records recency by setting the entry's CLOCK bit

@@ -9,98 +9,104 @@ import (
 	"hsched/internal/service"
 )
 
-// goalCase finds a system of the test corpus and a goal transaction
-// whose goal analysis stops (stop true) or runs to the end (stop
-// false) under opt.
-func goalCase(t *testing.T, opt analysis.Options, stop bool) (*model.System, int) {
+// stopCase finds a system of the test corpus and a stop rule of opt —
+// a goal transaction, or StopAtDeadlineMiss when all is set — whose
+// analysis stops (stop true) or runs to the end (stop false), and
+// returns the system and the options with that rule.
+func stopCase(t *testing.T, opt analysis.Options, all, stop bool) (*model.System, analysis.Options) {
 	t.Helper()
 	for seed := int64(1); seed <= 64; seed++ {
 		sys := testSystem(t, seed)
 		for g := 1; g <= len(sys.Transactions); g++ {
-			opt.Goal = g
-			res, err := analysis.Analyze(sys, opt)
+			o := opt
+			if all {
+				o.StopAtDeadlineMiss = true
+			} else {
+				o.Goal = g
+			}
+			res, err := analysis.Analyze(sys, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.StoppedAtGoal == stop {
-				return sys, g
+				return sys, o
 			}
 		}
 	}
-	t.Fatalf("no corpus system with a goal analysis that stops=%v", stop)
-	return nil, 0
+	t.Fatalf("no corpus system whose analysis under all=%v stops=%v", all, stop)
+	return nil, opt
 }
 
-// TestGoalFreeQueryNeverGetsStoppedResult: a result that stopped at
-// its goal is memoised under its goal only, so a goal-free query of
-// the same system misses and gets the fixed point, sessionless or
-// through a session; a later goal probe then hits the goal-free
-// entry. A goal probe that ran to the end is memoised goal-free, so a
-// goal-free query hits it.
+// TestGoalFreeQueryNeverGetsStoppedResult: a result that stopped — at
+// its goal, or at any miss under StopAtDeadlineMiss — is memoised under
+// its own options only, so a stop-free query of the same system misses
+// and gets the fixed point, sessionless or through a session; a later
+// query with the stop then hits the stop-free entry. A result that
+// carried a stop rule but ran to the end is memoised stop-free, so a
+// stop-free query hits it.
 func TestGoalFreeQueryNeverGetsStoppedResult(t *testing.T) {
 	ctx := context.Background()
 	opt := analysis.Options{Workers: 1}
-	sys, g := goalCase(t, opt, true)
-	goalOpt := opt
-	goalOpt.Goal = g
-	want, err := analysis.NewEngine(opt).Analyze(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, all := range []bool{false, true} {
+		sys, stopOpt := stopCase(t, opt, all, true)
+		want, err := analysis.NewEngine(opt).Analyze(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	for _, viaSession := range []bool{false, true} {
+		for _, viaSession := range []bool{false, true} {
+			svc := service.New(service.Options{Shards: 1})
+			sess := svc.NewSession()
+			query := func(o analysis.Options) (*analysis.Result, bool) {
+				t.Helper()
+				before := svc.Stats().Hits
+				var res *analysis.Result
+				var err error
+				if viaSession {
+					res, err = sess.AnalyzeOptions(ctx, sys, o)
+				} else {
+					res, err = svc.AnalyzeOptions(ctx, sys, o)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, svc.Stats().Hits > before
+			}
+			stopped, hit := query(stopOpt)
+			if !stopped.StoppedAtGoal || hit {
+				t.Fatalf("all=%v session=%v: query stopped=%v hit=%v, want a stopped miss", all, viaSession, stopped.StoppedAtGoal, hit)
+			}
+			again, hit := query(stopOpt)
+			if again != stopped || !hit {
+				t.Fatalf("all=%v session=%v: the repeated query was not answered by its own entry", all, viaSession)
+			}
+			free, hit := query(opt)
+			if free.StoppedAtGoal || hit {
+				t.Fatalf("all=%v session=%v: stop-free query stopped=%v hit=%v, want a full miss", all, viaSession, free.StoppedAtGoal, hit)
+			}
+			sameAnalysis(t, free, want)
+			later, hit := query(stopOpt)
+			if later != free || !hit {
+				t.Fatalf("all=%v session=%v: a query with a stop must prefer the stop-free entry", all, viaSession)
+			}
+		}
+
+		sys, stopOpt = stopCase(t, opt, all, false)
 		svc := service.New(service.Options{Shards: 1})
-		sess := svc.NewSession()
-		query := func(o analysis.Options) (*analysis.Result, bool) {
-			t.Helper()
-			before := svc.Stats().Hits
-			var res *analysis.Result
-			var err error
-			if viaSession {
-				res, err = sess.AnalyzeOptions(ctx, sys, o)
-			} else {
-				res, err = svc.AnalyzeOptions(ctx, sys, o)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, svc.Stats().Hits > before
+		full, err := svc.AnalyzeOptions(ctx, sys, stopOpt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		stopped, hit := query(goalOpt)
-		if !stopped.StoppedAtGoal || hit {
-			t.Fatalf("session=%v: goal probe stopped=%v hit=%v, want a stopped miss", viaSession, stopped.StoppedAtGoal, hit)
+		free, err := svc.AnalyzeOptions(ctx, sys, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		again, hit := query(goalOpt)
-		if again != stopped || !hit {
-			t.Fatalf("session=%v: the repeated goal probe was not answered by its own entry", viaSession)
+		if full.StoppedAtGoal || free != full {
+			t.Fatalf("all=%v: a result that ran to the end under a stop rule was not memoised stop-free", all)
 		}
-		free, hit := query(opt)
-		if free.StoppedAtGoal || hit {
-			t.Fatalf("session=%v: goal-free query stopped=%v hit=%v, want a full miss", viaSession, free.StoppedAtGoal, hit)
+		if st := svc.Stats(); st.Hits != 1 || st.Misses != 1 {
+			t.Fatalf("all=%v: stats = %+v, want 1 hit and 1 miss", all, st)
 		}
-		sameAnalysis(t, free, want)
-		later, hit := query(goalOpt)
-		if later != free || !hit {
-			t.Fatalf("session=%v: a goal probe must prefer the goal-free entry", viaSession)
-		}
-	}
-
-	sys, g = goalCase(t, opt, false)
-	goalOpt.Goal = g
-	svc := service.New(service.Options{Shards: 1})
-	full, err := svc.AnalyzeOptions(ctx, sys, goalOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free, err := svc.AnalyzeOptions(ctx, sys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.StoppedAtGoal || free != full {
-		t.Fatalf("a goal probe that ran to the end was not memoised goal-free")
-	}
-	if st := svc.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit and 1 miss", st)
 	}
 }
 

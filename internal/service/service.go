@@ -172,19 +172,16 @@ type counters struct {
 // memo). static distinguishes the one-pass static analysis from the
 // holistic iteration — same system, different semantics.
 //
-// keyOf masks the options' goal (analysis.Options.Goal): a result
-// that did not stop at its goal is bit-identical to the goal-free
-// one, so it is memoised under the goal-free key, where goal-free
-// queries and goal probes alike find it. Only a result that stopped
-// at its goal is memoised under its goal key, which a goal-free
-// query never looks up.
+// A memo key masks the options' stop rule (analysis.Options.Goal and
+// StopAtDeadlineMiss) unless the result stopped: a result that did not
+// stop is bit-identical to the stop-free one, so it is memoised under
+// the stop-free key, where stop-free queries and queries with a stop
+// alike find it. Only a stopped result (Result.StoppedAtGoal) is
+// memoised under its query's own key, which a stop-free query never
+// looks up.
 type optKey struct {
 	rk     analysis.ReplayKey
 	static bool
-}
-
-func keyOf(opt analysis.Options, static bool) optKey {
-	return optKey{rk: opt.ReplayKey().WithoutGoal(), static: static}
 }
 
 // cacheKey identifies one memoisable verdict: the canonical system
@@ -382,15 +379,15 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		return res, err
 	}
 
-	// key is goal-free; goalKey equals it unless opt carries a goal. A
-	// goal probe accepts a result under either key, so it looks up the
-	// goal-free key first, then its own, and waits on in-flight
-	// analyses of its own key; a goal-free query sees only key.
-	key := cacheKey{fp: fp, opt: keyOf(opt, static)}
-	goalKey := key
-	if opt.Goal != 0 {
-		goalKey.opt.rk = opt.ReplayKey()
-	}
+	// key is the stop-free form of the query's own key ownKey (see
+	// optKey). A query with a stop accepts a result under either key,
+	// so it looks up the stop-free key first, then its own, and waits
+	// on in-flight analyses of its own key; a stop-free query sees only
+	// key.
+	ownKey := cacheKey{fp: fp, opt: optKey{rk: opt.ReplayKey(), static: static}}
+	key := ownKey
+	key.opt.rk = key.opt.rk.WithoutStop()
+	hasStop := key.opt != ownKey.opt
 	st := s.stripeFor(fp)
 	for {
 		// The memoised hit path: one stripe-mutex acquisition, held for
@@ -399,8 +396,8 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		// counting are lock-free and happen after release.
 		st.mu.Lock()
 		e := st.memo.Get(key)
-		if e == nil && opt.Goal != 0 {
-			e = st.memo.Get(goalKey)
+		if e == nil && hasStop {
+			e = st.memo.Get(ownKey)
 		}
 		if e != nil {
 			res := e.Value()
@@ -420,7 +417,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			}
 			return res, nil
 		}
-		if fl, ok := st.inflight[goalKey]; ok {
+		if fl, ok := st.inflight[ownKey]; ok {
 			// A concurrent identical query is already analysing; wait
 			// for it instead of running a second analysis. Attribution
 			// happens at resolution: a query that ends here — result,
@@ -456,7 +453,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 			return fl.res, nil
 		}
 		fl := &inflight{done: make(chan struct{})}
-		st.inflight[goalKey] = fl
+		st.inflight[ownKey] = fl
 		st.mu.Unlock()
 		s.ctr.misses.Add(1)
 		s.ctr.queries.Add(1)
@@ -486,11 +483,11 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		fl.res, fl.err = shared, err
 		evicted := false
 		st.mu.Lock()
-		delete(st.inflight, goalKey)
+		delete(st.inflight, ownKey)
 		if err == nil {
 			putKey := key
 			if res.StoppedAtGoal {
-				putKey = goalKey
+				putKey = ownKey
 			}
 			_, evicted = st.memo.Put(putKey, shared)
 		}
