@@ -19,10 +19,19 @@ import (
 // remove one transaction, rename, or permute. Every op keeps the
 // system valid.
 func mutateOnce(rng *rand.Rand, sys *model.System) *model.System {
+	return mutateOp(rng, sys, rng.Intn(mutateOps))
+}
+
+// mutateOps is the number of edits mutateOp knows.
+const mutateOps = 9
+
+// mutateOp applies edit op (0 ≤ op < mutateOps) of mutateOnce to a
+// clone of sys, drawing its parameters from rng.
+func mutateOp(rng *rand.Rand, sys *model.System, op int) *model.System {
 	out := sys.Clone()
 	pick := func(n int) int { return rng.Intn(n) }
 	tx := func() *model.Transaction { return &out.Transactions[pick(len(out.Transactions))] }
-	switch op := rng.Intn(9); op {
+	switch op {
 	case 0: // retune one task's WCET
 		tr := tx()
 		t := &tr.Tasks[pick(len(tr.Tasks))]
@@ -71,12 +80,37 @@ func mutateOnce(rng *rand.Rand, sys *model.System) *model.System {
 	return out
 }
 
+// priorityProbe is the Audsley search's probe pair on a clone of sys:
+// one task moves to a provisional top priority, above every task on its
+// platform, and then to a level between the lowest priority on the
+// platform and the top.
+func priorityProbe(rng *rand.Rand, sys *model.System) (top, placed *model.System) {
+	top = sys.Clone()
+	i := rng.Intn(len(top.Transactions))
+	j := rng.Intn(len(top.Transactions[i].Tasks))
+	moved := &top.Transactions[i].Tasks[j]
+	lo, hi := moved.Priority, moved.Priority
+	for _, tr := range top.Transactions {
+		for _, t := range tr.Tasks {
+			if t.Platform == moved.Platform {
+				lo, hi = min(lo, t.Priority), max(hi, t.Priority)
+			}
+		}
+	}
+	moved.Priority = hi + 1
+	placed = top.Clone()
+	placed.Transactions[i].Tasks[j].Priority = lo + rng.Intn(hi-lo+2)
+	return top, placed
+}
+
 // TestAnalyzeFromBitIdentical is the delta path's metamorphic
 // contract: over randomized sequences of single mutations, chaining
 // each warm result as the next seed, AnalyzeFrom must produce results
 // bit-identical to a cold Analyze of the mutated system — all tasks'
 // bounds, critical scenarios, iteration counts and verdicts — under
-// several analysis option sets.
+// several analysis option sets. Beside the chain, every step's system
+// also takes a priority probe pair (priorityProbe), each probe seeded
+// by the result before it, as an Audsley search's session would.
 func TestAnalyzeFromBitIdentical(t *testing.T) {
 	variants := map[string]analysis.Options{
 		"approx": {Workers: 1, MaxIterations: 60},
@@ -87,11 +121,12 @@ func TestAnalyzeFromBitIdentical(t *testing.T) {
 	for name, opt := range variants {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
+			probeRng := rand.New(rand.NewSource(11))
 			steps := 40
 			if opt.Exact {
 				steps = 16 // exact sweeps are slower; a shorter chain suffices
 			}
-			seeded := 0
+			seeded, probeSeeded := 0, 0
 			for base := 0; base < 3; base++ {
 				sys, err := gen.System(gen.Config{
 					Seed:      int64(300 + base),
@@ -127,13 +162,33 @@ func TestAnalyzeFromBitIdentical(t *testing.T) {
 							t.Fatalf("step %d: nonsense delta info %+v", step, warm.Delta)
 						}
 					}
+					top, placed := priorityProbe(probeRng, sys)
+					probePrev := warm
+					for k, ps := range []*model.System{top, placed} {
+						cold, err := analysis.NewEngine(opt).Analyze(ps)
+						if err != nil {
+							t.Fatalf("step %d probe %d cold: %v", step, k, err)
+						}
+						got, err := warmEng.AnalyzeFrom(probePrev, ps)
+						if err != nil {
+							t.Fatalf("step %d probe %d warm: %v", step, k, err)
+						}
+						if !resultsIdentical(cold, got) {
+							t.Fatalf("step %d probe %d: AnalyzeFrom diverged from cold analysis (delta=%+v)", step, k, got.Delta)
+						}
+						if got.Delta != nil {
+							probeSeeded++
+						}
+						probePrev = got
+					}
 					prev = warm
 				}
 			}
-			if seeded == 0 {
-				t.Fatalf("the delta path never engaged over the whole mutation chain — test is vacuous")
+			if seeded == 0 || probeSeeded == 0 {
+				t.Fatalf("the delta path never engaged over the whole mutation chain (%d steps, %d probes) — test is vacuous",
+					seeded, probeSeeded)
 			}
-			t.Logf("%s: %d of the mutation steps ran incrementally", name, seeded)
+			t.Logf("%s: %d of the mutation steps and %d of the probes ran incrementally", name, seeded, probeSeeded)
 		})
 	}
 }
@@ -394,8 +449,9 @@ func TestAnalyzeFromRenameOnly(t *testing.T) {
 
 // paperAdmission returns the paper example plus one admitted
 // background transaction — the canonical admission-control event. The
-// new transaction has the lowest priority on Π2, so the dirty closure
-// is exactly its own task and all seven original tasks replay.
+// new transaction has the lowest priority on Π2, so it enters no other
+// task's interference set: its own task is the only dirty one, and all
+// seven original tasks match the seed's recorded rounds.
 func paperAdmission() *model.System {
 	sys := experiments.PaperSystem()
 	sys.Transactions = append(sys.Transactions, model.Transaction{
@@ -524,8 +580,8 @@ func BenchmarkDeltaPaperIncremental(b *testing.B) {
 	}
 }
 
-// TestAnalyzeFromPriorityPairReorderFallsBack: the priority-band fast
-// path must refuse a matching whose COMBINED replay order (unchanged
+// TestAnalyzeFromPriorityPairReorderFallsBack: the delta planner must
+// refuse a matching whose COMBINED replay order (unchanged
 // pairs plus positional priority-only pairs) reverses transaction
 // order — a clean task's interference terms would sum in a different
 // order than the baseline recorded. Here A's removal lets C

@@ -63,6 +63,18 @@
 // MaxIterations cut or the exit on an unbounded response, and
 // Result.Schedulable is every transaction meeting.
 //
+// One copy rule saves the work of unchanged tasks. A task's response in
+// a round is a deterministic function of its parameters, its own
+// offset, jitter and best case, and the offsets, jitters and parameters
+// of its interference set, so a recorded TaskResult whose round read
+// the same parameters is copied whenever every offset, jitter and best
+// case the task reads equals, bit for bit, what that round recorded.
+// Two recorded rounds serve: the previous round of the same analysis,
+// and, for Engine.AnalyzeFrom, the same round of the seed Result's
+// history, for the tasks whose parameters and interference set match
+// their seed counterpart's. The copies are exact, so an incremental
+// analysis is bit-identical to a cold one.
+//
 // One Engine serves one goroutine at a time; callers that are
 // themselves parallel run one engine per worker with
 // Options.Workers = 1.

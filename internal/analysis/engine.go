@@ -42,11 +42,13 @@ import (
 //     previous round's responses and the loop repeats to the fixed
 //     point.
 //
-// AnalyzeFrom adds the incremental path: seeded with a previous
-// Result, rounds replay the recorded per-task results of every
-// transaction an edit provably did not reach and recompute only the
-// dirty rest — converging to the exact same bits a cold Analyze of
-// the edited system would produce.
+// Stage 3 skips work by one copy rule: a task whose inputs (the
+// offsets, jitters and best case it reads) equal, bit for bit, those of
+// a recorded round takes that round's TaskResult instead of being
+// recomputed. The reference is the previous round of the same
+// analysis, and, for AnalyzeFrom, the same round of a seed Result's
+// history — converging to the exact same bits a cold Analyze of the
+// edited system would produce (see delta.go).
 //
 // An Engine is internally concurrent but not safe for concurrent use:
 // run one Engine per goroutine. Returned Results are fully detached
@@ -66,10 +68,14 @@ type Engine struct {
 	flat [][2]int
 
 	// havePrev guards the convergence test on the first round, and
-	// arms the round fast path: once set, the slabs hold a previous
-	// round and jitChanged describes the step that led to the current
-	// one.
+	// arms the round fast path: once set, lastRound holds the previous
+	// round.
 	havePrev bool
+
+	// lastRound is the previous round's TaskResults, indexed like the
+	// slabs' round rows: the convergence test's and the round fast
+	// path's reference (see Engine.analyzeTask).
+	lastRound [][]TaskResult
 
 	// errs collects per-task errors of a parallel round; the first in
 	// task index order is reported, keeping errors deterministic too.
@@ -81,7 +87,7 @@ type Engine struct {
 	pool sync.Pool
 
 	// rowStart[i] is the flat index of transaction i's first task —
-	// the (i, j) → flat mapping of the delta planner.
+	// the (i, j) → flat mapping of the delta plan's per-task slices.
 	rowStart []int
 
 	// snapBlock and snapHdrs are the history arenas: snapshotRound
@@ -91,34 +97,28 @@ type Engine struct {
 	snapBlock []TaskResult
 	snapHdrs  [][]TaskResult
 
-	// plan is the delta plan of the in-flight AnalyzeFrom call (nil on
-	// the cold path); delta is the planner's reusable scratch and
-	// deltaSaved counts the per-task response computations the replay
-	// skipped.
-	plan       *deltaPlan
-	delta      deltaScratch
-	deltaSaved int
+	// plan is the delta plan of the in-flight AnalyzeFrom call: nil on
+	// the cold path, else delta, whose buffers persist across calls.
+	plan  *deltaPlan
+	delta deltaPlan
 
 	// pruned accumulates the exact scenarios the admissible prune
 	// skipped across the in-flight analysis (atomic: the per-task
-	// response computations of a round run in parallel). On the delta
-	// path only the recomputed tasks contribute — replayed tasks sweep
-	// nothing. subtrees counts the whole-subtree cursor jumps among
-	// them (the branch-and-bound decisions), sweepSeeded the sweeps
-	// that used the previous round's incumbent seed, roundCopied the
-	// per-task computations the unchanged-inputs round fast path
-	// replaced with a copy, and evals the W^k_i evaluations of the
-	// computed tasks (each task's phase table counts its own; the
-	// total is added once per task).
+	// response computations of a round run in parallel). Only the
+	// computed tasks contribute — copied tasks sweep nothing. subtrees
+	// counts the whole-subtree cursor jumps among them (the
+	// branch-and-bound decisions), sweepSeeded the sweeps that used the
+	// previous round's incumbent seed, roundCopied and seedCopied the
+	// per-task computations a copy from the previous round or from the
+	// seed replaced, and evals the W^k_i evaluations of the computed
+	// tasks (each task's phase table counts its own; the total is added
+	// once per task).
 	pruned      atomic.Int64
 	subtrees    atomic.Int64
 	evals       atomic.Int64
 	sweepSeeded atomic.Int64
 	roundCopied atomic.Int64
-
-	// jitChanged[i] reports whether any task of transaction i changed
-	// jitter (bitwise) in the last propagation step.
-	jitChanged []bool
+	seedCopied  atomic.Int64
 
 	// ctx is the context of the in-flight call, set by the Context
 	// entry points before any round runs and read (never written) by
@@ -160,20 +160,24 @@ func (e *Engine) AnalyzeContext(ctx context.Context, sys *model.System) (*Result
 // holistic analysis of sys exactly like Analyze, but seeded with prev
 // — the Result of an earlier analysis of a structurally similar
 // system. The engine diffs prev.System against sys at transaction
-// granularity, computes the closure of tasks the edit can reach
-// (directly, through shared-platform interference, or through
-// chain-successor jitters), and then replays prev's recorded per-round
-// results for every clean task while recomputing only the dirty ones.
-// Because the replayed values are exactly what a cold analysis of sys
-// would compute for those tasks, the returned Result is bit-identical
-// to Analyze(sys) in every field — the incremental path is a pure
-// optimisation, never an approximation.
+// granularity and finds the tasks that read the same parameters as
+// their counterpart in prev.System: same platform parameters, and an
+// interference set that maps one to one onto the counterpart's. In
+// every round, such a task whose offsets, jitters and best case equal
+// bit for bit what prev recorded for the same round is copied from
+// prev's history; every other task is computed (or copied from the
+// previous round by the same rule). Because a copied value is exactly
+// what a cold analysis of sys would compute for that task, the
+// returned Result's bounds, critical scenarios, iteration count and
+// verdict are bit-identical to Analyze(sys) — the incremental path is
+// a pure optimisation, never an approximation.
 //
 // When nothing is reusable (different options, reordered transactions,
-// different platform counts, no unchanged transactions, or prev
-// lacking replay state) the call transparently falls back to a cold
-// analysis; Result.Delta is non-nil exactly when the delta path ran.
-// prev is only read, so a memoised (shared) Result is a valid seed.
+// different platform counts, no task with matching parameters, or
+// prev lacking replay state) the call transparently falls back to a
+// cold analysis; Result.Delta is non-nil exactly when the delta path
+// ran. prev is only read, so a memoised (shared) Result is a valid
+// seed.
 func (e *Engine) AnalyzeFrom(prev *Result, sys *model.System) (*Result, error) {
 	return e.AnalyzeFromContext(context.Background(), prev, sys)
 }
@@ -194,10 +198,9 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 		return nil, fmt.Errorf("analysis: goal transaction %d of %d", g, len(sys.Transactions))
 	}
 	e.ctx = ctx
-	defer func() { e.ctx = nil; e.plan = nil; e.delta.plan.base = nil }()
+	defer func() { e.ctx = nil; e.plan = nil; e.delta.base = nil }()
 	e.bind(sys)
 	e.plan = e.planDelta(prev, e.work)
-	e.deltaSaved = 0
 	e.resetCounters()
 	e.initBounds()
 
@@ -240,7 +243,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 		}
 
 		// Stages 2+3: scenario enumeration and per-task responses,
-		// replaying clean tasks from the delta baseline when seeded.
+		// copying the tasks whose inputs match a recorded round.
 		if err := e.runRound(iter); err != nil {
 			return nil, err
 		}
@@ -248,7 +251,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 		if !e.opt.DisableReplayState && historyCells < maxHistoryCells {
 			rows, carved := e.snapshotRound(iter)
 			history = append(history, rows)
-			// Aliased (fully-clean) rows cost nothing — charge the cap
+			// Rows aliased to the seed's cost nothing — charge the cap
 			// only for cells actually carved, so long delta chains keep
 			// their full replay depth.
 			historyCells += carved
@@ -285,26 +288,17 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 		// Stage 4: jitter propagation, Eq. 18:
 		// J(i,j) = R(i,j−1) − Rbest(i,j−1). The worst-case response
 		// already includes the effect of the release jitter of the
-		// first task, so nothing is added on top. Per transaction, the
-		// step records whether any jitter moved bitwise: a task whose
-		// own and interfering transactions all kept their jitters is
-		// recomputed from bit-identical inputs next round, so
-		// analyzeTask reuses the previous round's TaskResult outright.
+		// first task, so nothing is added on top.
 		for i := range e.work.Transactions {
 			tasks := e.work.Transactions[i].Tasks
 			sl := &e.an.slabs[i]
-			changed := false
 			for j := 1; j < len(tasks); j++ {
 				jit := sl.round[j-1].Worst - sl.initStarts[j]
 				if jit < 0 {
 					jit = 0
 				}
-				if jit != tasks[j].Jitter {
-					changed = true
-				}
 				tasks[j].Jitter = jit
 			}
-			e.jitChanged[i] = changed
 		}
 	}
 	if iters == 0 {
@@ -316,10 +310,10 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 	res.rkey = e.opt.ReplayKey()
 	if e.plan != nil {
 		res.Delta = &DeltaInfo{
-			CleanTasks:      len(e.plan.clean),
-			DirtyTasks:      len(e.plan.dirty),
+			CleanTasks:      e.plan.clean,
+			DirtyTasks:      len(e.flat) - e.plan.clean,
 			ReplayedRounds:  min(iters, len(e.plan.base)),
-			TaskRoundsSaved: e.deltaSaved,
+			TaskRoundsSaved: int(e.seedCopied.Load()),
 		}
 	}
 	return res, nil
@@ -332,6 +326,7 @@ func (e *Engine) resetCounters() {
 	e.evals.Store(0)
 	e.sweepSeeded.Store(0)
 	e.roundCopied.Store(0)
+	e.seedCopied.Store(0)
 }
 
 // maxHistoryCells bounds the replay state retained on a Result:
@@ -342,12 +337,12 @@ func (e *Engine) resetCounters() {
 const maxHistoryCells = 1 << 14
 
 // snapshotRound deep-copies the current round matrix. History rows are
-// immutable once recorded, which buys two things: a replayed round can
-// alias the baseline's row outright for a fully-clean transaction (no
-// copy at all — mutation chains then share their common history), and
-// fresh rows can be carved out of snapBlock, an arena the engine
-// refills a few rounds' worth at a time and only ever advances
-// through, so carved rows safely escape into Results.
+// immutable once recorded, which buys two things: a transaction whose
+// every task was copied from the seed in this round aliases the seed's
+// row outright (no copy at all — mutation chains then share their
+// common history), and fresh rows can be carved out of snapBlock, an
+// arena the engine refills a few rounds' worth at a time and only ever
+// advances through, so carved rows safely escape into Results.
 func (e *Engine) snapshotRound(iter int) (rows [][]TaskResult, carved int) {
 	nTx := len(e.an.slabs)
 	if len(e.snapHdrs) < nTx {
@@ -355,12 +350,9 @@ func (e *Engine) snapshotRound(iter int) (rows [][]TaskResult, carved int) {
 	}
 	rows = e.snapHdrs[:nTx:nTx]
 	e.snapHdrs = e.snapHdrs[nTx:]
-	var base [][]TaskResult
-	if e.plan != nil && iter < len(e.plan.base) {
-		base = e.plan.base[iter]
-	}
 	for i := range e.an.slabs {
-		if base == nil || !e.plan.cleanTx[i] {
+		rows[i] = e.seedRow(iter, i)
+		if rows[i] == nil {
 			carved += len(e.an.slabs[i].round)
 		}
 	}
@@ -371,8 +363,7 @@ func (e *Engine) snapshotRound(iter int) (rows [][]TaskResult, carved int) {
 	e.snapBlock = e.snapBlock[carved:]
 	k := 0
 	for i := range e.an.slabs {
-		if base != nil && e.plan.cleanTx[i] {
-			rows[i] = base[e.plan.oldIdx[i]]
+		if rows[i] != nil {
 			continue
 		}
 		round := e.an.slabs[i].round
@@ -382,6 +373,23 @@ func (e *Engine) snapshotRound(iter int) (rows [][]TaskResult, carved int) {
 		k += len(round)
 	}
 	return rows, carved
+}
+
+// seedRow returns the seed's row of transaction i in round iter when
+// every task of the transaction was copied from it in that round, and
+// nil otherwise.
+func (e *Engine) seedRow(iter, i int) []TaskResult {
+	p := e.plan
+	if p == nil || iter >= len(p.base) {
+		return nil
+	}
+	k := e.rowStart[i]
+	for _, copied := range p.fromSeed[k : k+len(e.an.slabs[i].round)] {
+		if !copied {
+			return nil
+		}
+	}
+	return p.base[iter][p.oldIdx[i]]
 }
 
 // AnalyzeStatic runs one pass of the static-offset analysis of Section
@@ -427,10 +435,7 @@ func (e *Engine) bind(sys *model.System) {
 	if cap(e.errs) < len(e.flat) {
 		e.errs = make([]error, len(e.flat))
 	}
-	e.jitChanged = reuseRow(e.jitChanged, len(e.work.Transactions))
-	for i := range e.jitChanged {
-		e.jitChanged[i] = false
-	}
+	e.lastRound = reuseMatrix(e.lastRound, e.work)
 	e.havePrev = false
 }
 
@@ -477,26 +482,12 @@ func (e *Engine) copySystem(src *model.System) {
 const minParallelTasks = 16
 
 // runRound executes stages 2 and 3 of the pipeline for round iter: for
-// every task to compute, in parallel across Options.Workers
-// goroutines, enumerate its scenarios and compute its worst-case
-// response with the offsets and jitters currently stored in the
-// working system, writing the TaskResults into the slabs in task index
-// order. On a seeded (delta) round still covered by the baseline's
-// recorded history, clean tasks are replayed — copied from the
-// baseline — and only the dirty work list is computed; the copied
-// values are bitwise what the computation would have produced.
+// every task, in parallel across Options.Workers goroutines, copy or
+// compute its worst-case response with the offsets and jitters
+// currently stored in the working system (see analyzeTask), writing
+// the TaskResults into the slabs in task index order.
 func (e *Engine) runRound(iter int) error {
 	work := e.flat
-	if e.plan != nil && iter < len(e.plan.base) {
-		base := e.plan.base[iter]
-		for _, c := range e.plan.clean {
-			i, j := c[0], c[1]
-			e.an.slabs[i].round[j] = base[e.plan.oldIdx[i]][j]
-		}
-		e.deltaSaved += len(e.plan.clean)
-		work = e.plan.dirty
-	}
-
 	n := len(work)
 	workers := e.opt.workers()
 	if workers <= 1 || n < minParallelTasks {
@@ -504,7 +495,7 @@ func (e *Engine) runRound(iter int) error {
 			if err := e.ctx.Err(); err != nil {
 				return wrapCancelled(err)
 			}
-			if err := e.analyzeTask(work[k][0], work[k][1], &e.seq); err != nil {
+			if err := e.analyzeTask(iter, work[k][0], work[k][1], &e.seq); err != nil {
 				return err
 			}
 		}
@@ -516,8 +507,9 @@ func (e *Engine) runRound(iter int) error {
 		errs[k] = nil
 	}
 	// The per-task computations only read the analyzer's state and
-	// write disjoint round cells of the slabs, so a successful round
-	// is deterministic regardless of scheduling. Errors are staged per
+	// write disjoint round cells of the slabs and disjoint fromSeed
+	// slots of the delta plan, so a successful round is deterministic
+	// regardless of scheduling. Errors are staged per
 	// task and the first in index order among those staged wins; the
 	// sentinel returned to batch.Map cancels the remaining tasks, so
 	// a failing round (only the exact analysis can fail, on scenario
@@ -539,7 +531,7 @@ func (e *Engine) runRound(iter int) error {
 		if ts == nil {
 			ts = new(taskScratch)
 		}
-		err := e.analyzeTask(work[k][0], work[k][1], ts)
+		err := e.analyzeTask(iter, work[k][0], work[k][1], ts)
 		e.pool.Put(ts)
 		if err != nil {
 			errs[k] = err
@@ -567,19 +559,23 @@ func wrapCancelled(err error) error {
 	return fmt.Errorf("analysis: cancelled: %w", err)
 }
 
-// analyzeTask computes the response of task (i, j) of the working
-// system and stores its TaskResult in the transaction's slab. When the
-// last propagation step left every input of the task bitwise unchanged
-// — the jitters of its own transaction and of every transaction with a
-// non-empty interference row; offsets, best-case bounds and parameters
-// are fixed for the whole analysis — recomputation is a pure function
-// of inputs identical to the previous round's, so the previous round's
-// TaskResult is copied instead (bit-identical by determinism). The
-// fast path is what makes the convergence-confirming final rounds of
-// an exact analysis near-free.
-func (e *Engine) analyzeTask(i, j int, ts *taskScratch) error {
-	if e.havePrev && e.roundInputsUnchanged(i, j) {
-		e.an.slabs[i].round[j] = e.an.slabs[i].lastRound[j]
+// analyzeTask stores the TaskResult of task (i, j) of the working
+// system for round iter in the transaction's slab. By the copy rule
+// (see delta.go) it is copied from the seed's round iter when the task
+// is seedable and its inputs match that round, else from the previous
+// round when its inputs match that one, and computed otherwise.
+func (e *Engine) analyzeTask(iter, i, j int, ts *taskScratch) error {
+	if p := e.plan; p != nil {
+		k := e.rowStart[i] + j
+		p.fromSeed[k] = iter < len(p.base) && p.seedable[k] && e.inputsMatch(i, j, p.base[iter], p.oldIdx)
+		if p.fromSeed[k] {
+			e.an.slabs[i].round[j] = p.base[iter][p.oldIdx[i]][j]
+			e.seedCopied.Add(1)
+			return nil
+		}
+	}
+	if e.havePrev && e.inputsMatch(i, j, e.lastRound, nil) {
+		e.an.slabs[i].round[j] = e.lastRound[i][j]
 		e.roundCopied.Add(1)
 		return nil
 	}
@@ -684,7 +680,7 @@ func (e *Engine) roundUnchanged() bool {
 	for i := range e.an.slabs {
 		sl := &e.an.slabs[i]
 		for j := range sl.round {
-			a, b := sl.prev[j], sl.round[j].Worst
+			a, b := e.lastRound[i][j].Worst, sl.round[j].Worst
 			if math.IsInf(a, 1) && math.IsInf(b, 1) {
 				continue
 			}
@@ -696,33 +692,12 @@ func (e *Engine) roundUnchanged() bool {
 	return true
 }
 
-// storePrev stores the round's worst-case responses into the
-// convergence buffers, and the full TaskResults into the round
-// fast path's copy source.
+// storePrev stores the round's TaskResults as the previous round: the
+// convergence test's and the round fast path's reference.
 func (e *Engine) storePrev() {
 	for i := range e.an.slabs {
-		sl := &e.an.slabs[i]
-		copy(sl.lastRound, sl.round)
-		for j := range sl.round {
-			sl.prev[j] = sl.round[j].Worst
-		}
+		copy(e.lastRound[i], e.an.slabs[i].round)
 	}
-}
-
-// roundInputsUnchanged reports whether every transaction whose jitters
-// feed the response computation of task (i, j) — its own, plus every
-// transaction with interfering tasks (Eq. 17) — kept bitwise-identical
-// jitters through the last propagation step.
-func (e *Engine) roundInputsUnchanged(i, j int) bool {
-	if e.jitChanged[i] {
-		return false
-	}
-	for idx, hpI := range e.an.hpRow(i, j) {
-		if len(hpI) > 0 && e.jitChanged[idx] {
-			return false
-		}
-	}
-	return true
 }
 
 // goalMisses reports whether a goal transaction of stop rule s (see

@@ -43,13 +43,8 @@ type txSlab struct {
 	overload []bool
 
 	// round holds the transaction's TaskResults of the current
-	// fixed-point round; prev the previous round's worst cases for the
-	// convergence test, and lastRound the previous round's full
-	// TaskResults — the copy source of the unchanged-inputs round
-	// fast path (see Engine.analyzeTask).
-	round     []TaskResult
-	prev      []float64
-	lastRound []TaskResult
+	// fixed-point round.
+	round []TaskResult
 
 	// seedNu[b] is the critical scenario vector the last completed
 	// exact sweep of τa,b in the current analysis recorded — the
@@ -100,8 +95,6 @@ func (an *analyzer) bind(sys *model.System, opt Options) {
 		sl.initCompl = reuseRow(sl.initCompl, m)
 		sl.overload = reuseRow(sl.overload, m)
 		sl.round = reuseRow(sl.round, m)
-		sl.prev = reuseRow(sl.prev, m)
-		sl.lastRound = reuseRow(sl.lastRound, m)
 		sl.seedNu = reuseRow(sl.seedNu, m)
 		for b := range sl.seedNu {
 			sl.seedNu[b] = sl.seedNu[b][:0]

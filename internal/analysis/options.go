@@ -36,10 +36,14 @@ type Options struct {
 	// time is reported as +Inf. Defaults to 10^6.
 	MaxInner int
 
-	// TightBestCase refines the best-case bounds with the response
-	// times of the preceding analysis round (never below the simple
-	// supply-based bound). Off by default: the paper's example uses
-	// the simple bound, and Table 3 is reproduced with it.
+	// TightBestCase grants the platform burstiness credit β once per
+	// run of consecutive same-platform tasks of a transaction instead of
+	// once per task (see BestBounds); the refined bound is never below
+	// the simple supply-based one. The bounds depend only on BCETs,
+	// platforms and the first task's release offset, so they are
+	// computed once per analysis, before the first round; no round's
+	// responses feed them. Off by default: the paper's example uses the
+	// simple bound, and Table 3 is reproduced with it.
 	TightBestCase bool
 
 	// StopAtDeadlineMiss makes every transaction a goal (see Goal):
@@ -264,8 +268,8 @@ type Result struct {
 	// approximate analysis. Like Delta it is a work profile, not part
 	// of the analysis outcome: the count is the same for every worker
 	// count and for every engine history (each analysis starts with
-	// empty sweep seeds), but depends on the replay depth on the delta
-	// path (replayed tasks sweep nothing, so they contribute no
+	// empty sweep seeds), but depends on the seed on the delta path
+	// (tasks copied from it sweep nothing, so they contribute no
 	// prunes) — the bounds and verdict are bit-identical regardless.
 	ScenariosPruned int64
 
@@ -287,13 +291,13 @@ type Result struct {
 	// candidate initiator and the phase table's first-step row counting
 	// like any other. It is the analysis kernel's deterministic work
 	// count: the same for every worker count, with the caveats of
-	// ScenariosPruned (replayed and round-copied tasks evaluate
-	// nothing).
+	// ScenariosPruned (tasks copied from the seed or from the previous
+	// round evaluate nothing).
 	InterferenceEvals int64
 
 	// history is the replay state: every holistic round's detached
 	// per-task results, recorded up to maxHistoryCells. It is what a
-	// later AnalyzeFrom replays for clean tasks. Static analyses and
+	// later AnalyzeFrom copies tasks from. Static analyses and
 	// truncated recordings leave it short or empty — the delta path
 	// then falls back (wholly or per-round) to computing.
 	history [][][]TaskResult
@@ -315,17 +319,20 @@ type Result struct {
 
 // DeltaInfo reports the work profile of an incremental analysis.
 type DeltaInfo struct {
-	// CleanTasks and DirtyTasks partition the system's tasks: clean
-	// tasks were provably unreachable from the edit and replayed from
-	// the baseline, dirty tasks were recomputed every round.
+	// CleanTasks and DirtyTasks partition the system's tasks: a clean
+	// task's parameters and interference set match its counterpart in
+	// the seed, so any round may copy it from the seed's history; a
+	// dirty task never is.
 	CleanTasks, DirtyTasks int
-	// ReplayedRounds is the number of holistic rounds that copied the
-	// clean tasks from the baseline's recorded history (rounds past the
-	// baseline's recording recompute everything).
+	// ReplayedRounds is the number of holistic rounds the seed's
+	// recorded history covered (rounds past the recording copy nothing
+	// from the seed).
 	ReplayedRounds int
-	// TaskRoundsSaved is the total number of per-task response-time
-	// computations the replay skipped — CleanTasks × ReplayedRounds,
-	// the service's RoundsSaved currency.
+	// TaskRoundsSaved is the number of per-task response computations
+	// actually replaced by a copy from the seed, the service's
+	// RoundsSaved currency. A clean task is copied only in the rounds
+	// whose offsets and jitters it reads match the seed's, so this is
+	// at most, not exactly, CleanTasks × ReplayedRounds.
 	TaskRoundsSaved int
 }
 
@@ -366,6 +373,17 @@ func (r *Result) TransactionResponse(i int) float64 {
 func (r *Result) MeetsDeadline(i int) bool {
 	rt := r.TransactionResponse(i)
 	return r.fixed && !math.IsInf(rt, 1) && rt <= r.System.Transactions[i].Deadline+r.eps
+}
+
+// Misses reports whether transaction i is proven to miss its deadline:
+// its end-to-end response exceeds its deadline plus the convergence
+// tolerance the analysis ran under. Responses never decrease from one
+// round to the next, so a bound above the deadline is final whether or
+// not the iteration reached its fixed point. A transaction that
+// neither MeetsDeadline nor Misses is unproven: the run stopped, was
+// cut or exited on an unbounded response before its bound was final.
+func (r *Result) Misses(i int) bool {
+	return r.TransactionResponse(i) > r.System.Transactions[i].Deadline+r.eps
 }
 
 // computeVerdict decides Schedulable from the final round; fixed

@@ -40,7 +40,9 @@ func verdictSample(t *testing.T) []*model.System {
 // MaxIterations are lower bounds of the fixed point, so no verdict may
 // be read off them: MeetsDeadline(i) implies that the fixed point
 // meets transaction i's deadline, and Schedulable is exactly every
-// transaction meeting.
+// transaction meeting. A bound above the deadline is final in any
+// round, since responses never decrease: Misses(i) implies that the
+// fixed point misses too.
 func TestVerdictsNeverReadLowerBounds(t *testing.T) {
 	base := analysis.Options{Workers: 1, MaxIterations: 60, MaxInner: 50_000}
 	stopAll := base
@@ -68,6 +70,10 @@ func TestVerdictsNeverReadLowerBounds(t *testing.T) {
 			for i := range res.Tasks {
 				if res.MeetsDeadline(i) && !fixed.MeetsDeadline(i) {
 					t.Fatalf("system %d, %s (%+v): Γ%d meets its deadline at %v, the fixed point does not (%v)",
+						k, kind, opt, i+1, res.TransactionResponse(i), fixed.TransactionResponse(i))
+				}
+				if res.Misses(i) && (!fixed.Misses(i) || res.MeetsDeadline(i)) {
+					t.Fatalf("system %d, %s (%+v): Γ%d misses its deadline at %v, the fixed point reads %v",
 						k, kind, opt, i+1, res.TransactionResponse(i), fixed.TransactionResponse(i))
 				}
 				meets = meets && res.MeetsDeadline(i)
@@ -117,7 +123,8 @@ func TestUnboundedExitProvesNothing(t *testing.T) {
 		t.Fatalf("converged %v, stopped %v, R(Γ2) = %v: want the unbounded exit with Γ2 under its deadline",
 			res.Converged, res.StoppedAtGoal, r)
 	}
-	if res.MeetsDeadline(1) || res.Schedulable {
-		t.Fatalf("Γ2 meets %v, schedulable %v at the unbounded exit", res.MeetsDeadline(1), res.Schedulable)
+	if res.MeetsDeadline(1) || res.Misses(1) || res.Schedulable {
+		t.Fatalf("Γ2 meets %v, misses %v, schedulable %v at the unbounded exit; want unproven",
+			res.MeetsDeadline(1), res.Misses(1), res.Schedulable)
 	}
 }

@@ -96,11 +96,7 @@ func Analyze(args []string, stdout, stderr io.Writer) int {
 		for j, tb := range res.Tasks[i] {
 			verdict := ""
 			if j == len(res.Tasks[i])-1 {
-				if res.MeetsDeadline(i) {
-					verdict = "ok"
-				} else {
-					verdict = "MISS"
-				}
+				verdict = verdictLabel(res, i)
 			}
 			fmt.Fprintf(w, "%s\tPi%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%s\n",
 				res.System.TaskName(i, j), tr.Tasks[j].Platform+1,
@@ -132,6 +128,20 @@ func Analyze(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// verdictLabel names what res proves about transaction i: "ok" (meets
+// its deadline), "MISS" (misses it; final even before the fixed point,
+// since responses never decrease) or "unproven" (the run stopped, was
+// cut or exited on an unbounded response before the bound was final).
+func verdictLabel(res *analysis.Result, i int) string {
+	switch {
+	case res.MeetsDeadline(i):
+		return "ok"
+	case res.Misses(i):
+		return "MISS"
+	}
+	return "unproven"
 }
 
 // printCacheStats renders one service-stats line, shared by the

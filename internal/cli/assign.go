@@ -64,11 +64,7 @@ func Assign(args []string, stdout, stderr io.Writer) int {
 		for j, tb := range res.Tasks[i] {
 			verdict := ""
 			if j == len(res.Tasks[i])-1 {
-				if res.MeetsDeadline(i) {
-					verdict = "ok"
-				} else {
-					verdict = "MISS"
-				}
+				verdict = verdictLabel(res, i)
 			}
 			fmt.Fprintf(w, "%s\tPi%d\t%d\t%.3f\t%.3f\t%s\n",
 				res.System.TaskName(i, j), tr.Tasks[j].Platform+1,

@@ -14,6 +14,8 @@ import (
 
 	"hsched/internal/analysis"
 	"hsched/internal/experiments"
+	"hsched/internal/model"
+	"hsched/internal/platform"
 	"hsched/internal/sched"
 	"hsched/internal/spec"
 )
@@ -108,6 +110,51 @@ func TestAnalyzeVerdictGuardBand(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "MISS") {
 		t.Errorf("schedulable system printed a MISS row:\n%s", out.String())
+	}
+}
+
+// TestAnalyzeUnprovenVerdict: the holistic iteration ends on τ1,1's
+// unbounded response in its first round, before any bound is final.
+// τ2,1 (R 3 against deadline 20) and τ1,2 (R 8, its predecessor's
+// unbounded response not yet propagated) must read "unproven", not
+// "MISS": neither is proven to meet its deadline, nor to miss it. The
+// system is not proven schedulable, so the exit code stays 2.
+func TestAnalyzeUnprovenVerdict(t *testing.T) {
+	sys := &model.System{
+		Platforms: []platform.Params{{Alpha: 0.5, Delta: 1, Beta: 1}, {Alpha: 1}},
+		Transactions: []model.Transaction{
+			{Name: "Gamma1", Period: 10, Deadline: 100, Tasks: []model.Task{
+				{WCET: 8, BCET: 4, Priority: 1, Platform: 0},
+				{WCET: 1, BCET: 1, Priority: 2, Platform: 1},
+			}},
+			{Name: "Gamma2", Period: 20, Deadline: 20, Tasks: []model.Task{
+				{WCET: 2, BCET: 1, Priority: 1, Platform: 1},
+			}},
+		},
+	}
+	doc, err := json.Marshal(spec.FromSystem(sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "unbounded.json")
+	if err := writeFile(path, doc); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := Analyze([]string{"-spec", path}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2; out:\n%s%s", code, out.String(), errb.String())
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 8 {
+			rows[f[0]] = f
+		}
+	}
+	if r := rows["τ2,1"]; r == nil || r[5] != "3.000" || r[6] != "20.000" || r[7] != "unproven" {
+		t.Errorf("τ2,1 row %v, want R 3.000, deadline 20.000, unproven:\n%s", r, out.String())
+	}
+	if r := rows["τ1,2"]; r == nil || r[7] != "unproven" {
+		t.Errorf("τ1,2 row %v, want unproven:\n%s", r, out.String())
 	}
 }
 

@@ -185,8 +185,9 @@ func Diff(old, new *System) *SystemDiff {
 // offset and jitter) — with at least one priority actually different.
 // Priorities enter the analysis purely through interference-set
 // membership (Eq. 17), so a priority-only edit has a much smaller
-// reach than a general one; the incremental re-analysis planner uses
-// this predicate to seed its dirty closure at task granularity (the
+// reach than a general one; the incremental re-analysis keeps such a
+// transaction matched to its seed counterpart, and only the tasks whose
+// interference set the move changed lose their seed (the
 // priority-search fast path). Floats are compared by bit pattern,
 // like txEquivalent.
 func PriorityOnlyDiff(a, b *Transaction) bool {

@@ -17,8 +17,8 @@
 //	  │ leader
 //	  ▼
 //	session delta ── pinned seed ───► AnalyzeFrom:        (fraction of
-//	  │ no session                      replay unchanged,    a cold run)
-//	  │                                 recompute dirty
+//	  │ no session                      copy tasks whose     a cold run)
+//	  │                                 inputs match
 //	  ▼
 //	pooled engine ──────────────────► cold Analyze        (full work)
 //	                                    │ exact sweeps stream from a
@@ -71,14 +71,14 @@
 //
 //   - session delta: a Session's miss is seeded with the session's
 //     pinned previous result and runs analysis.AnalyzeFromContext,
-//     which replays the recorded per-round state of every transaction the
-//     edit provably cannot reach and recomputes only the dirty rest —
-//     bit-identical to a cold analysis, a fraction of the work. A miss
+//     which copies from the seed's recorded rounds every task whose
+//     inputs match them and recomputes only the rest — bit-identical
+//     to a cold analysis, a fraction of the work. A miss
 //     without a session runs cold, and since only a session's executed
 //     probe can become a seed, it records no replay history
 //     (analysis.Options.DisableReplayState). Stats.DeltaHits counts the
 //     analyses served this way and Stats.RoundsSaved the per-task
-//     response computations the replay skipped;
+//     response computations the copies replaced;
 //
 //   - one analysis at a time per stripe. Every miss calls the
 //     package-level analysis entry points, which draw an engine from
@@ -140,9 +140,10 @@
 //
 // The heavy consumers are wired through this package: sched.Audsley
 // and sched.HOPA probe their schedulability oracle through a Session
-// (one-priority-move probes delta-hit via the priority-band dirty
-// rule, revisited assignments memo-hit), design.Minimize routes its
-// feasibility oracle the same way (revisited points memo-hit, fresh
+// (one-priority-move probes delta-hit: a priority-only edit keeps its
+// transaction matched to the seed, revisited assignments memo-hit),
+// design.Minimize routes its feasibility oracle the same way
+// (revisited points memo-hit, fresh
 // one-platform-apart probes delta-hit), the experiments acceptance and
 // policy sweeps share one Service across their workers,
 // experiments.AdmissionChurn replays the canonical admit/retune/drop
