@@ -32,11 +32,11 @@
 //  2. scenario enumeration — per task, loop over the Na+1 candidate
 //     initiators of the approximate analysis (Sec. 3.1.2), or stream
 //     the exact scenario product (Sec. 3.1.1) from a mixed-radix
-//     cursor, skipping subtrees the admissible bound of Eq. (15)
-//     refutes and seeding the incumbent with the task's critical
-//     scenario of the previous round; the result is the first maximum
-//     over every scenario, bit for bit, which the tests check against
-//     a naive sweep that evaluates each one;
+//     cursor, skipping the subtrees whose admissible bound of
+//     Eq. (15) cannot beat the running best; each sweep starts from
+//     nothing, and the result is the first maximum over every
+//     scenario, bit for bit, which the tests check against a naive
+//     sweep that evaluates each one;
 //  3. per-task response — the tasks of a round are independent, so
 //     their response times (Eq. 13-16) are computed on
 //     Options.Workers goroutines via the batch runner and collected

@@ -107,18 +107,14 @@ type Engine struct {
 	// response computations of a round run in parallel). Only the
 	// computed tasks contribute — copied tasks sweep nothing. subtrees
 	// counts the whole-subtree cursor jumps among them (the
-	// branch-and-bound decisions), sweepSeeded the sweeps that used the
-	// previous round's incumbent seed, roundCopied and seedCopied the
-	// per-task computations a copy from the previous round or from the
-	// seed replaced, and evals the W^k_i evaluations of the computed
-	// tasks (each task's phase table counts its own; the total is added
-	// once per task).
-	pruned      atomic.Int64
-	subtrees    atomic.Int64
-	evals       atomic.Int64
-	sweepSeeded atomic.Int64
-	roundCopied atomic.Int64
-	seedCopied  atomic.Int64
+	// branch-and-bound decisions), seedCopied the per-task computations
+	// a copy from the seed replaced, and evals the W^k_i evaluations of
+	// the computed tasks (each task's phase table counts its own; the
+	// total is added once per task).
+	pruned     atomic.Int64
+	subtrees   atomic.Int64
+	evals      atomic.Int64
+	seedCopied atomic.Int64
 
 	// ctx is the context of the in-flight call, set by the Context
 	// entry points before any round runs and read (never written) by
@@ -324,8 +320,6 @@ func (e *Engine) resetCounters() {
 	e.pruned.Store(0)
 	e.subtrees.Store(0)
 	e.evals.Store(0)
-	e.sweepSeeded.Store(0)
-	e.roundCopied.Store(0)
 	e.seedCopied.Store(0)
 }
 
@@ -419,8 +413,8 @@ func (e *Engine) AnalyzeStaticContext(ctx context.Context, sys *model.System) (*
 }
 
 // bind copies sys into the engine's working system, rebinds the
-// analyzer (which resizes the slabs, rebuilds the hp rows and empties
-// the sweep seeds) and refreshes the flat work list.
+// analyzer (which resizes the slabs and rebuilds the hp rows) and
+// refreshes the flat work list.
 func (e *Engine) bind(sys *model.System) {
 	e.copySystem(sys)
 	e.an.bind(e.work, e.opt)
@@ -576,7 +570,6 @@ func (e *Engine) analyzeTask(iter, i, j int, ts *taskScratch) error {
 	}
 	if e.havePrev && e.inputsMatch(i, j, e.lastRound, nil) {
 		e.an.slabs[i].round[j] = e.lastRound[i][j]
-		e.roundCopied.Add(1)
 		return nil
 	}
 	r, crit, st, err := e.an.responseTime(e.ctx, i, j, ts)
@@ -588,9 +581,6 @@ func (e *Engine) analyzeTask(iter, i, j int, ts *taskScratch) error {
 	}
 	if st.evals != 0 {
 		e.evals.Add(st.evals)
-	}
-	if st.seeded {
-		e.sweepSeeded.Add(1)
 	}
 	if err != nil {
 		// Cancellation is not a property of the task being analysed:

@@ -26,8 +26,9 @@ type txSlab struct {
 	// jobs are accounted separately in Eq. 13/16).
 	hp [][][]int
 
-	// reduced[j] is the offset φa,j reduced modulo Ta, recomputed at
-	// the start of every analysis round.
+	// reduced[j] is the offset φa,j reduced modulo Ta, computed once
+	// per analysis (the holistic rounds rewrite jitters, never
+	// offsets).
 	reduced []float64
 
 	// initStarts / initCompl are the transaction's best-case bounds of
@@ -45,15 +46,6 @@ type txSlab struct {
 	// round holds the transaction's TaskResults of the current
 	// fixed-point round.
 	round []TaskResult
-
-	// seedNu[b] is the critical scenario vector the last completed
-	// exact sweep of τa,b in the current analysis recorded — the
-	// incumbent seed of the task's sweep in the next round (see
-	// analyzer.exactSweep). bind empties it, so a seed never outlives
-	// its analysis; within one, the hp rows, and with them the
-	// task's scenario axes, are fixed, so a seed always names a member
-	// of the current scenario space.
-	seedNu [][]initiator
 }
 
 // analyzer carries the per-run state of the static-offset analysis:
@@ -73,10 +65,9 @@ type analyzer struct {
 }
 
 // bind attaches a system to the analyzer. Slabs are resized to the
-// system's dimensions (reusing backing arrays), every hp row is
-// rebuilt in place and every sweep seed is emptied. bind does not
-// refresh the reduced offsets; each entry point runs that stage
-// itself.
+// system's dimensions (reusing backing arrays) and every hp row is
+// rebuilt in place. bind does not refresh the reduced offsets; each
+// entry point runs that stage itself.
 func (an *analyzer) bind(sys *model.System, opt Options) {
 	an.sys, an.opt = sys, opt
 	n := len(sys.Transactions)
@@ -95,10 +86,6 @@ func (an *analyzer) bind(sys *model.System, opt Options) {
 		sl.initCompl = reuseRow(sl.initCompl, m)
 		sl.overload = reuseRow(sl.overload, m)
 		sl.round = reuseRow(sl.round, m)
-		sl.seedNu = reuseRow(sl.seedNu, m)
-		for b := range sl.seedNu {
-			sl.seedNu[b] = sl.seedNu[b][:0]
-		}
 	}
 	for a := range an.slabs {
 		an.buildHPRow(a)
@@ -173,7 +160,9 @@ func (an *analyzer) hpFill(a, b, i int, dst []int) []int {
 func (an *analyzer) hpRow(a, b int) [][]int { return an.slabs[a].hp[b] }
 
 // refreshOffsets recomputes the reduced offsets into the per-slab
-// buffers; the holistic loop calls it after rewriting φ and J.
+// buffers. Each entry point calls it once per analysis, after bind:
+// the holistic rounds rewrite jitters only, so the offsets it reads
+// are fixed for the rest of the analysis.
 func (an *analyzer) refreshOffsets() {
 	for i := range an.sys.Transactions {
 		tr := &an.sys.Transactions[i]

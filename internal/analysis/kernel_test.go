@@ -55,9 +55,11 @@ func analyzeShape(tb testing.TB, e *Engine, systems []*model.System) int64 {
 // when its results stay bit-identical. The kernel without the L0 row
 // and the single-job shortcut spent 17 576, 18 772 and 1 939; with the
 // round fast path keyed on whole transactions' jitters instead of the
-// task's own inputs, 8 935, 9 194 and 1 009.
+// task's own inputs, 8 935, 9 194 and 1 009. With each exact sweep
+// re-evaluating its task's critical scenario of the previous round as
+// a prune floor, exact-cold spent 9 092.
 func TestInterferenceEvalsPinned(t *testing.T) {
-	want := map[string]int64{"admit-edit": 7435, "exact-cold": 9092, "assign-search": 949}
+	want := map[string]int64{"admit-edit": 7435, "exact-cold": 8778, "assign-search": 949}
 	for _, sh := range benchShapes {
 		systems := shapeSystems(t, sh, 8)
 		for _, workers := range []int{1, 4} {
@@ -89,9 +91,8 @@ func BenchmarkAnalyzeShapes(b *testing.B) {
 
 // TestExactResponseTimeZeroAllocs: on a warmed task scratch, the exact
 // response time of every task of an exact-cold system allocates
-// nothing — the sweep's running-best vector rides on the scratch like
-// the cursor, and storeSeed copies it into a slab slot of the same
-// length.
+// nothing — the cursor, the prune bounds and the phase table ride on
+// the scratch.
 func TestExactResponseTimeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations; alloc counts are meaningless")
@@ -287,6 +288,32 @@ func checkSweep(tb testing.TB, e *Engine, label string) int {
 		tb.Fatalf("%s: %v", label, err)
 	}
 	return n
+}
+
+// TestSweepReferenceDetectsMismatch: the naive-sweep check is not
+// vacuous — it passes on an analysed round and fails once a task's
+// bound or critical scenario is perturbed.
+func TestSweepReferenceDetectsMismatch(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		eng := NewEngine(Options{Exact: exact, Workers: 1})
+		if _, err := eng.AnalyzeStatic(paperSystem()); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := sweepMismatch(eng); err != nil || n == 0 {
+			t.Fatalf("exact=%v: checked %d tasks, err %v; want a clean check", exact, n, err)
+		}
+		cell := &eng.an.slabs[0].round[3]
+		saved := *cell
+		cell.Worst = math.Nextafter(cell.Worst, math.Inf(1))
+		if _, err := sweepMismatch(eng); err == nil {
+			t.Fatalf("exact=%v: a perturbed bound passed the check", exact)
+		}
+		*cell = saved
+		cell.CriticalJob++
+		if _, err := sweepMismatch(eng); err == nil {
+			t.Fatalf("exact=%v: a perturbed critical job passed the check", exact)
+		}
+	}
 }
 
 // newCheckedEngine returns an engine whose Recorder (opt's own is

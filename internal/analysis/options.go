@@ -267,8 +267,8 @@ type Result struct {
 	// work the branch-and-bound discipline saved. Always 0 for the
 	// approximate analysis. Like Delta it is a work profile, not part
 	// of the analysis outcome: the count is the same for every worker
-	// count and for every engine history (each analysis starts with
-	// empty sweep seeds), but depends on the seed on the delta path
+	// count and for every engine history (no sweep carries state from
+	// an earlier sweep), but depends on the seed on the delta path
 	// (tasks copied from it sweep nothing, so they contribute no
 	// prunes) — the bounds and verdict are bit-identical regardless.
 	ScenariosPruned int64

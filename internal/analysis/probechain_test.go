@@ -8,11 +8,11 @@ import (
 	"hsched/internal/model"
 )
 
-// seedMutationChain extends sys into the probe-chain shape a search
+// probeMutationChain extends sys into the probe-chain shape a search
 // session serves: cumulative one-edit mutations — WCET retunings and
 // one priority swap (an interference-shape change, which moves the
 // scenario axes of the tasks it interferes with).
-func seedMutationChain(sys *model.System) []*model.System {
+func probeMutationChain(sys *model.System) []*model.System {
 	chain := []*model.System{sys}
 	step := func(mutate func(*model.System)) {
 		next := chain[len(chain)-1].Clone()
@@ -35,13 +35,13 @@ func seedMutationChain(sys *model.System) []*model.System {
 	return chain
 }
 
-// TestSweepSeedBitIdentity is the probe-chain metamorphic contract:
+// TestProbeChainBitIdentity is the probe-chain metamorphic contract:
 // walking a mutation chain through one engine via AnalyzeFrom — each
-// exact sweep seeded by its task's critical scenario of the previous
-// round and each round eligible for the unchanged-inputs copy — must
-// hold every round to the naive sweep and reproduce, bit for bit, each
-// step analysed cold on a fresh engine, for every worker count.
-func TestSweepSeedBitIdentity(t *testing.T) {
+// step seeded by the previous step's result, each task eligible for a
+// copy from the seed's history or from the previous round — must hold
+// every round to the naive sweep and reproduce, bit for bit, each
+// exact step analysed cold on a fresh engine, for every worker count.
+func TestProbeChainBitIdentity(t *testing.T) {
 	gensys, err := gen.System(gen.Config{
 		Seed: 9300, Platforms: 1, Transactions: 3, ChainLen: 4,
 		PeriodMin: 20, PeriodMax: 200, Utilization: 0.5,
@@ -53,7 +53,7 @@ func TestSweepSeedBitIdentity(t *testing.T) {
 	systems := []*model.System{gensys, exactHeavySystem(4, 4)}
 
 	for si, sys := range systems {
-		chain := seedMutationChain(sys)
+		chain := probeMutationChain(sys)
 		for _, workers := range []int{1, 4, 8} {
 			opt := analysis.Options{Exact: true, Workers: workers, MaxIterations: 40}
 			eng := analysis.NewCheckedEngine(t, opt)
@@ -73,7 +73,7 @@ func TestSweepSeedBitIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !resultsIdentical(want, got) {
-					t.Fatalf("system %d chain %d workers=%d: seeded sweep diverged from cold",
+					t.Fatalf("system %d chain %d workers=%d: incremental analysis diverged from cold",
 						si, ci, workers)
 				}
 				prev = got

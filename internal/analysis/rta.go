@@ -43,9 +43,6 @@ type taskScratch struct {
 	// rewritten in place as the cursor advances.
 	nu     []initiator
 	bounds []float64
-	// critNu backs the running best's scenario vector in sweepRange;
-	// storeSeed copies it into the slab, so it is reused per sweep.
-	critNu []initiator
 
 	// phases is the task's phase table; see phaseTable.
 	phases phaseTable
@@ -71,9 +68,6 @@ func (ts *taskScratch) shrink() {
 	}
 	if cap(ts.nu) > maxSmallRetain {
 		ts.nu = nil
-	}
-	if cap(ts.critNu) > maxSmallRetain {
-		ts.critNu = nil
 	}
 	if cap(ts.bounds) > maxSmallRetain {
 		ts.bounds = nil
@@ -117,14 +111,12 @@ const cancelCheckInterval = 256
 
 // sweepStats is the work profile one task's response computation
 // reports upward: the exact scenarios the admissible prune skipped,
-// the whole-subtree cursor jumps among them, and whether the previous
-// round's critical scenario seeded this sweep's incumbent, plus the
-// W^k_i evaluations the computation spent.
+// the whole-subtree cursor jumps among them, and the W^k_i
+// evaluations the computation spent.
 type sweepStats struct {
 	pruned   int64
 	subtrees int64
 	evals    int64
-	seeded   bool
 }
 
 // responseTime computes the worst-case response time R of τa,b
@@ -183,13 +175,12 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 // streamed, branch-and-bound sweep over the mixed-radix scenario space:
 // its result is the first maximum over every scenario in cursor order,
 // bit for bit, which the tests check against a naive sweep that
-// evaluates each scenario. Two layers of state make it a true
-// tree search instead of a per-scenario filter: the admissible
-// per-initiator bounds of pruneBounds let the cursor skip the whole
-// subtree under a Γa initiator with one seek (see sweepRange), and the
-// critical scenario of the same task's sweep in the previous round is
-// re-evaluated under the current inputs to seed the incumbent the
-// bounds are pruned against.
+// evaluates each scenario. The admissible per-initiator bounds of
+// pruneBounds make it a tree search instead of a per-scenario filter:
+// the cursor skips the whole subtree under a Γa initiator with one
+// seek once its bound cannot beat the running best (see sweepRange).
+// The sweep carries nothing between rounds; a task whose inputs did
+// not move is copied by the engine, not swept again.
 func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha float64, ts *taskScratch) (float64, critical, sweepStats, error) {
 	var st sweepStats
 	axes, aAxis, count, err := an.buildAxes(a, b, hp, ts)
@@ -208,35 +199,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		bounds = an.pruneBounds(a, b, hp, alpha, axes[aAxis].cands, ts)
 	}
 
-	// Incumbent seeding: re-evaluate the critical scenario the previous
-	// round's sweep of this task recorded under the CURRENT jitters. The
-	// hp rows, and so the axes, are fixed within an analysis, so the
-	// seed is a member of the current scenario space and its response
-	// is ≤ the true maximum — an admissible prune floor that never
-	// enters the result. Pruning against it is strict (bound < floor):
-	// a scenario tying the floor may be the first maximum and must
-	// still be evaluated. The floor's price — one extra fixed point per
-	// sweep — is paid only once the task has been swept earlier in the
-	// analysis, when the previous critical scenario is close to (usually
-	// is) the current maximum and the floor prunes most of the space.
-	floor := 0.0
-	if bounds != nil {
-		if seed := an.slabs[a].seedNu[b]; len(seed) > 0 {
-			st.seeded = true
-			r, _, ok := an.scenarioResponse(a, b, scenario{c: seed[aAxis].k, nu: seed}, hp, alpha, &ts.phases)
-			if !ok {
-				// The seed scenario itself diverges under the current
-				// inputs. Its bound diverges too (the bound dominates),
-				// so a cold sweep could never prune it, would evaluate
-				// it, and unbounded is absorbing — the outcome is the
-				// same +Inf either way.
-				return math.Inf(1), unboundedCritical, st, nil
-			}
-			floor = r
-		}
-	}
-
-	res, err := an.sweepRange(ctx, a, b, axes, aAxis, count, hp, alpha, bounds, floor, ts)
+	res, err := an.sweepRange(ctx, a, b, axes, aAxis, count, hp, alpha, bounds, ts)
 	if err != nil {
 		return 0, unboundedCritical, st, err
 	}
@@ -244,34 +207,16 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	if !res.finite {
 		return math.Inf(1), unboundedCritical, st, nil
 	}
-	an.storeSeed(a, b, res.critNu)
 	return res.best, res.crit, st, nil
 }
 
-// storeSeed records the critical scenario vector of a completed sweep
-// into the transaction's slab, where the same task's sweep in the next
-// holistic round picks it up as its incumbent seed. Concurrent
-// per-task computations write disjoint slots. An empty vector (nothing
-// beat zero) leaves the previous seed in place: re-evaluation keeps it
-// sound.
-func (an *analyzer) storeSeed(a, b int, critNu []initiator) {
-	if len(critNu) == 0 {
-		return
-	}
-	sl := &an.slabs[a]
-	sl.seedNu[b] = append(sl.seedNu[b][:0], critNu...)
-}
-
 // sweepResult is one exact sweep's reduction: its best response with
-// the scenario attaining it (critNu is the full vector, recorded for
-// the next sweep's incumbent seed; it lives in the task scratch until
-// storeSeed copies it into the slab), the scenarios the prune skipped
-// with the whole-subtree jumps among them, and whether every evaluated
-// fixed point converged.
+// the scenario attaining it, the scenarios the prune skipped with the
+// whole-subtree jumps among them, and whether every evaluated fixed
+// point converged.
 type sweepResult struct {
 	best     float64
 	crit     critical
-	critNu   []initiator
 	pruned   int64
 	subtrees int64
 	finite   bool
@@ -281,19 +226,13 @@ type sweepResult struct {
 // in cursor order. bounds, when non-nil, arms the branch-and-bound
 // prune: bounds[c] is pruneBounds' admissible bound on every scenario
 // whose Γa initiator is c, so when the current scenario's bound cannot
-// strictly beat the incumbent, neither can any scenario that keeps the
-// digits of axes ≥ aAxis, and the cursor seeks straight past that
+// strictly beat the running best, neither can any scenario that keeps
+// the digits of axes ≥ aAxis, and the cursor seeks straight past that
 // whole subtree instead of stepping through it (on aAxis == 0 the
 // subtree is the scenario itself). The running best may prune ties
 // (bound <= best): a tie with an earlier scenario never updates best
-// under the strict r > best rule. floor is the incumbent seeded from
-// the previous round's critical scenario re-evaluated under the
-// current inputs; it is a response some in-space scenario attains, so pruning
-// against it is strict (bound < floor) — a tying scenario may be the
-// first maximum — and it never enters res.best. The running best's
-// full scenario vector is recorded into res.critNu for the next sweep's
-// seed. The cursor state lives in ts.
-func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, n int, hp [][]int, alpha float64, bounds []float64, floor float64, ts *taskScratch) (sweepResult, error) {
+// under the strict r > best rule. The cursor state lives in ts.
+func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, n int, hp [][]int, alpha float64, bounds []float64, ts *taskScratch) (sweepResult, error) {
 	pick, nu := ts.pick[:len(axes)], ts.nu[:len(axes)]
 	cursorSeek(axes, pick, nu, 0)
 	// stride is the size of the subtree that fixes the digits of axes
@@ -303,7 +242,7 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 	for _, ax := range axes[:aAxis] {
 		stride *= len(ax.cands)
 	}
-	res := sweepResult{crit: critical{initiator: b}, critNu: ts.critNu[:0], finite: true}
+	res := sweepResult{crit: critical{initiator: b}, finite: true}
 	steps := 0
 	for idx := 0; idx < n; {
 		if steps%cancelCheckInterval == 0 && ctx != nil {
@@ -313,7 +252,7 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 		}
 		steps++
 		if bounds != nil {
-			if bd := bounds[nu[aAxis].k]; bd <= res.best || bd < floor {
+			if bounds[nu[aAxis].k] <= res.best {
 				if aAxis == 0 {
 					res.pruned++
 					cursorNext(axes, pick, nu)
@@ -342,8 +281,6 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 		if r > res.best {
 			res.best = r
 			res.crit = critical{initiator: sc.c, job: p}
-			res.critNu = append(res.critNu[:0], nu...)
-			ts.critNu = res.critNu
 		}
 		cursorNext(axes, pick, nu)
 		idx++

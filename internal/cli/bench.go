@@ -115,7 +115,7 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		mutations  = fs.Int("mutations", 4, "single-transaction mutations chained onto each base system")
 		queries    = fs.Int("queries", 4096, "total queries to issue")
 		goroutines = fs.Int("goroutines", 0, "concurrent client goroutines (0 = all CPUs)")
-		shards     = fs.Int("shards", 0, "engine shards of the service (0 = all CPUs)")
+		shards     = fs.Int("shards", 0, "stripes of the service, each running at most one analysis at a time (0 = all CPUs)")
 		capacity   = fs.Int("capacity", 0, "verdict-memo and intern-pool capacity in entries (0 = default)")
 		seed       = fs.Int64("seed", 1, "workload generator seed")
 		exact      = fs.Bool("exact", false, "use the exact analysis for the workload")

@@ -27,7 +27,7 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		shards      = fs.Int("shards", 0, "engine shards of the service (0 = all CPUs)")
+		shards      = fs.Int("shards", 0, "stripes of the service, each running at most one analysis at a time (0 = all CPUs)")
 		cache       = fs.Int("cache", 0, "verdict-memo and intern-pool capacity in entries (0 = default)")
 		maxInflight = fs.Int("max-inflight", 0, "concurrent analyses beyond which requests are shed with a 429 (0 = unbounded)")
 		maxSessions = fs.Int("max-sessions", 0, "probe sessions kept before eviction of sessions not used recently (0 = default 1024)")

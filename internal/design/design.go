@@ -69,8 +69,8 @@ type Options struct {
 	// Analysis configures the schedulability oracle.
 	Analysis analysis.Options
 	// Service, when non-nil, is the analysis service the feasibility
-	// oracle queries — sharing it across searches shares its engine
-	// pool and verdict memo. When nil, Minimize runs a private
+	// oracle queries — sharing it across searches shares its verdict
+	// memo and intern pool. When nil, Minimize runs a private
 	// single-shard service for the duration of the search: the binary
 	// searches and coordinate-descent passes re-probe identical
 	// (system, platform-parameters) points, which the memo answers

@@ -118,9 +118,9 @@
 // the chained probes ride the incremental path deterministically,
 // and SessionStats attributes the session's share of the traffic
 // (probes, memo hits, executed analyses, delta hits, rounds saved).
-// The pinned result carries replay history only: the exact sweeps of
-// every analysis start with empty incumbent seeds, so a miss does the
-// same work whichever session or earlier query it follows.
+// The pinned result carries replay history only: no exact sweep
+// carries state from an earlier sweep, so a miss does the same work
+// whichever session or earlier query it follows.
 //
 // Every entry point takes a context.Context and cancels the underlying
 // analysis promptly (see analysis.Engine.AnalyzeContext for the
