@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"hsched/internal/analysis"
 	"hsched/internal/experiments"
 	"hsched/internal/model"
 	"hsched/internal/service"
@@ -91,29 +92,79 @@ func benchAnalyzePosts(b *testing.B, s *Server, body []byte, bin bool) {
 	}
 }
 
-// BenchmarkColdDecodeJSON measures the cold JSON intake path in
-// isolation: unmarshal the request document, convert the spec to a
-// model.System, and fingerprint it — the work a never-seen JSON body
-// costs before any analysis.
+// BenchmarkColdDecodeJSON measures the server's cold JSON intake in
+// isolation: decodeAnalyzeJSON (or, for the assign body, the assign
+// decode and spec conversion) turning a never-seen body into a
+// validated model.System, then its fingerprint — the work a fresh JSON
+// body costs before any analysis. The bodies are the paper example and
+// the perfbench shapes: an exact-cold body, an admit-edit set edit
+// applied to its session's base, and an assign-search body.
 func BenchmarkColdDecodeJSON(b *testing.B) {
-	body, err := json.Marshal(&AnalyzeRequest{System: spec.FromSystem(experiments.PaperSystem())})
+	paper, err := json.Marshal(&AnalyzeRequest{System: spec.FromSystem(experiments.PaperSystem())})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var req AnalyzeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			b.Fatal(err)
+	p := makePerfbenchBodies(b, 1)
+	analyze := func(body []byte, scoped bool, base *model.System) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				sys, _, err := decodeAnalyzeJSON(body, scoped, base)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if fp := sys.Fingerprint(); fp == (model.Fingerprint{}) {
+					b.Fatal("zero fingerprint")
+				}
+			}
 		}
-		sys, err := req.System.ToSystem()
-		if err != nil {
-			b.Fatal(err)
+	}
+	b.Run("paper", analyze(paper, false, nil))
+	b.Run("exact-cold", analyze(p.exactCold, false, nil))
+	b.Run("admit-edit", analyze(p.edit, true, p.editBase))
+	b.Run("assign", func(b *testing.B) {
+		b.SetBytes(int64(len(p.assign)))
+		b.ReportAllocs()
+		for b.Loop() {
+			var req assignBody
+			if err := req.decode(p.assign); err != nil {
+				b.Fatal(err)
+			}
+			sys, err := req.system.draft.System()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if fp := sys.Fingerprint(); fp == (model.Fingerprint{}) {
+				b.Fatal("zero fingerprint")
+			}
 		}
-		if fp := sys.Fingerprint(); fp == (model.Fingerprint{}) {
-			b.Fatal("zero fingerprint")
+	})
+}
+
+// BenchmarkAnalyzeResponseJSON measures the analyze route's 200 body:
+// the appending encoder writing the paper example's four-transaction
+// result, terse and with per-task bounds, into a pooled buffer and one
+// Write. It allocates nothing.
+func BenchmarkAnalyzeResponseJSON(b *testing.B) {
+	res, err := analysis.Analyze(experiments.PaperSystem(), analysis.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bounds := range []bool{false, true} {
+		name := "terse"
+		if bounds {
+			name = "bounds"
 		}
+		b.Run(name, func(b *testing.B) {
+			w := &benchWriter{hdr: make(http.Header)}
+			b.ReportAllocs()
+			for b.Loop() {
+				w.reset()
+				writeAnalyzeJSON(w, res, bounds, 0.125, nil)
+			}
+			b.SetBytes(int64(w.buf.Len()))
+		})
 	}
 }
 

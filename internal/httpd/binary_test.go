@@ -318,12 +318,17 @@ func TestDecodeAnalyzeResponseBinaryHostile(t *testing.T) {
 	}
 }
 
-// TestAnalyzeHandlerAllocs locks the one-hash-per-request fix: the
-// binary intern-hit path allocates less than the JSON parse-memo-hit
-// path (which still pays the response JSON encoder), and neither path
-// re-encodes the system to fingerprint it (asserted by an allocation
-// ceiling well below one fingerprint encoding per request).
+// TestAnalyzeHandlerAllocs locks the one-hash-per-request fix and the
+// appending JSON encoder: neither the binary intern-hit path nor the
+// JSON parse-memo-hit path re-encodes the system to fingerprint it,
+// and the JSON response costs no allocation beyond the binary one.
+// The ceilings are absolute per-request counts through
+// httptest.NewRequest and NewRecorder, whose own allocations dominate
+// both (19 for JSON, 22 for binary, whose request sets two headers).
 func TestAnalyzeHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; alloc counts are meaningless")
+	}
 	s := New(Options{Service: service.New(service.Options{})})
 	h := s.Handler()
 	jsonBody, err := json.Marshal(&AnalyzeRequest{System: paperFile()})
@@ -349,10 +354,13 @@ func TestAnalyzeHandlerAllocs(t *testing.T) {
 	post(jsonBody, false) // warm parse memo + verdict memo
 	post(binBody, true)   // warm intern pool
 
-	jsonAllocs := testing.AllocsPerRun(200, func() { post(jsonBody, false) })
-	binAllocs := testing.AllocsPerRun(200, func() { post(binBody, true) })
-	if binAllocs >= jsonAllocs {
-		t.Errorf("binary hit path allocates %.0f/op, JSON hit path %.0f/op — binary should be leaner", binAllocs, jsonAllocs)
+	// Per-op counts are integral; a rare mid-run GC emptying a
+	// sync.Pool adds well under one.
+	if allocs := testing.AllocsPerRun(200, func() { post(jsonBody, false) }); allocs >= 20 {
+		t.Errorf("JSON hit path allocates %.2f/op, want at most 19", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { post(binBody, true) }); allocs >= 23 {
+		t.Errorf("binary hit path allocates %.2f/op, want at most 22", allocs)
 	}
 }
 

@@ -24,12 +24,21 @@
 // Request bodies reuse the internal/spec JSON system format, wrapped
 // with an options block mirroring the CLI flags (exact, workers,
 // deadline_ms, …); a client's workers are clamped to the server's
-// runtime.GOMAXPROCS(0), in either codec. A 512-entry body-hash parse memo in front of
+// runtime.GOMAXPROCS(0), in either codec. The JSON bodies of the hot
+// routes (both analyze forms and /v1/assign) are read in one pass by
+// spec.Decoder, straight into a model.System and an OptionsSpec, with
+// the acceptance rules of json.Unmarshal into AnalyzeRequest or
+// AssignRequest; every string is copied out of the pooled read
+// buffer. Their 200 bodies are appended into a pooled buffer and
+// written in one Write, the bytes json.Encoder would write for
+// AnalyzeResponse or AssignResponse (jsoncodec.go). The cold routes
+// (minimize, session create, stats) and every error body use
+// encoding/json. A 512-entry body-hash parse memo in front of
 // /v1/analyze mirrors the service's verdict memo one layer up:
 // admission-control traffic re-asks about a small population of
-// systems, and for a memo-hit query the JSON decode and spec
-// conversion cost far more than the analysis, so a byte-identical
-// repeated body skips both (ParseHits in /v1/stats). Both analyze
+// systems, and for a memo-hit query decoding and validating the spec
+// still costs several times the analysis, so a byte-identical repeated
+// body skips both (ParseHits in /v1/stats). Both analyze
 // routes run through one handler; a session probe differs only in
 // where its system comes from and which handle analyses it. Analysis
 // endpoints honour per-request deadlines — the options block's

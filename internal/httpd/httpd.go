@@ -364,10 +364,10 @@ func rawBody(r *http.Request) ([]byte, *poolBuf, error) {
 	return body, nil, nil
 }
 
-// readBody decodes the request body into v, enforcing the body cap.
-// The pooled read buffer is released here — json.Unmarshal copies
-// everything it keeps. Decode errors wrap spec.ErrInvalid (the request
-// is at fault).
+// readBody decodes the body of a cold route (minimize, session
+// create) into v with encoding/json, enforcing the body cap. The pooled
+// read buffer is released here: json.Unmarshal copies everything it
+// keeps. Decode errors wrap spec.ErrInvalid (the request is at fault).
 func readBody(r *http.Request, v any) error {
 	body, pb, err := rawBody(r)
 	defer pb.release()
@@ -492,24 +492,24 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 		writeBinaryAnalyzeResponse(w, res, elapsedMS(start))
 		return nil
 	}
-	resp := buildAnalyzeResponse(res, opts.Bounds, elapsedMS(start))
 	if sess != nil {
 		ss := sess.probe.Stats()
-		resp.SessionStats = &ss
+		writeAnalyzeJSON(w, res, opts.Bounds, elapsedMS(start), &ss)
+	} else {
+		writeAnalyzeJSON(w, res, opts.Bounds, elapsedMS(start), nil)
 	}
-	writeJSON(w, http.StatusOK, resp)
 	return nil
 }
 
 // resolveJSON decodes a JSON analyze body into the resident system,
 // its fingerprint and the request's options block. A sessionless body
 // carries a full spec (or is a bare spec document) and goes through
-// the parse memo: the decode path (JSON into the request struct, spec
-// conversion, validation) costs far more than a memo-hit analysis
-// does, so a byte-identical repeated body short-circuits on a hash of
-// the raw bytes — which, with the fingerprint cached at parse time, is
-// the request's only hash. A session's body carries a full spec or an
-// edit against the session's last accepted system.
+// the parse memo: decoding, spec conversion and validation cost more
+// than a memo-hit analysis does, so a byte-identical repeated body
+// short-circuits on a hash of the raw bytes — which, with the
+// fingerprint cached at parse time, is the request's only hash. A
+// session's body carries a full spec or an edit against the session's
+// last accepted system.
 func (s *Server) resolveJSON(body []byte, sess *session) (*model.System, model.Fingerprint, OptionsSpec, error) {
 	var key [sha256.Size]byte
 	if sess == nil {
@@ -519,63 +519,43 @@ func (s *Server) resolveJSON(body []byte, sess *session) (*model.System, model.F
 			return cached.sys, cached.fp, cached.opt, nil
 		}
 	}
-	var req AnalyzeRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, model.Fingerprint{}, OptionsSpec{}, fmt.Errorf("%w: decoding request: %w", spec.ErrInvalid, err)
-		}
+	var base *model.System
+	if sess != nil {
+		base = sess.base
 	}
-	if sess == nil && req.System == nil && len(body) > 0 {
-		// curl friendliness: accept a bare spec document too.
-		var f spec.File
-		if json.Unmarshal(body, &f) == nil && len(f.Transactions) > 0 {
-			req.System = &f
-		}
-	}
-	var (
-		sys *model.System
-		err error
-	)
-	switch {
-	case req.Edit != nil && sess == nil:
-		err = fmt.Errorf("%w: edit requires a session-scoped analyze", spec.ErrInvalid)
-	case req.System != nil && req.Edit != nil:
-		err = fmt.Errorf("%w: request has both system and edit", spec.ErrInvalid)
-	case req.System != nil:
-		sys, err = req.System.ToSystem()
-	case req.Edit == nil:
-		err = fmt.Errorf("%w: request has no system or edit", spec.ErrInvalid)
-	case sess.base == nil:
-		err = fmt.Errorf("%w: edit against a session with no accepted system yet", spec.ErrInvalid)
-	default:
-		sys, err = req.Edit.apply(sess.base)
-	}
+	sys, opts, err := decodeAnalyzeJSON(body, sess != nil, base)
 	if err != nil {
 		return nil, model.Fingerprint{}, OptionsSpec{}, err
 	}
-	// Both arms produce a server-owned system (ToSystem builds fresh,
-	// apply clones before editing) that is never mutated, so interning
-	// is safe: duplicate posts across connections (and across the JSON
+	// Both forms produce a server-owned system (decoded fresh, or an
+	// edited clone of the base) that is never mutated, so interning is
+	// safe: duplicate posts across connections (and across the JSON
 	// and binary codecs) and a probe chain's revisited states collapse
 	// onto one resident copy.
 	sys, fp := s.svc.Intern(sys)
 	if sess == nil {
-		s.parse.put(key, sys, fp, req.Options)
+		s.parse.put(key, sys, fp, opts)
 	}
-	return sys, fp, req.Options, nil
+	return sys, fp, opts, nil
 }
 
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
-	var req AssignRequest
-	if err := readBody(r, &req); err != nil {
+	body, pb, err := rawBody(r)
+	if err != nil {
 		return err
 	}
-	if req.System == nil {
+	var req assignBody
+	err = req.decode(body)
+	pb.release() // the decoder copies everything it keeps
+	if err != nil {
+		return err
+	}
+	if !req.system.set {
 		return fmt.Errorf("%w: request has no system", spec.ErrInvalid)
 	}
-	policy := sched.Policy(req.Policy)
-	if req.Policy == "" {
+	policy := sched.Policy(req.policy)
+	if req.policy == "" {
 		policy = sched.PolicyAudsley
 	}
 	valid := false
@@ -583,37 +563,26 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) error {
 		valid = valid || p == policy
 	}
 	if !valid {
-		return fmt.Errorf("%w: unknown policy %q", spec.ErrInvalid, req.Policy)
+		return fmt.Errorf("%w: unknown policy %q", spec.ErrInvalid, req.policy)
 	}
-	sys, err := req.System.ToSystem()
+	sys, err := req.system.draft.System()
 	if err != nil {
 		return err
 	}
-	ctx, cancel, dms, err := requestCtx(r, req.Options)
+	ctx, cancel, dms, err := requestCtx(r, req.options)
 	if err != nil {
 		return err
 	}
 	defer cancel()
 	res, _, err := sched.Assign(ctx, sys, policy, sched.AssignOptions{
-		Analysis:   req.Options.analysis(s.def),
-		Iterations: req.Iterations,
+		Analysis:   req.options.analysis(s.def),
+		Iterations: req.iterations,
 		Service:    s.svc,
 	})
 	if err != nil {
 		return deadlineError{err, dms}
 	}
-	resp := &AssignResponse{
-		AnalyzeResponse: *buildAnalyzeResponse(res, req.Options.Bounds, elapsedMS(start)),
-		Policy:          string(policy),
-	}
-	for i := range sys.Transactions {
-		prio := make([]int, len(sys.Transactions[i].Tasks))
-		for j := range prio {
-			prio[j] = sys.Transactions[i].Tasks[j].Priority
-		}
-		resp.Priorities = append(resp.Priorities, prio)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAssignJSON(w, res, sys, req.options.Bounds, elapsedMS(start), string(policy))
 	return nil
 }
 

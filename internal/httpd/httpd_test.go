@@ -29,12 +29,13 @@ func paperFile() *spec.File {
 // milliseconds — long enough that a tens-of-milliseconds request
 // deadline expires mid-iteration (the 504 path), that a 150 ms one
 // does too, and that a concurrent request reliably observes it in
-// flight (the 429 path). About 0.55 s sequential on a 2-vCPU Xeon;
-// size it up if the analysis gets faster.
+// flight (the 429 path). About 0.6 s sequential and 0.3 s on two
+// workers (the default server's, on two CPUs) on a 2-vCPU Xeon; size
+// it up if the analysis gets faster.
 func slowSystem(t *testing.T) *spec.File {
 	t.Helper()
 	sys, err := gen.System(gen.Config{
-		Seed: 11, Platforms: 4, Transactions: 50, ChainLen: 10,
+		Seed: 11, Platforms: 4, Transactions: 70, ChainLen: 10,
 		PeriodMin: 50, PeriodMax: 1000, Utilization: 0.65,
 		AlphaMin: 0.5, AlphaMax: 0.9,
 	})

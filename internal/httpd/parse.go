@@ -29,10 +29,13 @@ type parsedAnalyze struct {
 // Admission-control traffic keeps re-asking about the same small
 // population of systems, so the expensive part of a memo-hit
 // query is not the analysis (the service answers in ~µs) but decoding
-// the JSON spec and rebuilding the model — this cache skips both: a
-// repeated byte-identical body costs one SHA-256 of the raw bytes.
-// Entries are only ever successful parses; malformed bodies are
-// re-diagnosed every time so their 400s stay accurate.
+// the JSON body into a validated model system, which costs several
+// times that even in one pass — this cache skips it: a repeated
+// byte-identical body costs one SHA-256 of the raw bytes. Entries hold
+// decoded systems that share no bytes with the request body, so they
+// outlive its pooled read buffer. Entries are only ever successful
+// parses; malformed bodies are re-diagnosed every time so their 400s
+// stay accurate.
 type parseMemo struct {
 	mu    sync.Mutex
 	byKey *cache.Clock[[sha256.Size]byte, *parsedAnalyze]

@@ -1,13 +1,10 @@
 package httpd
 
 import (
-	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"hsched/internal/analysis"
-	"hsched/internal/model"
 	"hsched/internal/service"
 	"hsched/internal/spec"
 )
@@ -167,56 +164,6 @@ type TransactionSet struct {
 	Transaction spec.TransactionSpec `json:"transaction"`
 }
 
-// apply returns a validated copy of base with the edit applied. Every
-// error wraps spec.ErrInvalid (the request is at fault) and names the
-// offending element.
-func (e *EditSpec) apply(base *model.System) (*model.System, error) {
-	sys := base.Clone()
-	for _, pe := range e.Platforms {
-		if pe.Index < 1 || pe.Index > len(sys.Platforms) {
-			return nil, fmt.Errorf("%w: platform edit: index %d outside [1, %d]", spec.ErrInvalid, pe.Index, len(sys.Platforms))
-		}
-		p := &sys.Platforms[pe.Index-1]
-		p.Alpha, p.Delta, p.Beta = pe.Alpha, pe.Delta, pe.Beta
-	}
-	for _, ts := range e.Set {
-		if ts.Index < 1 || ts.Index > len(sys.Transactions) {
-			return nil, fmt.Errorf("%w: set: index %d outside [1, %d]", spec.ErrInvalid, ts.Index, len(sys.Transactions))
-		}
-		tr, err := ts.Transaction.ToTransaction(len(sys.Platforms))
-		if err != nil {
-			return nil, fmt.Errorf("set: transaction %d: %w", ts.Index, err)
-		}
-		sys.Transactions[ts.Index-1] = tr
-	}
-	if len(e.Remove) > 0 {
-		idx := append([]int(nil), e.Remove...)
-		sort.Sort(sort.Reverse(sort.IntSlice(idx)))
-		last := 0
-		for _, i := range idx {
-			if i < 1 || i > len(base.Transactions) {
-				return nil, fmt.Errorf("%w: remove: index %d outside [1, %d]", spec.ErrInvalid, i, len(base.Transactions))
-			}
-			if i == last {
-				return nil, fmt.Errorf("%w: remove: index %d repeated", spec.ErrInvalid, i)
-			}
-			last = i
-			sys.Transactions = append(sys.Transactions[:i-1], sys.Transactions[i:]...)
-		}
-	}
-	for k := range e.Add {
-		tr, err := e.Add[k].ToTransaction(len(sys.Platforms))
-		if err != nil {
-			return nil, fmt.Errorf("add: transaction %d: %w", k+1, err)
-		}
-		sys.Transactions = append(sys.Transactions, tr)
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: edited system: %w", spec.ErrInvalid, err)
-	}
-	return sys, nil
-}
-
 // AnalyzeResponse is the 200 body of the analyze endpoints — the
 // machine-readable verdict shape of `hsched bench -json`.
 type AnalyzeResponse struct {
@@ -353,50 +300,4 @@ func fin(v float64) *float64 {
 		return nil
 	}
 	return &v
-}
-
-// buildAnalyzeResponse renders an analysis result, terse by default,
-// with per-task bounds when asked.
-func buildAnalyzeResponse(res *analysis.Result, bounds bool, elapsedMS float64) *AnalyzeResponse {
-	resp := &AnalyzeResponse{
-		Schedulable:     res.Schedulable,
-		Converged:       res.Converged,
-		Stopped:         res.StoppedAtGoal,
-		Iterations:      res.Iterations,
-		ScenariosPruned: res.ScenariosPruned,
-		SubtreesPruned:  res.SubtreesPruned,
-		ElapsedMS:       elapsedMS,
-	}
-	if res.Delta != nil {
-		resp.Delta = &DeltaStats{
-			CleanTasks:      res.Delta.CleanTasks,
-			DirtyTasks:      res.Delta.DirtyTasks,
-			ReplayedRounds:  res.Delta.ReplayedRounds,
-			TaskRoundsSaved: res.Delta.TaskRoundsSaved,
-		}
-	}
-	for i := range res.Tasks {
-		tr := &res.System.Transactions[i]
-		endToEnd := res.Tasks[i][len(res.Tasks[i])-1].Worst
-		tv := TransactionVerdict{
-			Name:        tr.Name,
-			Deadline:    tr.Deadline,
-			Response:    fin(endToEnd),
-			Schedulable: res.MeetsDeadline(i),
-		}
-		if bounds {
-			for j, tb := range res.Tasks[i] {
-				tv.Tasks = append(tv.Tasks, TaskBounds{
-					Name:     res.System.TaskName(i, j),
-					Platform: tr.Tasks[j].Platform + 1,
-					Offset:   fin(tb.Offset),
-					Jitter:   fin(tb.Jitter),
-					Best:     fin(tb.Best),
-					Worst:    fin(tb.Worst),
-				})
-			}
-		}
-		resp.Transactions = append(resp.Transactions, tv)
-	}
-	return resp
 }

@@ -63,14 +63,17 @@ type File struct {
 // platforms platforms. A missing deadline defaults to the period. The
 // returned errors wrap ErrInvalid and name the offending task.
 func (t *TransactionSpec) ToTransaction(platforms int) (model.Transaction, error) {
-	tr := model.Transaction{Name: t.Name, Period: t.Period, Deadline: t.Deadline}
-	if tr.Deadline == 0 {
-		tr.Deadline = tr.Period
+	tr := t.asWritten()
+	if err := ResolveTransaction(&tr, platforms); err != nil {
+		return model.Transaction{}, err
 	}
-	for j, k := range t.Tasks {
-		if k.Platform < 1 || k.Platform > platforms {
-			return model.Transaction{}, fmt.Errorf("%w: task %d: platform %d outside [1, %d]", ErrInvalid, j+1, k.Platform, platforms)
-		}
+	return tr, nil
+}
+
+// asWritten copies the spec into model form as written (see Draft).
+func (t *TransactionSpec) asWritten() model.Transaction {
+	tr := model.Transaction{Name: t.Name, Period: t.Period, Deadline: t.Deadline}
+	for _, k := range t.Tasks {
 		tr.Tasks = append(tr.Tasks, model.Task{
 			Name:     k.Name,
 			WCET:     k.WCET,
@@ -78,27 +81,55 @@ func (t *TransactionSpec) ToTransaction(platforms int) (model.Transaction, error
 			Offset:   k.Offset,
 			Jitter:   k.Jitter,
 			Priority: k.Priority,
-			Platform: k.Platform - 1,
+			Platform: k.Platform,
 			Blocking: k.Blocking,
 		})
 	}
-	return tr, nil
+	return tr
+}
+
+// ResolveTransaction applies the document's rules, in place, to a
+// transaction decoded as written: a zero deadline becomes the period,
+// and each task's 1-based platform reference, checked against a system
+// with platforms platforms, becomes the model's 0-based index. The
+// returned errors wrap ErrInvalid and name the offending task.
+func ResolveTransaction(tr *model.Transaction, platforms int) error {
+	if tr.Deadline == 0 {
+		tr.Deadline = tr.Period
+	}
+	for j := range tr.Tasks {
+		k := &tr.Tasks[j]
+		if k.Platform < 1 || k.Platform > platforms {
+			return fmt.Errorf("%w: task %d: platform %d outside [1, %d]", ErrInvalid, j+1, k.Platform, platforms)
+		}
+		k.Platform--
+	}
+	return nil
 }
 
 // ToSystem converts the document to a validated model system. A
 // missing deadline defaults to the period. Errors wrap ErrInvalid and
 // carry enough context to name the offending transaction and field.
 func (f *File) ToSystem() (*model.System, error) {
-	sys := &model.System{}
+	var ps []platform.Params
 	for _, p := range f.Platforms {
-		sys.Platforms = append(sys.Platforms, platform.Params{Alpha: p.Alpha, Delta: p.Delta, Beta: p.Beta})
+		ps = append(ps, platform.Params{Alpha: p.Alpha, Delta: p.Delta, Beta: p.Beta})
 	}
+	var txs []model.Transaction
 	for ti := range f.Transactions {
-		tr, err := f.Transactions[ti].ToTransaction(len(sys.Platforms))
-		if err != nil {
+		txs = append(txs, f.Transactions[ti].asWritten())
+	}
+	return system(ps, txs)
+}
+
+// system builds the validated system of a document's platforms and its
+// transactions as written, resolving each transaction in place.
+func system(platforms []platform.Params, txs []model.Transaction) (*model.System, error) {
+	sys := &model.System{Platforms: platforms, Transactions: txs}
+	for ti := range txs {
+		if err := ResolveTransaction(&txs[ti], len(platforms)); err != nil {
 			return nil, fmt.Errorf("spec: transaction %d: %w", ti+1, err)
 		}
-		sys.Transactions = append(sys.Transactions, tr)
 	}
 	if err := sys.Validate(); err != nil {
 		// Validation errors already name the transaction/task/field
@@ -133,13 +164,20 @@ func FromSystem(sys *model.System) *File {
 	return f
 }
 
-// Parse decodes a JSON document into a validated system.
+// Parse decodes a JSON document into a validated system, in one pass
+// with the acceptance rules of json.Unmarshal into a File (see
+// Decoder).
 func Parse(data []byte) (*model.System, error) {
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
+	d := NewDecoder(data)
+	var dr Draft
+	_, err := d.Draft(&dr)
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("spec: %w: %w", ErrInvalid, err)
 	}
-	return f.ToSystem()
+	return dr.System()
 }
 
 // Load reads and parses a JSON system file.
