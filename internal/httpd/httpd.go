@@ -492,12 +492,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 		writeBinaryAnalyzeResponse(w, res, elapsedMS(start))
 		return nil
 	}
+	var ss *service.SessionStats
 	if sess != nil {
-		ss := sess.probe.Stats()
-		writeAnalyzeJSON(w, res, opts.Bounds, elapsedMS(start), &ss)
-	} else {
-		writeAnalyzeJSON(w, res, opts.Bounds, elapsedMS(start), nil)
+		st := sess.probe.Stats()
+		ss = &st
 	}
+	writeAnalyzeJSON(w, res, opts.Bounds, elapsedMS(start), ss)
 	return nil
 }
 
