@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 	"testing"
+	"time"
 
 	"hsched/internal/gen"
 	"hsched/internal/model"
@@ -307,5 +308,31 @@ func TestPhaseTableZeroAllocs(t *testing.T) {
 	build()
 	if allocs := testing.AllocsPerRun(100, build); allocs != 0 {
 		t.Errorf("phase table rebuild allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestHugeBusyPeriodUnbounded: a busy period spanning more jobs than
+// MaxInner (here from a blocking term of 1e34, as a hostile binary
+// body can carry) reads as unbounded at once. Walked job by job it
+// would never end: past 2^53 jobs the float job index stops advancing,
+// and the walk polls no context.
+func TestHugeBusyPeriodUnbounded(t *testing.T) {
+	sys := paperSystem()
+	sys.Transactions[1].Tasks[0].Blocking = 1e34
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := Analyze(sys, Options{Workers: 1})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res != nil && !math.IsInf(res.Tasks[1][0].Worst, 1) {
+			t.Errorf("worst response %v, want +Inf", res.Tasks[1][0].Worst)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("analysis still running after 20 s")
 	}
 }

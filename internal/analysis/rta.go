@@ -442,7 +442,8 @@ func cursorNext(axes []axis, pick []int, nu []initiator) {
 // returning the largest response time and the job index attaining it.
 // pt is the task's phase table, built by the enclosing responseTime
 // call. ok is false when a fixed point was not reached within
-// Options.MaxInner steps.
+// Options.MaxInner steps, or the busy period spans more than MaxInner
+// jobs.
 //
 // Two shortcuts skip work whose bits are already known. The first
 // step of the busy period and of job p0's completion is t = L0 for
@@ -499,6 +500,13 @@ func (an *analyzer) scenarioResponse(a, b int, sc scenario, hp [][]int, alpha fl
 			best = r
 		}
 		return best, bestJob, true
+	}
+	// A busy period of more jobs than MaxInner is as unbounded as an
+	// inner iteration that never settles. Walking it job by job would
+	// hold the analysis between poll points for as long, and past 2^53
+	// jobs the float index stops advancing and the walk never ends.
+	if pL-p0 >= float64(an.opt.maxInner()) {
+		return 0, 0, false
 	}
 	w := 0.0
 	for p := p0; p <= pL; p++ {

@@ -96,8 +96,30 @@
 // ErrorResponse shape: handlers return their errors and one place
 // writes every error body, deriving the status from the error.
 //
-// Server.Serve drains gracefully on context cancellation (the CLI
-// wires SIGTERM/SIGINT to it): the listener closes first, in-flight
-// requests finish or hit their own deadlines within DrainTimeout, and
-// a final stats line is flushed.
+// Server.Serve owns the HTTP/1.1 framing (serve.go). A keep-alive loop
+// per connection reads requests into a reused buffer, parses the
+// request line and the headers the handlers read (Host,
+// Content-Length, Content-Type, Accept, X-Deadline-Ms, Connection) in
+// place, runs every route through the same mux and route wrapper with
+// a reused request and response writer, and writes each response — a
+// status line, Content-Type, Date and Content-Length, then the body —
+// in one Write. Pipelined requests are answered in order, idle
+// connections stay open, and each request gets one whole-request read
+// deadline. The hand-off rule is by framing, never by route: a request
+// off the simple shape (chunked or Expect, not HTTP/1.1, HEAD, OPTIONS
+// or an unknown method, a target with ?, % or bytes outside a plain
+// path, a duplicate or malformed Content-Length, a missing or repeated
+// Host, obs-fold, a bad header byte, a head larger than the loop's
+// buffer) sends its connection, with the bytes already read, to a
+// net/http.Server over the same mux, which serves it from then on.
+// The loop's request context is cancelled when the client disconnects.
+// It watches lazily: its first Done call, once the body is consumed,
+// starts a one-byte read that sees either a later request's first byte
+// or the disconnect. A memo hit never calls Done and pays nothing;
+// every analysis that runs calls it, so a disconnect still stops it.
+//
+// Serve drains gracefully on context cancellation (the CLI wires
+// SIGTERM/SIGINT to it): the listener closes first, idle connections
+// close, in-flight requests finish or hit their own deadlines within
+// DrainTimeout, and a final stats line is flushed.
 package httpd

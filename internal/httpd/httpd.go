@@ -80,9 +80,11 @@ const (
 // readTimeout bounds the read of one whole request, headers and body,
 // so a client that stalls mid-body gets a 400 and frees its in-flight
 // slot instead of holding it until it disconnects (a stalled header
-// read just closes the connection). Once the body is
-// read net/http clears the deadline, so it never cuts off a long
-// analysis. A variable only so tests can shorten it.
+// read just closes the connection). The loop sets it once per request,
+// when the request's first bytes are in; the disconnect watcher and the
+// idle wait for the next request clear it when it fires, so it never
+// cuts off a long analysis or an idle keep-alive connection. A
+// variable only so tests can shorten it.
 var readTimeout = 10 * time.Second
 
 // padded is a cache-line-padded atomic counter: 8 (Int64) + 56 = 64
@@ -737,29 +739,61 @@ func elapsedMS(start time.Time) float64 {
 }
 
 // Serve runs the server on ln until ctx is cancelled, then drains
-// gracefully: the listener closes (new connections are refused),
-// in-flight requests finish — or hit their own per-request deadlines —
-// within DrainTimeout, stragglers past it are cut off hard, and one
-// final stats line is written to logw. A clean drain returns nil.
+// gracefully: the listener closes (new connections are refused), idle
+// keep-alive connections close, in-flight requests finish — or hit
+// their own per-request deadlines — within DrainTimeout, stragglers past
+// it are cut off hard, and one final stats line is written to logw. A
+// clean drain returns nil. A listener that fails on its own closes
+// every connection and returns its error.
+//
+// Connections are served by a keep-alive loop that owns the HTTP/1.1
+// framing of simply framed requests (serve.go): pipelined requests are
+// answered in order, each response leaves in one Write, and idle
+// connections stay open. A request off that shape — chunked or
+// Expect, not HTTP/1.1, a HEAD, OPTIONS or unknown method, a target
+// with a query or escapes, a duplicate or malformed Content-Length, a
+// missing or repeated Host, obs-fold or a bad header byte, a head
+// larger than the loop's buffer — hands its connection, with the bytes
+// already read, to a net/http.Server over the same routes, which keeps
+// it. Either way a request's context is cancelled when its client
+// disconnects; the loop starts watching for that on the context's
+// first Done call after the body is read, so a memo hit, which never
+// calls it, pays nothing.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, logw io.Writer) error {
+	l := &loop{s: s, handoff: newHandoffListener(ln.Addr()), conns: make(map[*conn]struct{})}
 	// IdleTimeout is negative: zero would inherit ReadTimeout and close
 	// idle keep-alive connections after it.
 	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readTimeout, ReadTimeout: readTimeout, IdleTimeout: -1}
+	httpDone := make(chan struct{})
+	go func() {
+		srv.Serve(l.handoff) //nolint:errcheck // ErrServerClosed once Shutdown or Close ran
+		close(httpDone)
+	}()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
+	go func() { errc <- l.accept(ln) }()
 	select {
 	case err := <-errc:
 		// The listener failed on its own; nothing to drain.
+		l.closing.Store(true)
+		l.closeAll()
+		srv.Close()
+		<-httpDone
 		return fmt.Errorf("httpd: %w", err)
 	case <-ctx.Done():
 	}
+	l.closing.Store(true)
+	ln.Close()
+	<-errc
 	dctx, cancel := context.WithTimeout(context.Background(), s.drain)
 	defer cancel()
-	err := srv.Shutdown(dctx)
-	if err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(dctx) }()
+	err := l.shutdown(dctx)
+	if herr := <-shut; herr != nil {
 		srv.Close()
+		err = herr
 	}
-	<-errc // Serve has returned ErrServerClosed
+	<-httpDone
 	if logw != nil {
 		data, _ := json.Marshal(s.statsSnapshot())
 		fmt.Fprintf(logw, "httpd: drained; final stats: %s\n", data)

@@ -1,9 +1,13 @@
 package httpd
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -428,6 +432,30 @@ func TestBodyCap(t *testing.T) {
 	var resp AnalyzeResponse
 	if w := do(t, s, "POST", "/v1/analyze", &AnalyzeRequest{System: paperFile()}, &resp); w.Code != http.StatusOK || !resp.Schedulable {
 		t.Fatalf("well-formed request after the capped ones: status %d: %s", w.Code, w.Body.String())
+	}
+
+	// Through Serve: a body declared far over the cap gets the same 400
+	// once the cap is read, and the connection closes, since the rest
+	// of the body is too long to skip.
+	nc, err := net.Dial("tcp", serveLoop(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	go fmt.Fprintf(nc, "POST /v1/analyze HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		2*maxBody, over)
+	br := bufio.NewReader(nc)
+	served, data := readResponse(t, br)
+	var er ErrorResponse
+	if err := json.Unmarshal(data, &er); err != nil || served.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "too large") {
+		t.Errorf("served: status %d, body %q; want 400 naming the size", served.StatusCode, data)
+	}
+	if !served.Close {
+		t.Error("served: response does not close the connection")
+	}
+	if n, err := br.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Errorf("served: read %d bytes, %v after the 400; want EOF", n, err)
 	}
 }
 
