@@ -32,8 +32,9 @@ type Options struct {
 	MaxIterations int
 
 	// MaxInner bounds every inner fixed-point iteration (busy-period
-	// length and completion times). If exceeded the task's response
-	// time is reported as +Inf. Defaults to 10^6.
+	// length and completion times) and the number of jobs one busy
+	// period may span. If either is exceeded the task's response time
+	// is reported as +Inf. Defaults to 10^6.
 	MaxInner int
 
 	// TightBestCase grants the platform burstiness credit β once per

@@ -115,8 +115,12 @@
 // The loop's request context is cancelled when the client disconnects.
 // It watches lazily: its first Done call, once the body is consumed,
 // starts a one-byte read that sees either a later request's first byte
-// or the disconnect. A memo hit never calls Done and pays nothing;
-// every analysis that runs calls it, so a disconnect still stops it.
+// or the disconnect; the buffer always keeps room for that byte, so
+// a body of any size leaves the watch possible. A memo hit never calls
+// Done and pays nothing; every analysis that runs calls it, so a
+// disconnect still stops it. A deadline's context.WithTimeout over the
+// request context registers through its AfterFunc method and so starts
+// no goroutine of its own.
 //
 // Serve drains gracefully on context cancellation (the CLI wires
 // SIGTERM/SIGINT to it): the listener closes first, idle connections

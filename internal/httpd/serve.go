@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"runtime/debug"
 	"slices"
 	"strconv"
@@ -338,10 +339,9 @@ func (c *conn) fill(idle bool) error {
 	}
 }
 
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
+// isTimeout reports a read that hit its deadline; net.Conn errors wrap
+// os.ErrDeadlineExceeded for it.
+func isTimeout(err error) bool { return errors.Is(err, os.ErrDeadlineExceeded) }
 
 // handOff passes the connection, and every byte buffered from its
 // current request on, to the net/http.Server. It reports whether
@@ -583,7 +583,9 @@ func isHostByte(b byte) bool {
 // response. It reports whether the connection stays open for the next
 // request.
 func (c *conn) serveRequest() bool {
-	c.ctx.watchable.Store(c.body.n == 0 && c.w < len(c.buf))
+	if c.body.n == 0 {
+		c.bodyDone()
+	}
 	c.rw.status = 0
 	c.l.s.mux.ServeHTTP(&c.rw, &c.req)
 	if c.ctx.stop() {
@@ -650,29 +652,45 @@ func (b *body) Read(p []byte) (int, error) {
 		}
 	}
 	if b.n -= int64(k); b.n == 0 {
-		c.ctx.watchable.Store(c.w < len(c.buf))
+		c.bodyDone()
 	}
 	return k, nil
 }
 
 func (b *body) Close() error { return nil }
 
+// bodyDone marks the request body consumed: the next byte on the wire
+// now belongs to a later request or reports a disconnect, so the
+// disconnect watcher may read it. The buffer first makes room for that
+// byte behind whatever later requests it holds; a body that ended
+// after its head can always shift them to the front.
+func (c *conn) bodyDone() {
+	if c.r == c.w {
+		c.r, c.w = 0, 0
+	} else if c.w == len(c.buf) {
+		c.w = copy(c.buf, c.buf[c.r:c.w])
+		c.r = 0
+	}
+	c.ctx.watchable.Store(true)
+}
+
 // reqCtx is a connection's request context, reset between requests.
 // It is cancelled when the client disconnects, which only a read can
 // see. The one-byte watcher read that does so starts lazily, on the
-// first Done call, and only once the body is consumed, when the next
-// byte on the wire can only belong to a later request or report a
-// disconnect; the buffer keeps room for that byte behind any requests
-// already buffered (a buffer full of them has its client in plain
-// sight). Memo hits never call Done and so never start it; every
-// analysis that runs does (service.run selects on it).
+// first Done call, and only once the body is consumed (see bodyDone).
+// Memo hits never call Done and so never start it; every analysis that
+// runs does (service.run selects on it). A context derived from it
+// registers through AfterFunc, so context.WithTimeout over it starts
+// no goroutine of its own.
 type reqCtx struct {
 	c         *conn
-	watchable atomic.Bool // body consumed, room in the buffer
+	watchable atomic.Bool // the body is consumed
 	canceled  atomic.Bool
 
 	mu       sync.Mutex
 	done     chan struct{} // made on the first Done; closed on disconnect
+	afters   []func()      // AfterFunc callbacks of this request; nil once stopped
+	gen      uint64        // counts requests, so a stale stop func finds nothing
 	watching bool          // a watcher started for this request
 	aborting bool          // the request is over: the watcher's timeout is ours
 	watcher  sync.WaitGroup
@@ -704,6 +722,29 @@ func (x *reqCtx) Done() <-chan struct{} {
 	return x.done
 }
 
+// AfterFunc runs f in its own goroutine once the client disconnects,
+// as context.AfterFunc would; the request's end drops f unrun. The
+// returned stop reports whether it kept f from running.
+func (x *reqCtx) AfterFunc(f func()) (stop func() bool) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.canceled.Load() {
+		go f()
+		return func() bool { return false }
+	}
+	gen, i := x.gen, len(x.afters)
+	x.afters = append(x.afters, f)
+	return func() bool {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		if gen != x.gen || x.afters[i] == nil {
+			return false
+		}
+		x.afters[i] = nil
+		return true
+	}
+}
+
 // watch reads one byte: part of a later request, or an error
 // that means the client is gone. A timeout is either stop ending the
 // watch or the request's read deadline passing while its analysis
@@ -732,6 +773,12 @@ func (x *reqCtx) watch() {
 		}
 		x.canceled.Store(true)
 		close(x.done)
+		for i, f := range x.afters {
+			if f != nil {
+				go f()
+				x.afters[i] = nil
+			}
+		}
 		x.mu.Unlock()
 		return
 	}
@@ -743,6 +790,9 @@ func (x *reqCtx) watch() {
 func (x *reqCtx) stop() bool {
 	x.watchable.Store(false)
 	x.mu.Lock()
+	clear(x.afters)
+	x.afters = x.afters[:0]
+	x.gen++
 	started := x.watching
 	if started {
 		x.aborting = true
@@ -753,6 +803,9 @@ func (x *reqCtx) stop() bool {
 		return false
 	}
 	x.watcher.Wait()
+	// The idle read that may follow wants no deadline; clearing it here
+	// spares that read a failed round on the past one.
+	x.c.nc.SetReadDeadline(time.Time{}) //nolint:errcheck // a failed deadline fails the read
 	x.mu.Lock()
 	x.watching, x.aborting = false, false
 	x.mu.Unlock()

@@ -10,9 +10,9 @@ import (
 	"net"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -218,7 +218,9 @@ func TestServeHandOff(t *testing.T) {
 // TestServeClientDisconnectCancels: closing the connection of a
 // request whose analysis would run for minutes, with no deadline,
 // cancels that analysis: its in-flight slot frees within 2 s, and the
-// next request on its stripe (the service has one) is served.
+// next request on its stripe (the service has one) is served. The
+// padded body is larger than the loop's read buffer, so its end is
+// read straight from the connection and leaves the buffer full.
 func TestServeClientDisconnectCancels(t *testing.T) {
 	// ROADMAP item 1's divergent system: the exact-search shape at seed
 	// 8 with every priority equal, still iterating after 60 s under
@@ -240,42 +242,51 @@ func TestServeClientDisconnectCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Service: service.New(service.Options{Shards: 1})})
-	addr := serveLoop(t, s)
-
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Write(rawRequest("POST", "/v1/analyze", "application/json", "", body)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; s.inflight.Load() == 0; i++ {
-		if i > 5000 {
-			t.Fatal("request never entered flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond) // let the analysis get going
-	nc.Close()
-	for start := time.Now(); s.inflight.Load() != 0; time.Sleep(time.Millisecond) {
-		if time.Since(start) > 2*time.Second {
-			t.Fatal("analysis still in flight 2 s after its client disconnected")
-		}
-	}
-
+	// An unknown key is skipped, so the padding leaves the system as is.
+	padded := append([]byte(`{"pad":"`+strings.Repeat("x", 2*connBufSize)+`",`), body[1:]...)
 	jsonBody, _ := hitBodies(t)
-	nc, err = net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := nc.Write(rawRequest("POST", "/v1/analyze", "application/json", "", jsonBody)); err != nil {
-		t.Fatal(err)
-	}
-	if resp, data := readResponse(t, bufio.NewReader(nc)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("next request on the stripe: status %d: %s", resp.StatusCode, data)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{{"small", body}, {"over-buffer", padded}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Options{Service: service.New(service.Options{Shards: 1})})
+			addr := serveLoop(t, s)
+
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nc.Write(rawRequest("POST", "/v1/analyze", "application/json", "", tc.body)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; s.inflight.Load() == 0; i++ {
+				if i > 5000 {
+					t.Fatal("request never entered flight")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(50 * time.Millisecond) // let the analysis get going
+			nc.Close()
+			for start := time.Now(); s.inflight.Load() != 0; time.Sleep(time.Millisecond) {
+				if time.Since(start) > 2*time.Second {
+					t.Fatal("analysis still in flight 2 s after its client disconnected")
+				}
+			}
+
+			nc, err = net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := nc.Write(rawRequest("POST", "/v1/analyze", "application/json", "", jsonBody)); err != nil {
+				t.Fatal(err)
+			}
+			if resp, data := readResponse(t, bufio.NewReader(nc)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("next request on the stripe: status %d: %s", resp.StatusCode, data)
+			}
+		})
 	}
 }
 
@@ -325,15 +336,30 @@ func (c *rawClient) roundTrip(t *testing.T, req []byte) (int, []byte) {
 // allocations per request: on a warmed keep-alive loopback connection,
 // a JSON parse-memo hit and a binary intern and memo hit on
 // /v1/analyze go through the loop's framing, the mux and the handler
-// and back without allocating.
+// and back without allocating. A JSON hit carrying X-Deadline-Ms adds
+// what context.WithTimeout allocates over a plain cancel context and
+// at most deadlineExtra more: over the loop's context it registers
+// through AfterFunc (its callback, the stopCtx holding the stop func,
+// and that func), and its Done starts the disconnect watcher (the
+// goroutine's closure and the error of its aborted read). A fallback
+// goroutine per deadline would cost one more.
 func TestServeKeepAliveZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc counts are meaningless")
 	}
+	const deadlineExtra = 5
+	parent, cancelParent := context.WithCancel(context.Background())
+	defer cancelParent()
+	withTimeout := testing.AllocsPerRun(500, func() {
+		_, cancel := context.WithTimeout(parent, time.Minute)
+		cancel()
+	})
+
 	addr := serveLoop(t, New(Options{Service: service.New(service.Options{})}))
 	jsonBody, binBody := hitBodies(t)
 	jsonReq := rawRequest("POST", "/v1/analyze", "application/json", "", jsonBody)
 	binReq := rawRequest("POST", "/v1/analyze", ContentTypeBinary, ContentTypeBinary, binBody)
+	deadlineReq := bytes.Replace(jsonReq, []byte("Host: test\r\n"), []byte("Host: test\r\nX-Deadline-Ms: 60000\r\n"), 1)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +370,8 @@ func TestServeKeepAliveZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		req  []byte
-	}{{"json", jsonReq}, {"binary", binReq}} {
+		want float64
+	}{{"json", jsonReq, 0}, {"binary", binReq, 0}, {"json with a deadline", deadlineReq, withTimeout + deadlineExtra}} {
 		for i := 0; i < 8; i++ {
 			if status, body := c.roundTrip(t, tc.req); status != http.StatusOK {
 				t.Fatalf("%s warm-up: status %d: %s", tc.name, status, body)
@@ -355,11 +382,65 @@ func TestServeKeepAliveZeroAllocs(t *testing.T) {
 				t.Fatalf("%s: status %d", tc.name, status)
 			}
 		})
-		// Integral per-request counts: a regression reads ≥ 1, while a
-		// rare GC emptying a sync.Pool mid-run adds well under one.
-		if allocs >= 1 {
-			t.Errorf("%s hit served over keep-alive allocates %.2f/request, want 0", tc.name, allocs)
+		// Integral per-request counts: a regression reads ≥ 1 more, while
+		// a rare GC emptying a sync.Pool mid-run adds well under one.
+		if allocs >= tc.want+1 {
+			t.Errorf("%s hit served over keep-alive allocates %.2f/request, want ≤ %v", tc.name, allocs, tc.want)
 		}
+	}
+}
+
+// TestReqCtxAfterFunc: a context derived from the loop's request
+// context registers through AfterFunc, so context.WithTimeout over it
+// starts no goroutine; a disconnect once the body is consumed cancels
+// the derived context, and the request's end drops a registration
+// unrun.
+func TestReqCtxAfterFunc(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	c := newConn(&loop{}, server)
+	x := &c.ctx
+
+	before := runtime.NumGoroutine()
+	cancels := make([]context.CancelFunc, 100)
+	for i := range cancels {
+		_, cancels[i] = context.WithTimeout(x, time.Minute)
+	}
+	if n := runtime.NumGoroutine() - before; n >= len(cancels)/2 {
+		t.Errorf("%d WithTimeout calls started %d goroutines", len(cancels), n)
+	}
+	for _, cancel := range cancels {
+		cancel()
+	}
+
+	ran := make(chan struct{}, 1)
+	stop := x.AfterFunc(func() { ran <- struct{}{} })
+	if x.stop() {
+		t.Fatal("request end reports a disconnect")
+	}
+	if stop() {
+		t.Error("stop after the request's end reports it kept f from running")
+	}
+
+	c.bodyDone()
+	child, cancel := context.WithTimeout(x, time.Minute)
+	defer cancel()
+	client.Close()
+	select {
+	case <-child.Done():
+		if child.Err() != context.Canceled {
+			t.Errorf("derived context: %v, want %v", child.Err(), context.Canceled)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("derived context not cancelled 5 s after the disconnect")
+	}
+	if !x.stop() {
+		t.Error("request end does not report the disconnect")
+	}
+	select {
+	case <-ran:
+		t.Error("a callback dropped at the request's end ran")
+	default:
 	}
 }
 
@@ -367,49 +448,16 @@ func TestServeKeepAliveZeroAllocs(t *testing.T) {
 // random, masked before two servers' bodies are compared.
 var timingFields = regexp.MustCompile(`"(elapsed_ms|uptime_ms|mean_us|max_us|token)":("[^"]*"|[^,}\]]*)`)
 
-// pipeListener serves in-memory connections (net.Pipe), so a fuzz run
-// spends no ports and leaves no sockets behind.
-type pipeListener struct {
-	conns  chan net.Conn
-	closed chan struct{}
-	once   sync.Once
-}
-
-func newPipeListener() *pipeListener {
-	return &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.closed:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *pipeListener) Close() error {
-	l.once.Do(func() { close(l.closed) })
-	return nil
-}
-
-func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
-
-// dial returns the client end of a connection the server accepts.
-func (l *pipeListener) dial(t *testing.T) net.Conn {
+// dialPipe returns the client end of an in-memory connection (net.Pipe)
+// that l hands to its server, so a fuzz run spends no ports and leaves
+// no sockets behind.
+func dialPipe(t *testing.T, l *handoffListener) net.Conn {
 	client, server := net.Pipe()
-	select {
-	case l.conns <- server:
-	case <-l.closed:
+	if !l.send(server) {
 		t.Fatal("dial: listener closed")
 	}
 	return client
 }
-
-type pipeAddr struct{}
-
-func (pipeAddr) Network() string { return "pipe" }
-func (pipeAddr) String() string  { return "pipe" }
 
 // exchange is one client connection's view of a fuzz input.
 type exchange struct {
@@ -494,7 +542,7 @@ func checkServeMatches(t *testing.T, raw []byte) {
 	input := append(append([]byte(nil), raw...), fuzzSentinel...)
 	opt := Options{Analysis: analysis.Options{Workers: 1}, DrainTimeout: time.Second}
 
-	loopLn, stdLn := newPipeListener(), newPipeListener()
+	loopLn, stdLn := newHandoffListener(nil), newHandoffListener(nil)
 	// An input may leave an analysis running past the drain; the
 	// comparison below is the test, not the drain.
 	defer startServe(New(opt), loopLn)() //nolint:errcheck
@@ -502,7 +550,7 @@ func checkServeMatches(t *testing.T, raw []byte) {
 	go srv.Serve(stdLn)
 	defer srv.Close()
 
-	ex := [2]*exchange{{nc: loopLn.dial(t)}, {nc: stdLn.dial(t)}}
+	ex := [2]*exchange{{nc: dialPipe(t, loopLn)}, {nc: dialPipe(t, stdLn)}}
 	read, written := make(chan struct{}), make(chan struct{})
 	for _, e := range ex {
 		e.br = bufio.NewReader(e.nc)
